@@ -17,7 +17,7 @@ from .tokenizer import ByteTokenizer, ensure_shared_vocab
 from .checkpoint import load_checkpoint, save_checkpoint
 from .losses import LossSpec, ce_loss, kd_loss
 from .training import AdamW, Batch, TrainSchedule, lr_at, train_stage
-from .distill import SparseLogitRecord, extract_sparse_logits
+from .distill import SPARSE_DTYPE, extract_sparse_logits
 from .specdec import (BlockResult, SpecConfig, SpecSession, accept_step,
                       generate, speculate_block, start_session)
 from .metrics import (DecodeStats, LatencyProfile, SpeedupInputs,

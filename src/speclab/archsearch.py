@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig, param_count
+from .latency import measure_latency
+from .metrics import SpeedupInputs, expected_speedup, mbsu
+from .model import ModelConfig, ModelState, param_count
 
 
 @dataclass(frozen=True)
@@ -27,17 +29,6 @@ class BudgetSearchSpec:
             raise ConfigError("need at least one hidden-size candidate")
         if any(h <= 0 for h in self.hidden_candidates):
             raise ConfigError("hidden candidates must be positive")
-
-
-@dataclass
-class BudgetCandidate:
-    config: ModelConfig | None
-    hidden_size: int
-    n_layers: int | None
-    achieved: int | None
-    deviation: int | None
-    feasible: bool
-    reason: str = ""
 
 
 def derive_config(base: ModelConfig, hidden: int, n_layers: int) -> ModelConfig:
@@ -71,37 +62,63 @@ def per_layer_count(base: ModelConfig, hidden: int) -> int:
     return two - one
 
 
-def budget_search(spec: BudgetSearchSpec) -> list[BudgetCandidate]:
-    """One candidate per hidden size; deviations are at most one per-layer
-    block by construction. Raises only if no candidate is feasible."""
-    results: list[BudgetCandidate] = []
+def budget_search(spec: BudgetSearchSpec) -> list[dict]:
+    """One row per hidden size: the layer count whose excluded-embeddings
+    count lands closest to the budget (at most one per-layer block away by
+    construction), or feasible=False with the reason. Raises only if no
+    candidate is feasible."""
+    rows = []
     for hidden in spec.hidden_candidates:
+        row = {"hidden_size": hidden, "n_layers": None, "achieved_params_excl": None,
+               "deviation": None, "feasible": False, "reason": ""}
+        rows.append(row)
         try:
             layer = per_layer_count(spec.base_config, hidden)
         except ConfigError as exc:
-            results.append(BudgetCandidate(
-                config=None, hidden_size=hidden, n_layers=None, achieved=None,
-                deviation=None, feasible=False, reason=str(exc)))
+            row["reason"] = str(exc)
             continue
         if layer > spec.budget:
-            results.append(BudgetCandidate(
-                config=None, hidden_size=hidden, n_layers=None, achieved=None,
-                deviation=None, feasible=False,
-                reason=f"one layer costs {layer} params, over the {spec.budget} budget"))
+            row["reason"] = f"one layer costs {layer} params, over the {spec.budget} budget"
             continue
         base_cost = param_count(derive_config(spec.base_config, hidden, 1),
                                 exclude_embedding_tables=True) - layer
         ideal = (spec.budget - base_cost) / layer
-        best = None
         for n_layers in {max(1, int(ideal)), max(1, int(ideal) + 1)}:
-            cfg = derive_config(spec.base_config, hidden, n_layers)
-            achieved = param_count(cfg, exclude_embedding_tables=True)
-            dev = achieved - spec.budget
-            if best is None or abs(dev) < abs(best.deviation):
-                best = BudgetCandidate(
-                    config=cfg, hidden_size=hidden, n_layers=n_layers,
-                    achieved=achieved, deviation=dev, feasible=True)
-        results.append(best)
-    if not any(r.feasible for r in results):
+            achieved = param_count(derive_config(spec.base_config, hidden, n_layers),
+                                   exclude_embedding_tables=True)
+            if not row["feasible"] or abs(achieved - spec.budget) < abs(row["deviation"]):
+                row.update(n_layers=n_layers, achieved_params_excl=achieved,
+                           deviation=achieved - spec.budget, feasible=True)
+    if not any(r["feasible"] for r in rows):
         raise ConfigError("no feasible layer count for any hidden candidate")
-    return results
+    return rows
+
+
+def arch_table(ac: dict, base: ModelConfig, target: ModelState | None = None,
+               tau: float | None = None, seed: int = 0) -> list[dict]:
+    """`budget_search` rows for an `arch_search` config section.
+
+    The budget defaults to `base`'s excluded-embeddings count. With a target,
+    feasible rows add their measured single-token latency, c and c_hat and,
+    given a tau, the simplified speedup tau / (c * gamma + 1) and MBSU.
+    """
+    rows = budget_search(BudgetSearchSpec(
+        budget=int(ac.get("budget") or param_count(base, exclude_embedding_tables=True)),
+        hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
+        base_config=base))
+    if target is None:
+        return rows
+    gamma = int(ac.get("gamma", 3))
+    target_l1 = measure_latency(target, 1, warmup=2, reps=5, seed=seed).median
+    for row in rows:
+        if not row["feasible"]:
+            continue
+        cfg = derive_config(base, row["hidden_size"], row["n_layers"])
+        row["latency_1tok"] = lat = measure_latency(cfg, 1, warmup=2, reps=5, seed=seed).median
+        row["c"] = c = lat / target_l1
+        row["c_hat"] = c_hat = param_count(cfg) / param_count(target.config)
+        if tau is not None:
+            row["tau"] = tau
+            row["speedup_est"] = expected_speedup(SpeedupInputs(c=c), gamma, tau)
+            row["mbsu"] = mbsu(tau, c_hat, gamma)
+    return rows

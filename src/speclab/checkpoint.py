@@ -9,12 +9,14 @@ Round-trips are bit exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import ModelConfig, ModelState, tensor_shapes
 
 MAGIC = b"SFMD"
@@ -25,11 +27,24 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def save_checkpoint(state: ModelState, path: str | Path) -> None:
+@contextmanager
+def atomic_write(path: str | Path):
+    """Binary file handle on a temp file that replaces `path` only once
+    the block finishes; on error `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_checkpoint(state: ModelState, path: str | Path) -> None:
     cfg_blob = canonical_json(state.config.to_dict()).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(cfg_blob)))
@@ -47,26 +62,42 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ConfigError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        config = ModelConfig.from_dict(json.loads(f.read(cfg_len).decode("utf-8")))
-        (n_tensors,) = struct.unpack("<I", f.read(4))
-        expected = tensor_shapes(config)
-        if n_tensors != len(expected):
-            raise ConfigError(f"{path}: tensor count mismatch")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            if name not in expected or expected[name] != shape:
-                raise ConfigError(f"{path}: unexpected tensor {name} with shape {shape}")
-            data = np.frombuffer(f.read(4 * int(np.prod(shape))), dtype="<f4")
-            tensors[name] = data.reshape(shape).astype(np.float32)
+    """Read a checkpoint back; a truncated or damaged file raises DataError."""
+    buf = Path(path).read_bytes()
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(buf):
+            raise DataError(f"{path}: truncated checkpoint")
+        off += n
+        return buf[off - n:off]
+
+    def u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    if take(4) != MAGIC:
+        raise ConfigError(f"{path}: not a model checkpoint")
+    version = u32()
+    if version != VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    cfg_blob = take(u32())
+    try:
+        config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
+    except (ValueError, TypeError) as exc:  # bad utf-8 or JSON, or fields ModelConfig rejects
+        raise DataError(f"{path}: damaged config block ({exc})") from exc
+    expected = tensor_shapes(config)
+    if u32() != len(expected):
+        raise DataError(f"{path}: tensor count mismatch")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in expected:
+        name = take(struct.unpack("<H", take(2))[0]).decode("utf-8", errors="replace")
+        ndim = take(1)[0]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        if expected.get(name) != shape or name in tensors:
+            raise DataError(f"{path}: unexpected tensor {name} with shape {shape}")
+        data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4")
+        tensors[name] = data.reshape(shape).astype(np.float32)
+    if off != len(buf):
+        raise DataError(f"{path}: trailing bytes after the last tensor")
     return ModelState(config=config, tensors=tensors)

@@ -13,31 +13,25 @@ import json
 import sys
 from pathlib import Path
 
-from .archsearch import BudgetSearchSpec, budget_search
+from .archsearch import arch_table, derive_config
 from .checkpoint import load_checkpoint
-from .data import (generate_alignment_set, load_alignment_set, load_corpus,
-                   save_alignment_set)
+from .data import (chat_sequence, generate_alignment_set, load_alignment_set,
+                   load_corpus, save_alignment_set)
 from .distill import extract_sparse_logits, write_sparse_dataset
 from .errors import ConfigError, SpecLabError
-from .experiment import (run_evaluation, run_experiment, write_manifest)
+from .experiment import (load_config, resolve_run, run_evaluation, run_experiment,
+                         write_manifest)
 from .latency import measure_latency
 from .metrics import DecodeStats, metrics_row, write_report
-from .model import ModelConfig, param_count
+from .model import ModelConfig
 from .specdec import read_audit_log
 from .tokenizer import ByteTokenizer
 
 
-def _read_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out_dir is not None:
-        cfg["out_dir"] = args.out_dir
-    return cfg
+def _load(args) -> tuple[dict, Path, int, Path]:
+    """The config, its directory, and the run seed and output directory."""
+    cfg, base = load_config(args.config)
+    return (cfg, base) + resolve_run(cfg, args.out_dir, args.seed, ".")
 
 
 def cmd_train(args) -> int:
@@ -48,45 +42,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _overrides(_read_config(args.config), args)
-    base = Path(args.config).parent
+    cfg, base = load_config(args.config)
     if not cfg.get("draft_init_checkpoint"):
         raise ConfigError("eval needs draft_init_checkpoint in the config")
     draft = load_checkpoint(base / cfg["draft_init_checkpoint"])
-    # dict configs resolve paths against cwd, so rebase them on the file
-    report = run_evaluation(cfg_with_base(cfg, base), draft,
-                            out_dir=cfg.get("out_dir"), seed=cfg.get("seed"))
+    report = run_evaluation(args.config, draft, out_dir=args.out_dir, seed=args.seed)
     print(f"wrote {len(report.rows)} metric row(s) under {report.out_dir}")
     return 0
 
 
-def cfg_with_base(cfg: dict, base: Path) -> dict:
-    """Make data paths absolute so dict-based configs resolve like file ones."""
-    def fix(value):
-        if isinstance(value, str) and not Path(value).is_absolute():
-            candidate = base / value
-            if candidate.exists():
-                return str(candidate)
-        return value
-
-    def walk(node):
-        if isinstance(node, dict):
-            return {k: walk(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [walk(v) for v in node]
-        return fix(node)
-    return walk(cfg)
-
-
 def cmd_distill_data(args) -> int:
-    cfg = _overrides(_read_config(args.config), args)
-    base = Path(args.config).parent
+    cfg, base, _, out_dir = _load(args)
     tokenizer = ByteTokenizer()
     teacher = load_checkpoint(base / cfg["teacher_checkpoint"])
     k = int(cfg.get("k", 16))
     max_len = int(cfg.get("max_seq_len", teacher.config.max_seq_len))
     if "alignment" in cfg:
-        from .data import chat_sequence
         samples = load_alignment_set(base / cfg["alignment"], tokenizer)
         sequences = [chat_sequence(tokenizer, s)[0][:max_len] for s in samples]
     else:
@@ -94,7 +65,7 @@ def cmd_distill_data(args) -> int:
         sequences = [([tokenizer.bos_id] + tokenizer.encode(d.text)
                       + [tokenizer.eos_id])[:max_len]
                      for d in corpus.documents]
-    out = Path(cfg.get("out_dir", ".")) / cfg.get("out_name", "teacher.sfkd")
+    out = out_dir / cfg.get("out_name", "teacher.sfkd")
     n = write_sparse_dataset(out, extract_sparse_logits(teacher, sequences, k),
                              k=k, vocab_size=teacher.config.vocab_size)
     print(f"wrote {n} sequences (k={k}) to {out}")
@@ -102,8 +73,7 @@ def cmd_distill_data(args) -> int:
 
 
 def cmd_align_gen(args) -> int:
-    cfg = _overrides(_read_config(args.config), args)
-    base = Path(args.config).parent
+    cfg, base, seed, out_dir = _load(args)
     tokenizer = ByteTokenizer()
     target = load_checkpoint(base / cfg["target_checkpoint"])
     seeds_corpus = load_corpus(base / cfg["seed_instructions"])
@@ -113,18 +83,16 @@ def cmd_align_gen(args) -> int:
         temperatures=[float(t) for t in cfg.get("temperatures", [0.6, 0.8, 1.0])],
         include_greedy=bool(cfg.get("include_greedy", True)),
         self_prompt_count=int(cfg.get("self_prompt_count", 0)),
-        seed=int(cfg.get("seed", 0)),
+        seed=seed,
         max_new_tokens=int(cfg.get("max_new_tokens", 64)))
-    out = Path(cfg.get("out_dir", ".")) / cfg.get("out_name", "alignment.jsonl")
+    out = out_dir / cfg.get("out_name", "alignment.jsonl")
     save_alignment_set(samples, out, tokenizer)
     print(f"wrote {len(samples)} alignment samples to {out}")
     return 0
 
 
 def cmd_bench_latency(args) -> int:
-    cfg = _overrides(_read_config(args.config), args)
-    base = Path(args.config).parent
-    out_dir = Path(cfg.get("out_dir", "."))
+    cfg, base, seed, out_dir = _load(args)
     results = []
     for entry in cfg["models"]:
         if "checkpoint" in entry:
@@ -138,7 +106,7 @@ def cmd_bench_latency(args) -> int:
                 model, int(block),
                 warmup=int(cfg.get("warmup", 3)),
                 reps=int(cfg.get("reps", 10)),
-                seed=int(cfg.get("seed", 0)))
+                seed=seed)
             results.append({
                 "name": entry.get("name", "model"),
                 "hidden_size": mcfg.hidden_size,
@@ -152,45 +120,33 @@ def cmd_bench_latency(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(results, f, indent=2)
-    write_manifest(out_dir, cfg, int(cfg.get("seed", 0)))
+    write_manifest(out_dir, cfg, seed)
     print(f"wrote {len(results)} measurements to {out}")
     return 0
 
 
 def cmd_arch_search(args) -> int:
-    cfg = _overrides(_read_config(args.config), args)
+    cfg, _, seed, out_dir = _load(args)
     base_cfg = ModelConfig.from_dict(cfg["base_config"])
-    budget = int(cfg.get("budget") or param_count(base_cfg, exclude_embedding_tables=True))
-    spec = BudgetSearchSpec(
-        budget=budget,
-        hidden_candidates=tuple(int(h) for h in cfg["hidden_candidates"]),
-        base_config=base_cfg)
-    results = budget_search(spec)
-    out_dir = Path(cfg.get("out_dir", "."))
+    rows = arch_table(cfg, base_cfg)
+    for row in rows:
+        row["config"] = (derive_config(base_cfg, row["hidden_size"], row["n_layers"]).to_dict()
+                         if row["feasible"] else None)
     out = out_dir / cfg.get("out_name", "arch_search.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    payload = [{
-        "hidden_size": r.hidden_size,
-        "n_layers": r.n_layers,
-        "achieved_params_excl": r.achieved,
-        "deviation": r.deviation,
-        "feasible": r.feasible,
-        "reason": r.reason,
-        "config": r.config.to_dict() if r.config else None,
-    } for r in results]
     with open(out, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-    write_manifest(out_dir, cfg, int(cfg.get("seed", 0)))
-    for r in results:
-        status = f"layers={r.n_layers} deviation={r.deviation}" if r.feasible else r.reason
-        print(f"hidden={r.hidden_size}: {status}")
+        json.dump(rows, f, indent=2)
+    write_manifest(out_dir, cfg, seed)
+    for r in rows:
+        status = (f"layers={r['n_layers']} deviation={r['deviation']}" if r["feasible"]
+                  else r["reason"])
+        print(f"hidden={r['hidden_size']}: {status}")
     return 0
 
 
 def cmd_report(args) -> int:
     """Recompute a metrics table from recorded audit logs."""
-    cfg = _overrides(_read_config(args.config), args)
-    base = Path(args.config).parent
+    cfg, base, _, out_dir = _load(args)
     rows = []
     for entry in cfg["runs"]:
         blocks = read_audit_log(base / entry["audit"])
@@ -204,7 +160,6 @@ def cmd_report(args) -> int:
             stats,
             float(entry["c_hat"]),
             profile=None))
-    out_dir = Path(cfg.get("out_dir", "."))
     write_report(rows, out_dir / "metrics.csv", out_dir / "metrics.json")
     print(f"wrote {len(rows)} replayed row(s) under {out_dir}")
     return 0
@@ -238,14 +193,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except SpecLabError as exc:
+    except (SpecLabError, OSError, KeyError, json.JSONDecodeError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(exc, SpecLabError) else 3
 
 
 if __name__ == "__main__":

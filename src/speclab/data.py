@@ -46,12 +46,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def tag_token_counts(self) -> dict[str, int]:
-        counts = {t: 0 for t in TAGS}
-        for d in self.documents:
-            counts[d.tag] += len(d.text)
-        return counts
-
 
 def load_corpus(path: str | Path) -> Corpus:
     docs = []
@@ -326,8 +320,7 @@ def alignment_batches(
     seq_len: int,
     seed: int,
     epochs: int | None = None,
-    teacher: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-    k: int | None = None,
+    teacher: list[np.ndarray] | None = None,
     mask_mode: str = "response",
 ):
     """Fine-tuning batches with the loss masked to response tokens.
@@ -335,8 +328,9 @@ def alignment_batches(
     The mask covers exactly the positions whose target is a response token
     or the closing eos, never the instruction; mask_mode="full" instead
     supervises the whole sequence (used when training a target model that
-    must also model instructions). With `teacher`, per-sample (ids, logits)
-    top-k arrays are laid out alongside for distillation.
+    must also model instructions). With `teacher`, each sample's (P, k)
+    sparse teacher pairs (see `distill`) are laid out alongside for
+    distillation.
     """
     if mask_mode not in ("response", "full"):
         raise ConfigError(f"unknown mask_mode {mask_mode!r}")
@@ -369,13 +363,13 @@ def alignment_batches(
                 yield Batch(inputs=inputs, targets=targets, mask=mask)
             else:
                 # masked positions still need distinct ids; arange is inert
+                k = teacher[chosen[0][0]].shape[1]
                 t_ids = np.tile(np.arange(k, dtype=np.int64), (len(chosen), width - 1, 1))
                 t_log = np.zeros((len(chosen), width - 1, k), dtype=np.float32)
                 for i, (si, seq, _) in enumerate(chosen):
-                    ids_arr, log_arr = teacher[si]
-                    n = min(len(seq) - 1, ids_arr.shape[0])
-                    t_ids[i, :n] = ids_arr[:n]
-                    t_log[i, :n] = log_arr[:n]
+                    pairs = teacher[si][:len(seq) - 1]
+                    t_ids[i, :len(pairs)] = pairs["id"]
+                    t_log[i, :len(pairs)] = pairs["logit"]
                 yield Batch(inputs=inputs, targets=targets, mask=mask,
                             teacher_ids=t_ids, teacher_logits=t_log)
         epoch += 1

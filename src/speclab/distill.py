@@ -2,70 +2,56 @@
 
 Storing only the top-k logits per position keeps distillation datasets
 small (size scales with k, not vocabulary) while preserving the teacher's
-dominant probability mass. File layout: magic "SFKD", u32 version, u32 k,
+dominant probability mass. A sequence's sparse logits are one (P, k)
+`SPARSE_DTYPE` array: row j holds the teacher's top k (id, logit) pairs
+for the token after position j, in descending-logit order, ties broken by
+the smaller id. File layout: magic "SFKD", u32 version, u32 k,
 u32 vocab_size, then per-sequence blocks of (u32 length, u32 token ids,
-and for each of the length-1 next-token positions k pairs of
-(u32 id, f32 logit) in descending-logit order). Round-trips are bit exact.
+the length-1 rows of k (u32 id, f32 logit) pairs). Round-trips are bit
+exact.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .checkpoint import atomic_write
+from .errors import ConfigError, ContractError, DataError
 from .model import ModelState, forward
 
 MAGIC = b"SFKD"
 VERSION = 1
+SPARSE_DTYPE = np.dtype([("id", "<u4"), ("logit", "<f4")])
 
 
-@dataclass(frozen=True)
-class SparseLogitRecord:
-    """Teacher's top-k logits for the token following `position`.
-
-    entries are (token_id, logit) pairs sorted by descending logit, ties
-    broken by the smaller id; ids are distinct and k >= 1.
-    """
-    position: int
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
-            raise ContractError("sparse record needs k >= 1 entries")
-        ids = [tid for tid, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ContractError("sparse record has duplicate token ids")
-        logits = [lv for _, lv in self.entries]
-        for a, b in zip(logits, logits[1:]):
-            if b > a:
-                raise ContractError("sparse record entries must be sorted by descending logit")
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-
-def top_k_entries(logits: np.ndarray, k: int) -> tuple[tuple[int, float], ...]:
-    """Exact top-k of one logits row, descending, smaller id wins ties."""
+def top_k(logits: np.ndarray, k: int) -> np.ndarray:
+    """Exact top-k of each logits row as `SPARSE_DTYPE` pairs, descending,
+    smaller id wins ties."""
     if k <= 0:
         raise ConfigError("k must be positive")
     if k > logits.shape[-1]:
         raise ConfigError("k exceeds vocabulary size")
-    order = np.lexsort((np.arange(logits.shape[-1]), -logits))[:k]
-    return tuple((int(i), float(logits[i])) for i in order)
+    ids = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    pairs = np.empty(ids.shape, dtype=SPARSE_DTYPE)
+    pairs["id"] = ids
+    pairs["logit"] = np.take_along_axis(logits, ids, axis=-1)
+    return pairs
 
 
 def extract_sparse_logits(
     teacher: ModelState,
     sequences: Iterable[list[int]],
     k: int,
-) -> Iterator[tuple[list[int], list[SparseLogitRecord]]]:
-    """Yield (tokens, records) per sequence; one record per next-token position."""
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Yield (tokens, (len(tokens) - 1, k) pairs) per sequence.
+
+    Each sequence is one teacher forward, so one longer than the teacher's
+    max_seq_len raises LengthError; callers truncate first.
+    """
     if k <= 0:
         raise ConfigError("k must be positive")
     if k > teacher.config.vocab_size:
@@ -75,74 +61,62 @@ def extract_sparse_logits(
         if len(seq) < 2:
             raise ContractError("sequences need at least two tokens to supervise")
         logits, _ = forward(teacher, seq)
-        records = [
-            SparseLogitRecord(position=pos, entries=top_k_entries(logits[pos], k))
-            for pos in range(len(seq) - 1)
-        ]
-        yield seq, records
+        yield seq, top_k(logits[:-1], k)
 
 
 def write_sparse_dataset(
     path: str | Path,
-    items: Iterable[tuple[list[int], list[SparseLogitRecord]]],
+    items: Iterable[tuple[list[int], np.ndarray]],
     k: int,
     vocab_size: int,
 ) -> int:
-    """Write sequences with their sparse records; returns sequences written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write sequences with their sparse pairs; returns sequences written."""
     count = 0
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", VERSION, k, vocab_size))
-        for tokens, records in items:
-            if len(records) != len(tokens) - 1:
-                raise ContractError("expected one record per next-token position")
-            f.write(struct.pack("<I", len(tokens)))
-            f.write(np.asarray(tokens, dtype="<u4").tobytes())
-            for rec in records:
-                if rec.k != k:
-                    raise ContractError(f"record k={rec.k} does not match dataset k={k}")
-                ids = np.fromiter((tid for tid, _ in rec.entries), dtype="<u4", count=k)
-                vals = np.fromiter((lv for _, lv in rec.entries), dtype="<f4", count=k)
-                pairs = np.empty(k, dtype=[("id", "<u4"), ("logit", "<f4")])
-                pairs["id"] = ids
-                pairs["logit"] = vals
-                f.write(pairs.tobytes())
+    with atomic_write(path) as f:
+        f.write(MAGIC + struct.pack("<III", VERSION, k, vocab_size))
+        for tokens, pairs in items:
+            if pairs.shape != (len(tokens) - 1, k):
+                raise ContractError(f"expected ({len(tokens) - 1}, {k}) sparse pairs, "
+                                    f"got {pairs.shape}")
+            f.write(struct.pack("<I", len(tokens))
+                    + np.asarray(tokens, dtype="<u4").tobytes()
+                    + pairs.astype(SPARSE_DTYPE, copy=False).tobytes())
             count += 1
     return count
 
 
 def read_sparse_dataset(path: str | Path):
-    """Read back (k, vocab_size, [(tokens, records), ...])."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ConfigError(f"{path}: not a sparse logit dataset")
-        version, k, vocab_size = struct.unpack("<III", f.read(12))
-        if version != VERSION:
-            raise ConfigError(f"{path}: unsupported version {version}")
-        items: list[tuple[list[int], list[SparseLogitRecord]]] = []
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (length,) = struct.unpack("<I", head)
-            tokens = np.frombuffer(f.read(4 * length), dtype="<u4").astype(np.int64)
-            records = []
-            for pos in range(length - 1):
-                pairs = np.frombuffer(f.read(8 * k), dtype=[("id", "<u4"), ("logit", "<f4")])
-                entries = tuple((int(p["id"]), float(np.float32(p["logit"]))) for p in pairs)
-                records.append(SparseLogitRecord(position=pos, entries=entries))
-            items.append((tokens.tolist(), records))
+    """Read back (k, vocab_size, [(tokens, pairs), ...]); pairs are
+    read-only views of the file's bytes. Damaged files raise DataError."""
+    buf = Path(path).read_bytes()
+    if len(buf) < 16:
+        raise DataError(f"{path}: truncated header")
+    if buf[:4] != MAGIC:
+        raise ConfigError(f"{path}: not a sparse logit dataset")
+    version, k, vocab_size = struct.unpack_from("<III", buf, 4)
+    if version != VERSION:
+        raise ConfigError(f"{path}: unsupported version {version}")
+    if k < 1:
+        raise DataError(f"{path}: k must be positive")
+    items: list[tuple[list[int], np.ndarray]] = []
+    max_token = 0
+    off = 16
+    while off < len(buf):
+        length = struct.unpack_from("<I", buf, off)[0] if off + 4 <= len(buf) else 0
+        end = off + 4 + 4 * length + SPARSE_DTYPE.itemsize * k * (length - 1)
+        if length < 1 or end > len(buf):
+            raise DataError(f"{path}: truncated or damaged sequence {len(items)}")
+        tokens = np.frombuffer(buf, "<u4", length, off + 4)
+        pairs = np.frombuffer(buf, SPARSE_DTYPE, k * (length - 1), off + 4 + 4 * length)
+        items.append((tokens.tolist(), pairs.reshape(length - 1, k)))
+        max_token = max(max_token, int(tokens.max()))
+        off = end
+    pairs = np.concatenate([np.empty((0, k), SPARSE_DTYPE)] + [p for _, p in items])
+    ids = np.sort(pairs["id"], axis=1)
+    if max(max_token, ids.max(initial=0)) >= vocab_size:
+        raise DataError(f"{path}: token id outside the vocabulary of {vocab_size}")
+    if np.any(ids[:, 1:] == ids[:, :-1]):
+        raise DataError(f"{path}: duplicate token ids in a sparse row")
+    if np.any(pairs["logit"][:, 1:] > pairs["logit"][:, :-1]):
+        raise DataError(f"{path}: sparse rows must be sorted by descending logit")
     return k, vocab_size, items
-
-
-def records_to_arrays(records: list[SparseLogitRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(P, k) id and logit arrays in record order."""
-    k = records[0].k
-    ids = np.empty((len(records), k), dtype=np.int64)
-    vals = np.empty((len(records), k), dtype=np.float32)
-    for i, rec in enumerate(records):
-        ids[i] = [tid for tid, _ in rec.entries]
-        vals[i] = [lv for _, lv in rec.entries]
-    return ids, vals

@@ -1,7 +1,7 @@
 """Pipeline driver: staged training (PT -> CP -> FT), evaluation grids,
 latency measurement, architecture tables and report emission.
 
-Configuration is one JSON document (see README for the schema); every run
+Configuration is one JSON document (keys in README.md); every run
 writes a manifest with the config hash, seeds and versions so it can be
 replayed. Apart from measured-latency columns, reports are a pure function
 of (checkpoints, eval seeds).
@@ -9,31 +9,29 @@ of (checkpoints, eval seeds).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .archsearch import BudgetSearchSpec, budget_search
+from .archsearch import arch_table
 from .checkpoint import canonical_json, load_checkpoint, save_checkpoint
 from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
                    chat_sequence, generate_alignment_set, lm_batches,
                    load_alignment_set, load_corpus, make_completion_tasks, mix)
-from .distill import (extract_sparse_logits, read_sparse_dataset,
-                      records_to_arrays, write_sparse_dataset)
+from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError
-from .latency import build_latency_profile, measure_latency
+from .latency import build_latency_profile
 from .losses import LossSpec
-from .metrics import (DecodeStats, LatencyProfile, MetricsRow, SpeedupInputs,
-                      acceptance_rate, expected_speedup, mbsu, metrics_row,
-                      write_report)
+from .metrics import (DecodeStats, LatencyProfile, MetricsRow, acceptance_rate,
+                      metrics_row, write_report, write_table)
 from .model import ModelConfig, ModelState, init_model, param_count
 from .sampling import SamplingPolicy
 from .specdec import SpecConfig, generate, start_session, write_audit_log
@@ -41,14 +39,15 @@ from .tokenizer import ByteTokenizer
 from .training import TrainSchedule, train_stage
 
 
-def _child_seed(base: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=base, spawn_key=key))
+def derive_seed(base: int, *key: int) -> int:
+    """Child seed of a run seed: the first word of SeedSequence(base, key)."""
+    return int(np.random.SeedSequence(entropy=base, spawn_key=key).generate_state(1)[0])
 
 
-def _policy(mode: str, temperature: float, seed: int = 0) -> SamplingPolicy:
+def _policy(mode: str, temperature: float) -> SamplingPolicy:
     if mode == "greedy":
-        return SamplingPolicy("greedy", seed=seed)
-    return SamplingPolicy("multinomial", temperature=temperature, seed=seed)
+        return SamplingPolicy("greedy")
+    return SamplingPolicy("multinomial", temperature=temperature)
 
 
 def evaluate_acceptance(
@@ -67,9 +66,10 @@ def evaluate_acceptance(
                       max_new_tokens=max_new_tokens, eos_id=eos_id)
     stats = DecodeStats(gamma=gamma, blocks=[])
     all_blocks = []
-    for i, prompt in enumerate(prompts):
-        rng = _child_seed(seed, i)
-        session = start_session(draft, target, prompt, policy=policy, rng=rng)
+    # prompt i draws from child i of SeedSequence(seed)
+    for prompt, child in zip(prompts, np.random.SeedSequence(seed).spawn(len(prompts))):
+        session = start_session(draft, target, prompt, policy=policy,
+                                rng=np.random.default_rng(child))
         result = generate(session, spec)
         stats = stats.merged(result.stats)
         all_blocks.extend(result.blocks)
@@ -78,14 +78,8 @@ def evaluate_acceptance(
     return stats
 
 
-@dataclass
-class Benchmark:
-    name: str
-    prompts: list[list[int]]
-
-
-def _load_benchmark(spec: dict, tokenizer: ByteTokenizer, seed: int,
-                    base_dir: Path) -> Benchmark:
+def _benchmark_prompts(spec: dict, tokenizer: ByteTokenizer, seed: int,
+                       base_dir: Path) -> list[list[int]]:
     kind = spec.get("kind", "completion")
     n_tasks = int(spec.get("n_tasks", 8))
     if kind == "completion":
@@ -102,7 +96,7 @@ def _load_benchmark(spec: dict, tokenizer: ByteTokenizer, seed: int,
         raise ConfigError(f"unknown benchmark kind {kind!r}")
     if not prompts:
         raise DataError(f"benchmark {spec.get('name')} produced no prompts")
-    return Benchmark(name=spec["name"], prompts=prompts)
+    return prompts
 
 
 def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainSchedule,
@@ -125,28 +119,28 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
         return itertools.chain(*iters)
     if kind == "align":
         samples = load_alignment_set(base_dir / stage["alignment"], tokenizer)
-        teacher_arrays = None
-        k = stage.get("k")
+        teacher = None
         if loss_spec.needs_teacher:
             if target is None:
                 raise ConfigError("distillation stages need a target checkpoint")
-            k = int(k or 16)
             sfkd = out_dir / "distill" / f"{stage['name']}.sfkd"
             if "sparse_dataset" in stage:
                 sfkd = base_dir / stage["sparse_dataset"]
             else:
+                k = int(stage.get("k") or 16)
                 sequences = [chat_sequence(tokenizer, s)[0][:schedule.seq_len + 1]
                              for s in samples]
                 write_sparse_dataset(
                     sfkd, extract_sparse_logits(target, sequences, k),
                     k=k, vocab_size=target.config.vocab_size)
-            k_read, _, items = read_sparse_dataset(sfkd)
-            k = k_read
-            teacher_arrays = {i: records_to_arrays(recs)
-                              for i, (_, recs) in enumerate(items)}
+            _, _, items = read_sparse_dataset(sfkd)
+            if len(items) != len(samples):
+                raise DataError(f"{sfkd} holds {len(items)} sequences for "
+                                f"{len(samples)} alignment samples")
+            teacher = [pairs for _, pairs in items]
         return alignment_batches(samples, tokenizer, schedule.batch_size,
                                  schedule.seq_len, seed=stage_seed, epochs=None,
-                                 teacher=teacher_arrays, k=k)
+                                 teacher=teacher)
     raise ConfigError(f"unknown stage kind {kind!r}")
 
 
@@ -159,12 +153,22 @@ class ExperimentReport:
     arch_table: list[dict] = field(default_factory=list)
 
 
-def _load_config(config: dict | str | Path) -> tuple[dict, Path]:
+def load_config(config: dict | str | Path) -> tuple[dict, Path]:
+    """The config and the directory its relative paths resolve against: the
+    JSON file's own directory, or the working directory for a dict."""
     if isinstance(config, (str, Path)):
         path = Path(config)
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f), path.parent
     return dict(config), Path.cwd()
+
+
+def resolve_run(cfg: dict, out_dir: str | Path | None, seed: int | None,
+                default_out: str = "runs/experiment") -> tuple[int, Path]:
+    """Run seed and output directory; arguments override the config's
+    `seed` and `out_dir`."""
+    return (int(cfg.get("seed", 0) if seed is None else seed),
+            Path(out_dir or cfg.get("out_dir", default_out)))
 
 
 def write_manifest(out_dir: Path, config: dict, seed: int) -> dict:
@@ -185,113 +189,127 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> dict:
     return manifest
 
 
+class _Run:
+    """One loaded config with its run seed, output directory and target
+    checkpoint, loaded on first use."""
+
+    def __init__(self, config: dict | str | Path, out_dir: str | Path | None = None,
+                 seed: int | None = None) -> None:
+        self.cfg, self.base_dir = load_config(config)
+        self.seed, self.out = resolve_run(self.cfg, out_dir, seed)
+
+    @cached_property
+    def target(self) -> ModelState | None:
+        if not self.cfg.get("target_checkpoint"):
+            return None
+        return load_checkpoint(self.base_dir / self.cfg["target_checkpoint"])
+
+    def train(self) -> tuple[ExperimentReport, ModelState]:
+        """Run the stages; returns the report and the final draft."""
+        manifest = write_manifest(self.out, self.cfg, self.seed)
+        tokenizer = ByteTokenizer()
+        report = ExperimentReport(out_dir=self.out, manifest=manifest)
+
+        if self.cfg.get("draft_init_checkpoint"):
+            state = load_checkpoint(self.base_dir / self.cfg["draft_init_checkpoint"])
+        else:
+            draft_cfg = ModelConfig.from_dict(self.cfg["draft"])
+            if draft_cfg.vocab_size < tokenizer.vocab_size:
+                raise ConfigError("draft vocab_size smaller than the tokenizer vocabulary")
+            state = init_model(draft_cfg, self.seed)
+
+        for si, stage in enumerate(self.cfg.get("stages", [])):
+            name = stage["name"]
+            schedule = TrainSchedule.from_dict(stage["schedule"])
+            loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
+            batches = _build_stage_batches(
+                stage, tokenizer, schedule, derive_seed(self.seed, si), self.base_dir,
+                self.out, self.target, loss_spec)
+            try:
+                result = train_stage(state, batches, schedule, loss_spec)
+            except Exception as exc:
+                raise StageError(f"stage {name} failed: {exc}") from exc
+            state = result.state
+            ckpt = self.out / "checkpoints" / f"{name}.sfmd"
+            save_checkpoint(state, ckpt)
+            report.checkpoints[name] = ckpt
+            losses_path = self.out / "losses" / f"{name}.json"
+            losses_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(losses_path, "w", encoding="utf-8") as f:
+                json.dump({"stage": name, "losses": result.losses,
+                           "steps_run": result.steps_run}, f)
+        return report, state
+
+    def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
+        ev, target = self.cfg["eval"], self.target
+        if target is None:
+            raise ConfigError("evaluation requires a target_checkpoint")
+        tokenizer = ByteTokenizer()
+
+        temperature = float(ev.get("temperature", 0.6))
+        modes = list(ev.get("modes", ["greedy", "multinomial"]))
+        gammas = [int(g) for g in ev.get("gammas", [3, 5])]
+        max_new = int(ev.get("max_new_tokens", 32))
+        eos = tokenizer.eos_id if ev.get("stop_at_eos", True) else None
+
+        exclude = ev.get("c_hat_mode", "total") == "excluded"
+        c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
+
+        lat_cfg = ev.get("latency", {})
+        profiles: dict[int, LatencyProfile] = {}
+        for gamma in gammas:
+            profiles[gamma], _ = build_latency_profile(
+                draft, target, gamma,
+                warmup=int(lat_cfg.get("warmup", 2)),
+                reps=int(lat_cfg.get("reps", 5)),
+                seed=self.seed)
+
+        benchmarks = [(b["name"], _benchmark_prompts(
+                          b, tokenizer, derive_seed(self.seed, 100 + bi), self.base_dir))
+                      for bi, b in enumerate(ev.get("benchmarks", []))]
+        for bi, (bench, prompts) in enumerate(benchmarks):
+            for mi, mode in enumerate(modes):
+                for gamma in gammas:
+                    policy = _policy(mode, temperature)
+                    stats = evaluate_acceptance(
+                        draft, target, prompts, policy, gamma, max_new,
+                        seed=derive_seed(self.seed, 200 + bi, mi, gamma), eos_id=eos,
+                        audit_path=self.out / "audit" / f"{bench}_{mode}_g{gamma}.jsonl")
+                    report.rows.append(metrics_row(
+                        bench, mode, temperature if mode == "multinomial" else 0.0,
+                        stats, c_hat, profiles[gamma]))
+
+        write_report(report.rows, self.out / "metrics.csv", self.out / "metrics.json")
+
+    def arch_search(self, draft: ModelState, report: ExperimentReport) -> list[dict]:
+        ac = self.cfg.get("arch_search")
+        if not ac:
+            return []
+        gamma = int(ac.get("gamma", 3))
+        bench = ac.get("benchmark")
+        tau = next((row.tau for row in report.rows
+                    if row.gamma == gamma and bench in (None, row.benchmark)), None)
+        table = arch_table(ac, draft.config, self.target, tau, self.seed)
+        write_table(table, self.out / "arch_search.csv", self.out / "arch_search.json")
+        report.arch_table = table
+        return table
+
+
 def run_training(config: dict | str | Path, out_dir: str | Path | None = None,
                  seed: int | None = None) -> ExperimentReport:
     """Execute the declared stages, writing one checkpoint per stage."""
-    cfg, base_dir = _load_config(config)
-    seed = int(cfg.get("seed", 0) if seed is None else seed)
-    out = Path(out_dir or cfg.get("out_dir", "runs/experiment"))
-    manifest = write_manifest(out, cfg, seed)
-    tokenizer = ByteTokenizer()
-    report = ExperimentReport(out_dir=out, manifest=manifest)
-
-    target = None
-    if cfg.get("target_checkpoint"):
-        target = load_checkpoint(base_dir / cfg["target_checkpoint"])
-
-    if cfg.get("draft_init_checkpoint"):
-        state = load_checkpoint(base_dir / cfg["draft_init_checkpoint"])
-    else:
-        draft_cfg = ModelConfig.from_dict(cfg["draft"])
-        if draft_cfg.vocab_size < tokenizer.vocab_size:
-            raise ConfigError("draft vocab_size smaller than the tokenizer vocabulary")
-        state = init_model(draft_cfg, seed)
-
-    for si, stage in enumerate(cfg.get("stages", [])):
-        name = stage["name"]
-        schedule = TrainSchedule.from_dict(stage["schedule"])
-        loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
-        stage_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(si,))
-                         .generate_state(1)[0])
-        batches = _build_stage_batches(stage, tokenizer, schedule, stage_seed,
-                                       base_dir, out, target, loss_spec)
-        try:
-            result = train_stage(state, batches, schedule, loss_spec)
-        except Exception as exc:
-            raise StageError(f"stage {name} failed: {exc}") from exc
-        state = result.state
-        ckpt = out / "checkpoints" / f"{name}.sfmd"
-        save_checkpoint(state, ckpt)
-        report.checkpoints[name] = ckpt
-        losses_path = out / "losses" / f"{name}.json"
-        losses_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(losses_path, "w", encoding="utf-8") as f:
-            json.dump({"stage": name, "losses": result.losses,
-                       "steps_run": result.steps_run}, f)
-    return report
+    return _Run(config, out_dir, seed).train()[0]
 
 
 def run_evaluation(config: dict | str | Path, draft: ModelState,
                    out_dir: str | Path | None = None,
-                   seed: int | None = None,
-                   report: ExperimentReport | None = None) -> ExperimentReport:
+                   seed: int | None = None) -> ExperimentReport:
     """Run the benchmark x mode x gamma grid against the target."""
-    cfg, base_dir = _load_config(config)
-    seed = int(cfg.get("seed", 0) if seed is None else seed)
-    out = Path(out_dir or cfg.get("out_dir", "runs/experiment"))
-    if report is None:
-        report = ExperimentReport(out_dir=out, manifest=write_manifest(out, cfg, seed))
-    ev = cfg.get("eval")
-    if not ev:
-        return report
-    if not cfg.get("target_checkpoint"):
-        raise ConfigError("evaluation requires a target_checkpoint")
-    target = load_checkpoint(base_dir / cfg["target_checkpoint"])
-    tokenizer = ByteTokenizer()
-
-    temperature = float(ev.get("temperature", 0.6))
-    modes = list(ev.get("modes", ["greedy", "multinomial"]))
-    gammas = [int(g) for g in ev.get("gammas", [3, 5])]
-    max_new = int(ev.get("max_new_tokens", 32))
-    eos = tokenizer.eos_id if ev.get("stop_at_eos", True) else None
-
-    c_hat_mode = ev.get("c_hat_mode", "total")
-    exclude = c_hat_mode == "excluded"
-    c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
-
-    lat_cfg = ev.get("latency", {})
-    profiles: dict[int, LatencyProfile] = {}
-    for gamma in gammas:
-        profiles[gamma], _ = build_latency_profile(
-            draft, target, gamma,
-            warmup=int(lat_cfg.get("warmup", 2)),
-            reps=int(lat_cfg.get("reps", 5)),
-            seed=seed)
-
-    benchmarks = [
-        _load_benchmark(b, tokenizer,
-                        int(np.random.SeedSequence(entropy=seed, spawn_key=(100 + bi,))
-                            .generate_state(1)[0]),
-                        base_dir)
-        for bi, b in enumerate(ev.get("benchmarks", []))
-    ]
-
-    for bi, bench in enumerate(benchmarks):
-        for mi, mode in enumerate(modes):
-            for gamma in gammas:
-                policy = _policy(mode, temperature)
-                audit = out / "audit" / f"{bench.name}_{mode}_g{gamma}.jsonl"
-                stats = evaluate_acceptance(
-                    draft, target, bench.prompts, policy, gamma, max_new,
-                    seed=int(np.random.SeedSequence(
-                        entropy=seed, spawn_key=(200 + bi, mi, gamma))
-                        .generate_state(1)[0]),
-                    eos_id=eos, audit_path=audit)
-                report.rows.append(metrics_row(
-                    bench.name, mode, temperature if mode == "multinomial" else 0.0,
-                    stats, c_hat, profiles[gamma]))
-
-    write_report(report.rows, out / "metrics.csv", out / "metrics.json")
+    run = _Run(config, out_dir, seed)
+    report = ExperimentReport(out_dir=run.out,
+                              manifest=write_manifest(run.out, run.cfg, run.seed))
+    if run.cfg.get("eval"):
+        run.evaluate(draft, report)
     return report
 
 
@@ -302,70 +320,9 @@ def run_arch_table(config: dict | str | Path, draft: ModelState,
 
     Speedup uses the simplified estimator tau / (c * gamma + 1) with each
     candidate's measured single-token latency; tau comes from the main
-    draft's evaluation unless candidates are trained and evaluated directly.
+    draft's evaluation row at the table's gamma.
     """
-    cfg, base_dir = _load_config(config)
-    seed = int(cfg.get("seed", 0) if seed is None else seed)
-    ac = cfg.get("arch_search")
-    if not ac:
-        return []
-    base = draft.config
-    budget = int(ac.get("budget") or param_count(base, exclude_embedding_tables=True))
-    spec = BudgetSearchSpec(
-        budget=budget,
-        hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
-        base_config=base)
-    candidates = budget_search(spec)
-    gamma = int(ac.get("gamma", 3))
-
-    tau = None
-    bench_name = ac.get("benchmark")
-    for row in report.rows:
-        if (row.gamma == gamma and (bench_name is None or row.benchmark == bench_name)):
-            tau = row.tau
-            break
-    target_l1 = None
-    target = None
-    if cfg.get("target_checkpoint"):
-        target = load_checkpoint(base_dir / cfg["target_checkpoint"])
-        target_l1 = measure_latency(target, 1, warmup=2, reps=5, seed=seed).median
-
-    table = []
-    for cand in candidates:
-        entry: dict = {
-            "hidden_size": cand.hidden_size,
-            "n_layers": cand.n_layers,
-            "achieved_params_excl": cand.achieved,
-            "deviation": cand.deviation,
-            "feasible": cand.feasible,
-            "reason": cand.reason,
-        }
-        if cand.feasible and target is not None:
-            lat = measure_latency(cand.config, 1, warmup=2, reps=5, seed=seed).median
-            c = lat / target_l1
-            c_hat = param_count(cand.config) / param_count(target.config)
-            entry["latency_1tok"] = lat
-            entry["c"] = c
-            entry["c_hat"] = c_hat
-            if tau is not None:
-                entry["tau"] = tau
-                entry["speedup_est"] = expected_speedup(
-                    SpeedupInputs(c=c, c_hat=c_hat), gamma, tau)
-                entry["mbsu"] = mbsu(tau, c_hat, gamma)
-        table.append(entry)
-
-    out_json = report.out_dir / "arch_search.json"
-    with open(out_json, "w", encoding="utf-8") as f:
-        json.dump(table, f, indent=2)
-    out_csv = report.out_dir / "arch_search.csv"
-    keys = sorted({k for row in table for k in row})
-    with open(out_csv, "w", newline="", encoding="utf-8") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
-        w.writeheader()
-        for row in table:
-            w.writerow(row)
-    report.arch_table = table
-    return table
+    return _Run(config, report.out_dir, seed).arch_search(draft, report)
 
 
 @dataclass
@@ -374,14 +331,6 @@ class AlignmentStudyResult:
     pt_ar: float
     ft_target_ar: list[float]    # one per seed
     ft_original_ar: list[float]
-
-    @property
-    def mean_ft_target(self) -> float:
-        return sum(self.ft_target_ar) / len(self.ft_target_ar)
-
-    @property
-    def mean_ft_original(self) -> float:
-        return sum(self.ft_original_ar) / len(self.ft_original_ar)
 
 
 def alignment_direction_study(
@@ -463,20 +412,9 @@ def alignment_direction_study(
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None,
                    seed: int | None = None) -> ExperimentReport:
     """Stages, then the evaluation grid, then optional architecture tables."""
-    cfg, _ = _load_config(config)
-    seed = int(cfg.get("seed", 0) if seed is None else seed)
-    report = run_training(config, out_dir=out_dir, seed=seed)
-    draft = None
-    if report.checkpoints:
-        last = list(report.checkpoints.values())[-1]
-        draft = load_checkpoint(last)
-    else:
-        base_dir = _load_config(config)[1]
-        if cfg.get("draft_init_checkpoint"):
-            draft = load_checkpoint(base_dir / cfg["draft_init_checkpoint"])
-        elif cfg.get("draft"):
-            draft = init_model(ModelConfig.from_dict(cfg["draft"]), seed)
-    if draft is not None and cfg.get("eval"):
-        report = run_evaluation(config, draft, out_dir=out_dir, seed=seed, report=report)
-        run_arch_table(config, draft, report, seed=seed)
+    run = _Run(config, out_dir, seed)
+    report, draft = run.train()
+    if run.cfg.get("eval"):
+        run.evaluate(draft, report)
+        run.arch_search(draft, report)
     return report

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import SparseLogitRecord
 from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
 class LossSpec:
     """Nonnegative weights over {CE, KL, TVD} summing to one."""
-    ce: float = 1.0
+    ce: float = 0.0
     kl: float = 0.0
     tvd: float = 0.0
 
@@ -86,7 +85,7 @@ def _restricted_dists(student_rows: np.ndarray, ids: np.ndarray, t_logits: np.nd
     if ids.shape[1] > 1:
         srt = np.sort(ids, axis=1)
         if np.any(srt[:, 1:] == srt[:, :-1]):
-            raise ContractError("duplicate token ids in sparse logit record")
+            raise ContractError("duplicate token ids in a sparse logit row")
     rows = np.arange(ids.shape[0])[:, None]
     s = student_rows[rows, ids]
     p_t = np.exp(_log_softmax(t_logits.astype(student_rows.dtype)))
@@ -94,7 +93,7 @@ def _restricted_dists(student_rows: np.ndarray, ids: np.ndarray, t_logits: np.nd
     return p_t, p_s, rows
 
 
-def kd_loss_arrays(
+def kd_loss(
     student_logits: np.ndarray,
     teacher_ids: np.ndarray,
     teacher_logits: np.ndarray,
@@ -112,11 +111,11 @@ def kd_loss_arrays(
     if student_logits.ndim != 2:
         raise ContractError("kd loss expects (positions, vocab) student logits")
     if teacher_ids.shape[0] != student_logits.shape[0]:
-        raise ContractError("teacher records do not align with student positions")
+        raise ContractError("teacher rows do not align with student positions")
     if teacher_ids.shape[0] == 0:
-        raise ContractError("empty sparse logit record list")
+        raise ContractError("no sparse logit rows")
     if teacher_ids.shape[1] < 1:
-        raise ContractError("sparse records need k >= 1")
+        raise ContractError("sparse rows need k >= 1")
 
     dtype = student_logits.dtype
     if mask is None:
@@ -143,29 +142,6 @@ def kd_loss_arrays(
     return loss, dlogits
 
 
-def kd_loss(student_logits: np.ndarray, teacher: list[SparseLogitRecord], kind: str,
-            mask: np.ndarray | None = None):
-    """Distillation loss against a list of per-position sparse records."""
-    if not teacher:
-        raise ContractError("empty sparse logit record list")
-    k = len(teacher[0].entries)
-    ids = np.empty((len(teacher), k), dtype=np.int64)
-    tl = np.empty((len(teacher), k), dtype=np.float32)
-    student_rows = np.empty((len(teacher), student_logits.shape[-1]),
-                            dtype=student_logits.dtype)
-    for i, rec in enumerate(teacher):
-        if len(rec.entries) != k:
-            raise ContractError("sparse records must share a common k")
-        ids[i] = [tid for tid, _ in rec.entries]
-        tl[i] = [lv for _, lv in rec.entries]
-        student_rows[i] = student_logits[rec.position]
-    loss, drows = kd_loss_arrays(student_rows, ids, tl, kind, mask=mask)
-    dlogits = np.zeros_like(student_logits)
-    for i, rec in enumerate(teacher):
-        dlogits[rec.position] += drows[i]
-    return loss, dlogits
-
-
 def combined_loss(
     logits2d: np.ndarray,
     gold: np.ndarray,
@@ -180,19 +156,11 @@ def combined_loss(
     total = 0.0
     dlogits = np.zeros_like(logits2d)
     parts: dict[str, float] = {}
-    if spec.ce > 0:
-        l, d = ce_loss(logits2d, gold, mask=mask)
-        parts["CE"] = l
-        total += spec.ce * l
-        dlogits += spec.ce * d
-    if spec.kl > 0:
-        l, d = kd_loss_arrays(logits2d, teacher_ids, teacher_logits, "KL", mask=mask)
-        parts["KL"] = l
-        total += spec.kl * l
-        dlogits += spec.kl * d
-    if spec.tvd > 0:
-        l, d = kd_loss_arrays(logits2d, teacher_ids, teacher_logits, "TVD", mask=mask)
-        parts["TVD"] = l
-        total += spec.tvd * l
-        dlogits += spec.tvd * d
+    for kind, weight in (("CE", spec.ce), ("KL", spec.kl), ("TVD", spec.tvd)):
+        if weight > 0:
+            l, d = (ce_loss(logits2d, gold, mask=mask) if kind == "CE" else
+                    kd_loss(logits2d, teacher_ids, teacher_logits, kind, mask=mask))
+            parts[kind] = l
+            total += weight * l
+            dlogits += weight * d
     return total, dlogits, parts

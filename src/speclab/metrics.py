@@ -55,10 +55,8 @@ class LatencyProfile:
 
 @dataclass(frozen=True)
 class SpeedupInputs:
-    """Ratios for the hardware-agnostic estimators: c is the draft/target
-    latency ratio, c_hat the draft/target parameter-count ratio."""
+    """The draft/target latency ratio c of the simplified speedup estimator."""
     c: float
-    c_hat: float
 
 
 def acceptance_rate(stats: DecodeStats) -> float:
@@ -157,26 +155,22 @@ def metrics_row(
     )
 
 
-LATENCY_COLUMNS = ("c", "tpot_ar", "tpot_sd", "speedup_est")
-
-
-def write_report(rows: list[MetricsRow], csv_path: str | Path, json_path: str | Path) -> None:
-    """Emit the metrics table as CSV plus a JSON twin with the same fields."""
+def write_table(rows: list[dict], csv_path: str | Path, json_path: str | Path,
+                columns: list[str] | None = None) -> None:
+    """Emit rows as CSV plus a JSON twin with the same fields; the CSV
+    columns default to the sorted union of the rows' keys."""
     csv_path, json_path = Path(csv_path), Path(json_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    dicts = [asdict(r) for r in rows]
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns or sorted({k for r in rows for k in r}))
         writer.writeheader()
-        for d in dicts:
-            writer.writerow({k: repr(d[k]) if isinstance(d[k], float) else d[k]
-                             for k in REPORT_COLUMNS})
+        writer.writerows(rows)
     with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(dicts, f, indent=2)
+        json.dump(rows, f, indent=2)
         f.write("\n")
 
 
-def read_report_csv(path: str | Path) -> list[dict]:
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
+def write_report(rows: list[MetricsRow], csv_path: str | Path, json_path: str | Path) -> None:
+    """Emit the metrics table in REPORT_COLUMNS order."""
+    write_table([asdict(r) for r in rows], csv_path, json_path, REPORT_COLUMNS)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AlignmentSample, Corpus, Document
-from .tokenizer import ByteTokenizer
 
 WORDS = (
     "red", "blue", "green", "gold", "iron", "sand", "rain", "moss",
@@ -30,20 +29,6 @@ def word_sentence_corpus(n_docs: int, seed: int, words=WORDS,
         n = int(rng.integers(*length_range))
         sent = " ".join(words[int(i)] for i in rng.integers(0, len(words), n))
         docs.append(Document(text=(sent + ".").encode(), tag=tag))
-    return Corpus(documents=docs)
-
-
-def code_like_corpus(n_docs: int, seed: int, tag: str = "code") -> Corpus:
-    """Tiny assignment-statement snippets standing in for code data."""
-    rng = np.random.default_rng(seed)
-    names = ("x", "y", "n", "acc", "tmp", "out")
-    docs = []
-    for _ in range(n_docs):
-        lines = []
-        for _ in range(int(rng.integers(2, 5))):
-            a, b = (names[int(i)] for i in rng.integers(0, len(names), 2))
-            lines.append(f"{a} = {b} + {int(rng.integers(0, 10))}")
-        docs.append(Document(text="\n".join(lines).encode(), tag=tag))
     return Corpus(documents=docs)
 
 
@@ -107,10 +92,3 @@ class TopicWorld:
                 docs.append(Document(text=self.target_response(int(k)), tag="text"))
                 docs.append(Document(text=self.original_response(int(k)), tag="text"))
         return Corpus(documents=docs)
-
-
-def eval_prompts(world: TopicWorld, tokenizer: ByteTokenizer,
-                 topic_ids: list[int]) -> list[list[int]]:
-    """Chat-formatted decode contexts for held-out topics."""
-    from .data import chat_prompt
-    return [chat_prompt(tokenizer, list(world.instruction(k))) for k in topic_ids]

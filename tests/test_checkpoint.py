@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from speclab import ModelConfig, init_model
+from speclab import ModelConfig, ModelState, init_model
 from speclab.checkpoint import load_checkpoint, save_checkpoint
-from speclab.errors import ConfigError
+from speclab.errors import ConfigError, DataError
 
 
 def test_round_trip_bit_exact(tmp_path, tiny_state):
@@ -40,3 +40,28 @@ def test_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def test_truncated_or_padded_checkpoint_raises_data_error(tmp_path, tiny_state):
+    path = tmp_path / "model.sfmd"
+    save_checkpoint(tiny_state, path)
+    blob = path.read_bytes()
+    damaged = tmp_path / "damaged.sfmd"
+    # inside the magic, the config length, the config JSON, a tensor, the last byte
+    for data in (blob[:2], blob[:10], blob[:30], blob[:len(blob) // 2], blob[:-1],
+                 blob + b"\0"):
+        damaged.write_bytes(data)
+        with pytest.raises(DataError):
+            load_checkpoint(damaged)
+
+
+def test_save_is_atomic(tmp_path, tiny_state):
+    path = tmp_path / "model.sfmd"
+    save_checkpoint(tiny_state, path)
+    before = path.read_bytes()
+    broken = ModelState(config=tiny_state.config, tensors=dict(tiny_state.tensors))
+    del broken.tensors["head"]  # the writer fails after the earlier tensors
+    with pytest.raises(KeyError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.sfmd"]

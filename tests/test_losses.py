@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.distill import SparseLogitRecord, top_k_entries
+from speclab.distill import top_k
 from speclab.errors import ConfigError, ContractError
-from speclab.losses import LossSpec, ce_loss, combined_loss, kd_loss, kd_loss_arrays
-
-
-def record(position, pairs):
-    return SparseLogitRecord(position=position, entries=tuple(pairs))
+from speclab.losses import LossSpec, ce_loss, combined_loss, kd_loss
 
 
 class TestCrossEntropy:
@@ -48,9 +44,9 @@ class TestDistillation:
     def test_identity_gives_zero(self):
         rng = np.random.default_rng(1)
         student = rng.normal(size=(3, 12))
-        records = [record(i, top_k_entries(student[i], 4)) for i in range(3)]
+        ids = np.argsort(-student, axis=-1, kind="stable")[:, :4]
         for kind in ("KL", "TVD"):
-            loss, d = kd_loss(student, records, kind)
+            loss, d = kd_loss(student, ids, np.take_along_axis(student, ids, -1), kind)
             assert abs(loss) < 1e-12
             assert np.allclose(d, 0.0, atol=1e-9)
 
@@ -60,7 +56,7 @@ class TestDistillation:
         s = np.zeros((1, 5))
         s[0, 0] = np.log(0.2)
         s[0, 1] = np.log(0.8)
-        loss, _ = kd_loss_arrays(s, np.array([[0, 1]]), t_logits, "TVD")
+        loss, _ = kd_loss(s, np.array([[0, 1]]), t_logits, "TVD")
         assert abs(loss - 0.6) < 1e-9
 
     def test_k_equals_vocab_matches_dense(self):
@@ -68,7 +64,7 @@ class TestDistillation:
         V = 9
         student = rng.normal(size=(4, V))
         teacher_full = rng.normal(size=(4, V))
-        records = [record(i, top_k_entries(teacher_full[i], V)) for i in range(4)]
+        pairs = top_k(teacher_full, V)
 
         def dense(kind):
             p_t = np.exp(teacher_full - teacher_full.max(-1, keepdims=True))
@@ -80,7 +76,7 @@ class TestDistillation:
             return float(np.mean(0.5 * np.abs(p_t - p_s).sum(-1)))
 
         for kind in ("KL", "TVD"):
-            loss, _ = kd_loss(student, records, kind)
+            loss, _ = kd_loss(student, pairs["id"], pairs["logit"], kind)
             assert abs(loss - dense(kind)) < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -90,19 +86,19 @@ class TestDistillation:
         student = rng.normal(scale=3.0, size=(2, 8))
         teacher = rng.normal(scale=3.0, size=(2, 3))
         ids = np.stack([rng.choice(8, size=3, replace=False) for _ in range(2)])
-        kl, _ = kd_loss_arrays(student, ids, teacher, "KL")
-        tvd, _ = kd_loss_arrays(student, ids, teacher, "TVD")
+        kl, _ = kd_loss(student, ids, teacher, "KL")
+        tvd, _ = kd_loss(student, ids, teacher, "TVD")
         assert kl >= 0.0
         assert 0.0 <= tvd <= 1.0
 
     def test_duplicate_ids_rejected(self):
         student = np.zeros((1, 5))
         with pytest.raises(ContractError):
-            kd_loss_arrays(student, np.array([[1, 1]]), np.zeros((1, 2)), "KL")
+            kd_loss(student, np.array([[1, 1]]), np.zeros((1, 2)), "KL")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ContractError):
-            kd_loss(np.zeros((2, 5)), [], "KL")
+            kd_loss(np.zeros((0, 5)), np.zeros((0, 2), dtype=int), np.zeros((0, 2)), "KL")
 
 
 class TestLossSpec:
@@ -113,6 +109,10 @@ class TestLossSpec:
             LossSpec(ce=-0.5, kl=1.5)
         LossSpec(ce=0.5, kl=0.5)
 
+    def test_weights_default_to_zero(self):
+        assert LossSpec(kl=1.0) == LossSpec.from_dict({"KL": 1.0})
+        assert LossSpec(kl=1.0).ce == 0.0
+
     def test_mixture_is_exact_weighted_sum(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(6, 11))
@@ -120,8 +120,8 @@ class TestLossSpec:
         ids = np.stack([rng.choice(11, size=4, replace=False) for _ in range(6)])
         t_logits = rng.normal(size=(6, 4))
         ce, _ = ce_loss(logits, gold)
-        kl, _ = kd_loss_arrays(logits, ids, t_logits, "KL")
-        tvd, _ = kd_loss_arrays(logits, ids, t_logits, "TVD")
+        kl, _ = kd_loss(logits, ids, t_logits, "KL")
+        tvd, _ = kd_loss(logits, ids, t_logits, "TVD")
         for spec in (LossSpec(ce=0.5, kl=0.5), LossSpec(ce=0.5, tvd=0.5),
                      LossSpec(ce=0.2, kl=0.3, tvd=0.5)):
             total, _, _ = combined_loss(logits, gold, spec,

@@ -1,0 +1,133 @@
+"""End-to-end smoke test of the JSON-driven pipeline through the CLI.
+
+`speclab train` runs an lm stage, a CE+KL sparse-logit align stage, an
+evaluation grid and the arch-search table; `speclab eval` on the final
+checkpoint and `speclab arch-search` on the same base config must then
+reproduce those rows in every column that does not come from a measured
+latency.
+"""
+
+import json
+
+import pytest
+
+from speclab import ModelConfig, init_model, save_checkpoint
+from speclab.cli import main
+from speclab.data import chat_sequence, save_alignment_set, save_corpus
+from speclab.distill import extract_sparse_logits, write_sparse_dataset
+from speclab.errors import DataError
+from speclab.experiment import run_training
+from speclab.synthetic import TopicWorld
+from speclab.tokenizer import ByteTokenizer
+
+MEASURED = {"c", "tpot_ar", "tpot_sd", "speedup_est", "latency_1tok"}
+ARCH_COLUMNS = {"hidden_size", "n_layers", "achieved_params_excl", "deviation",
+                "feasible", "reason"}
+DRAFT = {"hidden_size": 16, "intermediate_size": 32, "n_layers": 1, "n_heads": 2,
+         "n_kv_heads": 2, "vocab_size": 264, "max_seq_len": 96}
+SCHEDULE = {"peak_lr": 3e-3, "total_steps": 4, "batch_size": 4, "seq_len": 32}
+EVAL = {
+    "benchmarks": [
+        {"name": "chat", "kind": "instruction", "alignment": "align.jsonl", "n_tasks": 3},
+        {"name": "text", "kind": "completion", "corpus": "pretrain.jsonl", "n_tasks": 2},
+    ],
+    "modes": ["greedy", "multinomial"],
+    "gammas": [2, 3],
+    "max_new_tokens": 8,
+    "latency": {"warmup": 1, "reps": 5},
+}
+HIDDEN = [8, 12, 16, 64]
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _read(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _same_outside_latency(got, want, columns=None):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        shared = (a.keys() & b.keys()) - MEASURED
+        assert columns is None or columns <= shared
+        assert {key: a[key] for key in shared} == {key: b[key] for key in shared}
+
+
+@pytest.fixture
+def world_files(tmp_path):
+    """Corpus, alignment set and a random target checkpoint in tmp_path."""
+    world = TopicWorld(n_topics=8, seed=0)
+    save_corpus(world.pretrain_corpus(repeats=2, seed=3), tmp_path / "pretrain.jsonl")
+    samples = world.target_training_samples()
+    save_alignment_set(samples, tmp_path / "align.jsonl", ByteTokenizer())
+    target = init_model(ModelConfig(**dict(DRAFT, hidden_size=32, intermediate_size=64)), seed=1)
+    save_checkpoint(target, tmp_path / "target.sfmd")
+    return samples, target
+
+
+def test_train_eval_and_arch_search_agree(tmp_path, world_files):
+    train_cfg = _write(tmp_path / "train.json", {
+        "seed": 3,
+        "target_checkpoint": "target.sfmd",
+        "draft": DRAFT,
+        "stages": [
+            {"name": "pretrain", "kind": "lm", "corpus": "pretrain.jsonl",
+             "schedule": SCHEDULE},
+            {"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 8,
+             "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE},
+        ],
+        "eval": EVAL,
+        "arch_search": {"hidden_candidates": HIDDEN, "gamma": 2},
+    })
+    run = tmp_path / "run"
+    assert main(["train", train_cfg, "--out-dir", str(run)]) == 0
+    assert (run / "distill" / "align.sfkd").exists()
+
+    eval_cfg = _write(tmp_path / "eval.json", {
+        "seed": 3,
+        "target_checkpoint": "target.sfmd",
+        "draft_init_checkpoint": "run/checkpoints/align.sfmd",
+        "eval": EVAL,
+    })
+    assert main(["eval", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
+    train_rows = _read(run / "metrics.json")
+    assert len(train_rows) == 2 * 2 * 2
+    _same_outside_latency(_read(tmp_path / "eval" / "metrics.json"), train_rows)
+
+    arch_cfg = _write(tmp_path / "arch.json",
+                      {"base_config": DRAFT, "hidden_candidates": HIDDEN})
+    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
+    train_arch = _read(run / "arch_search.json")
+    assert [r["feasible"] for r in train_arch] == [True, False, True, False]
+    _same_outside_latency(_read(tmp_path / "arch" / "arch_search.json"), train_arch,
+                          ARCH_COLUMNS)
+
+
+def test_align_stage_rejects_a_sparse_dataset_of_another_length(tmp_path, world_files):
+    samples, target = world_files
+    tok = ByteTokenizer()
+    sequences = [chat_sequence(tok, s)[0][:33] for s in samples[:-1]]
+    write_sparse_dataset(tmp_path / "short.sfkd", extract_sparse_logits(target, sequences, 8),
+                         k=8, vocab_size=target.config.vocab_size)
+    config = {
+        "target_checkpoint": str(tmp_path / "target.sfmd"),
+        "draft": DRAFT,
+        "stages": [{"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
+                    "sparse_dataset": str(tmp_path / "short.sfkd"),
+                    "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}],
+    }
+    with pytest.raises(DataError, match="7 sequences for 8"):
+        run_training(config, out_dir=tmp_path / "run")
+
+
+def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_files, capsys):
+    blob = (tmp_path / "target.sfmd").read_bytes()
+    (tmp_path / "draft.sfmd").write_bytes(blob[:len(blob) // 2])
+    config = _write(tmp_path / "eval.json", {
+        "target_checkpoint": "target.sfmd", "draft_init_checkpoint": "draft.sfmd", "eval": EVAL})
+    assert main(["eval", config, "--out-dir", str(tmp_path / "eval")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DataError" and "truncated" in error["message"]

@@ -6,7 +6,7 @@ import pytest
 from speclab import LossSpec, ModelConfig, TrainSchedule, init_model, lr_at, train_stage
 from speclab.checkpoint import load_checkpoint, save_checkpoint
 from speclab.data import lm_batches
-from speclab.distill import extract_sparse_logits, records_to_arrays
+from speclab.distill import extract_sparse_logits
 from speclab.errors import ConfigError
 from speclab.model import forward
 from speclab.synthetic import word_sentence_corpus
@@ -129,13 +129,13 @@ class TestTrainStage:
         seqs = [rng.integers(0, 30, size=9).tolist() for _ in range(4)]
         batches = []
         for seq in seqs:
-            _, records = next(iter(extract_sparse_logits(state, [seq], k=30)))
-            ids, logits = records_to_arrays(records)
+            _, pairs = next(iter(extract_sparse_logits(state, [seq], k=30)))
             arr = np.asarray(seq)
             batches.append(Batch(
                 inputs=arr[None, :-1], targets=arr[None, 1:],
                 mask=np.ones((1, len(seq) - 1), dtype=np.float32),
-                teacher_ids=ids[None], teacher_logits=logits[None]))
+                teacher_ids=pairs["id"][None].astype(np.int64),
+                teacher_logits=pairs["logit"][None]))
         sched = TrainSchedule(peak_lr=1e-3, total_steps=4, batch_size=1,
                               seq_len=8, weight_decay=0.01)
         result = train_stage(state, iter(batches), sched, LossSpec(kl=1.0))
