@@ -4,6 +4,9 @@ Layout: magic "SFMD", u32 version, u32 length + canonical JSON config,
 u32 tensor count, then each tensor as (u16 name length, name bytes,
 u8 ndim, u32 dims..., little-endian float32 data) in declared order.
 Round-trips are bit exact.
+
+The atomic writer and the JSON-lines reader and writer here are shared by
+every on-disk format of the package.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,6 +44,35 @@ def atomic_write(path: str | Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, written through `atomic_write`."""
+    with atomic_write(path) as f:
+        for rec in records:
+            f.write((json.dumps(rec) + "\n").encode("utf-8"))
+
+
+def read_jsonl(path: str | Path, required: Iterable[str] = ()) -> list[dict]:
+    """The objects of a JSON-lines file, blank lines skipped. A line that is
+    not JSON or not an object, or lacks a `required` key, raises DataError
+    naming the file and the line."""
+    records = []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:  # bad JSON or bad utf-8
+                raise DataError(f"{path}:{n}: not JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{n}: not a JSON object")
+            missing = [k for k in required if k not in rec]
+            if missing:
+                raise DataError(f"{path}:{n}: missing key(s) {', '.join(missing)}")
+            records.append(rec)
+    return records
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:

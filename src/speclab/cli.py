@@ -152,7 +152,8 @@ def cmd_report(args) -> int:
         blocks = read_audit_log(base / entry["audit"])
         gamma = int(entry["gamma"])
         stats = DecodeStats(gamma=gamma,
-                            blocks=[int(b["accepted_count"]) for b in blocks])
+                            blocks=[int(b["accepted_count"]) for b in blocks],
+                            proposal_lens=[len(b["proposed"]) for b in blocks])
         rows.append(metrics_row(
             entry.get("benchmark", "replay"),
             entry.get("sampling_mode", "greedy"),

@@ -9,12 +9,12 @@ Every operation is a deterministic function of its inputs and seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_jsonl, write_jsonl
 from .errors import ConfigError, DataError
 from .model import ModelState
 from .sampling import SamplingPolicy, autoregressive_decode
@@ -48,28 +48,15 @@ class Corpus:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    docs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            docs.append(Document(
-                text=rec["text"].encode("utf-8", errors="surrogateescape"),
-                tag=rec.get("tag", "text"),
-            ))
-    return Corpus(documents=docs)
+    return Corpus(documents=[
+        Document(text=rec["text"].encode("utf-8", errors="surrogateescape"),
+                 tag=rec.get("tag", "text"))
+        for rec in read_jsonl(path, ("text",))])
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for d in corpus.documents:
-            f.write(json.dumps({
-                "text": d.text.decode("utf-8", errors="surrogateescape"),
-                "tag": d.tag,
-            }) + "\n")
+    write_jsonl(path, ({"text": d.text.decode("utf-8", errors="surrogateescape"), "tag": d.tag}
+                       for d in corpus.documents))
 
 
 def subsample(corpus: Corpus, token_budget: int, seed: int) -> Corpus:
@@ -174,40 +161,31 @@ class AlignmentSample:
 
 def save_alignment_set(samples: list[AlignmentSample], path: str | Path,
                        tokenizer: ByteTokenizer) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(json.dumps({
-                "instruction": tokenizer.decode_bytes(s.instruction).decode(
-                    "utf-8", errors="surrogateescape"),
-                "response": tokenizer.decode_bytes(s.response).decode(
-                    "utf-8", errors="surrogateescape"),
-                "source": s.source,
-                "temperature": s.temperature,
-                "instruction_source": s.instruction_source,
-                "truncated": s.truncated,
-            }) + "\n")
+    def text(ids: list[int]) -> str:
+        return tokenizer.decode_bytes(ids).decode("utf-8", errors="surrogateescape")
+
+    write_jsonl(path, ({
+        "instruction": text(s.instruction),
+        "response": text(s.response),
+        "source": s.source,
+        "temperature": s.temperature,
+        "instruction_source": s.instruction_source,
+        "truncated": s.truncated,
+    } for s in samples))
 
 
 def load_alignment_set(path: str | Path, tokenizer: ByteTokenizer) -> list[AlignmentSample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            samples.append(AlignmentSample(
-                instruction=tokenizer.encode(
-                    rec["instruction"].encode("utf-8", errors="surrogateescape")),
-                response=tokenizer.encode(
-                    rec["response"].encode("utf-8", errors="surrogateescape")),
-                source=rec["source"],
-                temperature=rec.get("temperature"),
-                instruction_source=rec.get("instruction_source", "corpus"),
-                truncated=rec.get("truncated", False),
-            ))
-    return samples
+    def ids(text: str) -> list[int]:
+        return tokenizer.encode(text.encode("utf-8", errors="surrogateescape"))
+
+    return [AlignmentSample(
+        instruction=ids(rec["instruction"]),
+        response=ids(rec["response"]),
+        source=rec["source"],
+        temperature=rec.get("temperature"),
+        instruction_source=rec.get("instruction_source", "corpus"),
+        truncated=rec.get("truncated", False),
+    ) for rec in read_jsonl(path, ("instruction", "response", "source"))]
 
 
 def chat_prompt(tokenizer: ByteTokenizer, instruction: list[int]) -> list[int]:

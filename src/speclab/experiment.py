@@ -313,18 +313,6 @@ def run_evaluation(config: dict | str | Path, draft: ModelState,
     return report
 
 
-def run_arch_table(config: dict | str | Path, draft: ModelState,
-                   report: ExperimentReport,
-                   seed: int | None = None) -> list[dict]:
-    """Emit the plot-ready speedup-vs-architecture table.
-
-    Speedup uses the simplified estimator tau / (c * gamma + 1) with each
-    candidate's measured single-token latency; tau comes from the main
-    draft's evaluation row at the table's gamma.
-    """
-    return _Run(config, report.out_dir, seed).arch_search(draft, report)
-
-
 @dataclass
 class AlignmentStudyResult:
     """Held-out acceptance rates from the alignment-direction study."""

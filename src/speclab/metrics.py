@@ -23,21 +23,28 @@ REPORT_COLUMNS = [
 
 @dataclass
 class DecodeStats:
-    """Per-block accepted counts at a nominal block size."""
+    """Per-block accepted counts and proposal lengths at a nominal block
+    size gamma; without `proposal_lens` every block proposed gamma tokens."""
     gamma: int
     blocks: list[int] = field(default_factory=list)
+    proposal_lens: list[int] | None = None
 
     def __post_init__(self) -> None:
         if self.gamma < 1:
             raise ConfigError("gamma must be >= 1")
-        for b in self.blocks:
-            if not 0 <= b <= self.gamma:
-                raise ContractError(f"accepted count {b} outside [0, {self.gamma}]")
+        if self.proposal_lens is None:
+            self.proposal_lens = [self.gamma] * len(self.blocks)
+        if len(self.proposal_lens) != len(self.blocks):
+            raise ContractError("one proposal length per block is required")
+        for a, n in zip(self.blocks, self.proposal_lens):
+            if not 0 <= a <= n <= self.gamma:
+                raise ContractError(f"accepted {a} of {n} proposed outside [0, {self.gamma}]")
 
     def merged(self, other: "DecodeStats") -> "DecodeStats":
         if other.gamma != self.gamma:
             raise ConfigError("cannot merge stats with different gamma")
-        return DecodeStats(gamma=self.gamma, blocks=self.blocks + other.blocks)
+        return DecodeStats(gamma=self.gamma, blocks=self.blocks + other.blocks,
+                           proposal_lens=self.proposal_lens + other.proposal_lens)
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,12 @@ class SpeedupInputs:
 
 
 def acceptance_rate(stats: DecodeStats) -> float:
-    """Mean accepted fraction per block: (1/N) sum(accepted_n / gamma)."""
-    n = len(stats.blocks)
-    if n == 0:
-        raise ContractError("acceptance rate needs at least one block")
-    return sum(stats.blocks) / (n * stats.gamma)
+    """Mean accepted fraction over the blocks that proposed anything:
+    (1/N) sum(accepted_n / proposed_n)."""
+    ratios = [a / n for a, n in zip(stats.blocks, stats.proposal_lens) if n]
+    if not ratios:
+        raise ContractError("acceptance rate needs at least one block that proposed a token")
+    return sum(ratios) / len(ratios)
 
 
 def block_efficiency(alpha: float, gamma: int) -> float:

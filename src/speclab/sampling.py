@@ -42,15 +42,9 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 
 def distribution(logits: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
-    """The verification distribution a policy induces over one logits row.
-
-    Greedy is a point mass on the argmax (smallest id wins ties); multinomial
-    is the temperature-scaled softmax.
-    """
-    if policy.mode == "greedy":
-        p = np.zeros(len(logits), dtype=np.float64)
-        p[int(np.argmax(logits))] = 1.0
-        return p
+    """The multinomial verification distribution over one logits row: the
+    temperature-scaled softmax. Greedy decoding compares argmax ids and
+    never builds a distribution."""
     return softmax(logits, policy.temperature)
 
 

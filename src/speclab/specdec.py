@@ -5,18 +5,24 @@ in one batched forward, and each proposal is accepted or rejected by the
 ratio rule: accept x with probability min(1, p(x)/q(x)); on rejection,
 resample from the residual max(0, p - q) renormalized. A fully accepted
 block appends one bonus token from the target's next distribution, so a
-block always emits accepted + 1 tokens. Under greedy verification the
-output is token-for-token the target's own greedy decode.
+block always emits accepted + 1 tokens.
+
+A block costs `proposal_len` draft forwards and one target forward: each
+proposal step first feeds the draft whatever it has not seen yet, so the
+last proposal (and, after a fully accepted block, the bonus token) is fed
+at the start of the next block. Greedy verification compares the draft's
+argmax ids with the target's argmax ids, so its output is token for token
+the target's own greedy decode.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_jsonl, write_jsonl
 from .errors import ConfigError, ContractError, LengthError, VocabMismatchError
 from .metrics import DecodeStats
 from .model import KVCache, ModelState, forward
@@ -40,20 +46,11 @@ class SpecConfig:
 
 
 @dataclass
-class AcceptResult:
-    accepted: bool
-    residual: np.ndarray | None = None   # multinomial rejection: resample from this
-    replacement: int | None = None       # greedy rejection: the target argmax
-
-
-@dataclass
 class BlockResult:
     proposed: list[int]
     accepted_count: int
     emitted: list[int]
     u_values: list[float]
-    draft_dists: list[np.ndarray] | None = None   # audit mode only
-    target_dists: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -65,7 +62,6 @@ class SpecSession:
     draft_cache: KVCache
     target_cache: KVCache
     blocks: list[BlockResult] = field(default_factory=list)
-    audit: bool = False
 
 
 def start_session(
@@ -74,7 +70,6 @@ def start_session(
     prompt: list[int],
     policy: SamplingPolicy | None = None,
     rng: np.random.Generator | None = None,
-    audit: bool = False,
 ) -> SpecSession:
     """Create a decode session over a shared-vocabulary draft/target pair."""
     if draft.config.vocab_size != target.config.vocab_size:
@@ -92,7 +87,6 @@ def start_session(
         rng=rng,
         draft_cache=KVCache(draft.config, dtype=draft.dtype),
         target_cache=KVCache(target.config, dtype=target.dtype),
-        audit=audit,
     )
 
 
@@ -104,38 +98,22 @@ def _check_normalized(p: np.ndarray, name: str) -> None:
         raise ContractError(f"{name} distribution has negative entries")
 
 
-def accept_step(
-    p_target: np.ndarray,
-    q_draft: np.ndarray,
-    x: int,
-    u: float,
-    mode: str = "multinomial",
-) -> AcceptResult:
-    """Accept/reject one proposed token.
+def accept_step(p_target: np.ndarray, q_draft: np.ndarray, x: int,
+                u: float) -> np.ndarray | None:
+    """The ratio rule for one proposed token x.
 
-    Multinomial: accept iff u <= min(1, p(x)/q(x)); on rejection return the
-    renormalized residual max(0, p - q). Greedy: accept iff x is the target
-    argmax (smallest id on ties); on rejection return that argmax.
+    Returns None when u <= min(1, p(x)/q(x)) accepts x, and otherwise the
+    renormalized residual max(0, p - q) to resample from.
     """
     p = np.asarray(p_target, dtype=np.float64)
     q = np.asarray(q_draft, dtype=np.float64)
     _check_normalized(p, "target")
     _check_normalized(q, "draft")
     x = int(x)
-
-    if mode == "greedy":
-        best = int(np.argmax(p))
-        if x == best:
-            return AcceptResult(accepted=True)
-        return AcceptResult(accepted=False, replacement=best)
-
-    if mode != "multinomial":
-        raise ConfigError(f"unknown verification mode {mode!r}")
     if q[x] <= 0:
         raise ContractError("proposed token has zero draft probability")
-    ratio = min(1.0, p[x] / q[x])
-    if u <= ratio:
-        return AcceptResult(accepted=True)
+    if u <= min(1.0, p[x] / q[x]):
+        return None
     residual = np.maximum(p - q, 0.0)
     total = residual.sum()
     if total <= 0:
@@ -143,14 +121,22 @@ def accept_step(
         # fall back to the target distribution
         residual = p.copy()
         total = residual.sum()
-    return AcceptResult(accepted=False, residual=residual / total)
+    return residual / total
 
 
-def _catch_up(state: ModelState, cache: KVCache, committed: list[int]) -> np.ndarray:
-    """Feed the cache's lagging suffix; returns logits for the frontier."""
-    pending = committed[cache.filled_len:]
-    logits, _ = forward(state, pending, cache)
-    return logits[-1]
+def _catch_up(state: ModelState, cache: KVCache, tokens: list[int]) -> np.ndarray:
+    """Feed the tokens the cache has not seen; returns their logits rows."""
+    logits, _ = forward(state, tokens[cache.filled_len:], cache)
+    return logits
+
+
+def _rollback(session: SpecSession) -> None:
+    """Drop cached positions from the last committed token on, so both
+    caches hold no position past what is committed and the next forward
+    always has at least that token to feed."""
+    frontier = len(session.committed) - 1
+    for cache in (session.draft_cache, session.target_cache):
+        cache.truncate(min(cache.filled_len, frontier))
 
 
 def speculate_block(
@@ -160,72 +146,57 @@ def speculate_block(
 ) -> BlockResult:
     """One propose/verify round; emits accepted prefix plus one more token.
 
-    `proposal_len` shrinks the block for a partial final budget; the nominal
-    gamma is unchanged for statistics.
+    `proposal_len` shrinks the block for a partial final budget; the block
+    records how many tokens it proposed.
     """
     gamma = spec.gamma if proposal_len is None else proposal_len
     if gamma < 0:
         raise ConfigError("proposal length must be nonnegative")
     policy = spec.policy
+    greedy = policy.mode == "greedy"
     m = len(session.committed)
     for st, label in ((session.draft, "draft"), (session.target, "target")):
         if m + gamma + 1 > st.config.max_seq_len:
             raise LengthError(f"no room for a {gamma}-token block in the {label} context")
 
-    # draft proposes gamma tokens sequentially
+    # the draft proposes gamma tokens, one forward each
     proposed: list[int] = []
     q_dists: list[np.ndarray] = []
-    if gamma > 0:
-        logits = _catch_up(session.draft, session.draft_cache, session.committed)
-        for _ in range(gamma):
-            q = distribution(logits, policy)
-            q_dists.append(q)
-            tok = int(np.argmax(q)) if policy.mode == "greedy" else sample_from_dist(q, session.rng)
-            proposed.append(tok)
-            logits, _ = forward(session.draft, [tok], session.draft_cache)
-            logits = logits[-1]
-
-    # target verifies the whole block in one forward
-    pending = session.committed[session.target_cache.filled_len:] + proposed
-    t_logits, _ = forward(session.target, pending, session.target_cache)
-    p_dists = [distribution(t_logits[-(gamma + 1) + j], policy) for j in range(gamma + 1)]
-
-    emitted: list[int] = []
-    u_values: list[float] = []
-    accepted = 0
-    for j, tok in enumerate(proposed):
-        u = float(session.rng.random()) if policy.mode == "multinomial" else 0.0
-        if policy.mode == "multinomial":
-            u_values.append(u)
-        res = accept_step(p_dists[j], q_dists[j], tok, u, mode=policy.mode)
-        if res.accepted:
-            accepted += 1
-            emitted.append(tok)
-            continue
-        if policy.mode == "greedy":
-            emitted.append(res.replacement)
+    for _ in range(gamma):
+        logits = _catch_up(session.draft, session.draft_cache, session.committed + proposed)[-1]
+        if greedy:
+            proposed.append(int(np.argmax(logits)))
         else:
-            emitted.append(sample_from_dist(res.residual, session.rng))
-        break
+            q_dists.append(distribution(logits, policy))
+            proposed.append(sample_from_dist(q_dists[-1], session.rng))
+
+    # the target verifies the whole block in one forward
+    t_logits = _catch_up(session.target, session.target_cache,
+                         session.committed + proposed)[-(gamma + 1):]
+    u_values: list[float] = []
+    if greedy:
+        best = np.argmax(t_logits, axis=-1)
+        accepted = next((j for j, tok in enumerate(proposed) if tok != best[j]), gamma)
+        emitted = proposed[:accepted] + [int(best[accepted])]
     else:
-        # whole block accepted: bonus token from the target's next distribution
-        bonus_p = p_dists[gamma]
-        tok = int(np.argmax(bonus_p)) if policy.mode == "greedy" else sample_from_dist(bonus_p, session.rng)
-        emitted.append(tok)
+        p_dists = [distribution(row, policy) for row in t_logits]
+        emitted = []
+        for j, tok in enumerate(proposed):
+            u_values.append(float(session.rng.random()))
+            residual = accept_step(p_dists[j], q_dists[j], tok, u_values[-1])
+            if residual is not None:
+                emitted.append(sample_from_dist(residual, session.rng))
+                break
+            emitted.append(tok)
+        else:
+            # whole block accepted: bonus token from the target's next distribution
+            emitted.append(sample_from_dist(p_dists[gamma], session.rng))
+        accepted = len(emitted) - 1
 
     session.committed.extend(emitted)
-    frontier = len(session.committed) - 1
-    session.draft_cache.truncate(min(session.draft_cache.filled_len, frontier))
-    session.target_cache.truncate(min(session.target_cache.filled_len, frontier))
-
-    block = BlockResult(
-        proposed=proposed,
-        accepted_count=accepted,
-        emitted=emitted,
-        u_values=u_values,
-        draft_dists=q_dists if session.audit else None,
-        target_dists=p_dists if session.audit else None,
-    )
+    _rollback(session)
+    block = BlockResult(proposed=proposed, accepted_count=accepted, emitted=emitted,
+                        u_values=u_values)
     session.blocks.append(block)
     return block
 
@@ -254,43 +225,30 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
         room -= len(session.committed) + 1
         if room < 0:
             raise LengthError("context full during generation")
-        block_len = min(spec.gamma, remaining - 1, room)
-        block = speculate_block(session, spec, proposal_len=block_len)
+        block = speculate_block(session, spec, proposal_len=min(spec.gamma, remaining - 1, room))
         produced += len(block.emitted)
         if spec.eos_id is not None and spec.eos_id in block.emitted:
             break
 
     new_tokens = session.committed[start_len:]
     if spec.eos_id is not None and spec.eos_id in new_tokens:
-        cut = new_tokens.index(spec.eos_id) + 1
-        surplus = len(new_tokens) - cut
-        if surplus:
-            # tokens conditioned on context past the eos are never used again
-            del session.committed[-surplus:]
-            frontier = len(session.committed) - 1
-            session.draft_cache.truncate(min(session.draft_cache.filled_len, frontier))
-            session.target_cache.truncate(min(session.target_cache.filled_len, frontier))
-            new_tokens = new_tokens[:cut]
+        # tokens conditioned on context past the eos are never used again
+        new_tokens = new_tokens[:new_tokens.index(spec.eos_id) + 1]
+        del session.committed[start_len + len(new_tokens):]
+        _rollback(session)
 
     blocks = session.blocks[first_block:]
-    stats = DecodeStats(gamma=spec.gamma, blocks=[b.accepted_count for b in blocks])
+    stats = DecodeStats(gamma=spec.gamma, blocks=[b.accepted_count for b in blocks],
+                        proposal_lens=[len(b.proposed) for b in blocks])
     return GenerateResult(tokens=new_tokens, stats=stats, blocks=blocks)
 
 
 def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
     """One JSON line per block with the fields needed to replay decisions."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for b in blocks:
-            f.write(json.dumps({
-                "proposed": b.proposed,
-                "accepted_count": b.accepted_count,
-                "emitted": b.emitted,
-                "u": b.u_values,
-            }) + "\n")
+    write_jsonl(path, ({"proposed": b.proposed, "accepted_count": b.accepted_count,
+                        "emitted": b.emitted, "u": b.u_values} for b in blocks))
 
 
 def read_audit_log(path: str | Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
+    """The block records of an audit log; damage raises DataError."""
+    return read_jsonl(path, ("proposed", "accepted_count", "emitted", "u"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclab import ModelConfig, ModelState, init_model
-from speclab.checkpoint import load_checkpoint, save_checkpoint
+from speclab.checkpoint import load_checkpoint, read_jsonl, save_checkpoint, write_jsonl
 from speclab.errors import ConfigError, DataError
 
 
@@ -65,3 +65,18 @@ def test_save_is_atomic(tmp_path, tiny_state):
         save_checkpoint(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.sfmd"]
+
+
+def test_jsonl_round_trip_and_damage(tmp_path):
+    path = tmp_path / "records.jsonl"
+    records = [{"a": 1, "b": "x\udcff"}, {"a": 2, "b": None}]
+    write_jsonl(path, records)
+    assert read_jsonl(path, ("a", "b")) == records
+    good = path.read_bytes()
+    for damaged, where, what in ((good[:-4], ":2:", "not JSON"),
+                                 (b"\n[1]\n", ":2:", "not a JSON object"),
+                                 (b'{"a": 1}\n', ":1:", "missing key"),
+                                 (b'{"a": 1, "b": "\xff"}\n', ":1:", "not JSON")):
+        path.write_bytes(damaged)
+        with pytest.raises(DataError, match=f"records.jsonl{where} {what}"):
+            read_jsonl(path, ("a", "b"))

@@ -13,10 +13,12 @@ import pytest
 
 from speclab import ModelConfig, init_model, save_checkpoint
 from speclab.cli import main
-from speclab.data import chat_sequence, save_alignment_set, save_corpus
+from speclab.data import (chat_sequence, load_alignment_set, load_corpus, save_alignment_set,
+                          save_corpus)
 from speclab.distill import extract_sparse_logits, write_sparse_dataset
 from speclab.errors import DataError
 from speclab.experiment import run_training
+from speclab.specdec import BlockResult, read_audit_log, write_audit_log
 from speclab.synthetic import TopicWorld
 from speclab.tokenizer import ByteTokenizer
 
@@ -131,3 +133,29 @@ def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_fi
     assert main(["eval", config, "--out-dir", str(tmp_path / "eval")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "DataError" and "truncated" in error["message"]
+
+
+@pytest.mark.parametrize("name", ["pretrain.jsonl", "align.jsonl", "audit.jsonl"])
+def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
+    write_audit_log(tmp_path / "audit.jsonl", [BlockResult([5, 6], 1, [5, 7], [0.1, 0.9])])
+    read = {"pretrain.jsonl": load_corpus, "audit.jsonl": read_audit_log,
+            "align.jsonl": lambda path: load_alignment_set(path, ByteTokenizer())}[name]
+    path = tmp_path / name
+    good = path.read_bytes()
+    assert read(path)
+    first = json.loads(good.splitlines()[0])
+    del first[next(iter(first))]
+    for damaged, where in ((good[:-3], "not JSON"),
+                           (json.dumps(first).encode() + b"\n" + good, "missing key")):
+        path.write_bytes(damaged)
+        with pytest.raises(DataError, match=where):
+            read(path)
+
+
+def test_report_on_damaged_audit_log_exits_2_with_json_error(tmp_path, capsys):
+    (tmp_path / "audit.jsonl").write_text('{"proposed": [5, 6], "accepted_count": 1, "emi')
+    config = _write(tmp_path / "report.json",
+                    {"runs": [{"audit": "audit.jsonl", "gamma": 2, "c_hat": 0.5}]})
+    assert main(["report", config, "--out-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DataError" and "audit.jsonl:1" in error["message"]
