@@ -5,8 +5,8 @@ u32 tensor count, then each tensor as (u16 name length, name bytes,
 u8 ndim, u32 dims..., little-endian float32 data) in declared order.
 Round-trips are bit exact.
 
-The atomic writer and the JSON-lines reader and writer here are shared by
-every on-disk format of the package.
+The atomic writer, the JSON writer and the JSON-lines reader and writer
+here are shared by every on-disk format of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -46,6 +46,12 @@ def atomic_write(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
+def write_json(path: str | Path, obj) -> None:
+    """`obj` as JSON indented by 2 plus a newline, written through `atomic_write`."""
+    with atomic_write(path) as f:
+        f.write((json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, written through `atomic_write`."""
     with atomic_write(path) as f:
@@ -53,10 +59,11 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             f.write((json.dumps(rec) + "\n").encode("utf-8"))
 
 
-def read_jsonl(path: str | Path, required: Iterable[str] = ()) -> list[dict]:
-    """The objects of a JSON-lines file, blank lines skipped. A line that is
-    not JSON or not an object, or lacks a `required` key, raises DataError
-    naming the file and the line."""
+def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> list[dict]:
+    """The objects of a JSON-lines file, blank lines skipped. `required` maps
+    each key a line must hold to its type (or tuple of types). A line that is
+    not JSON or not an object, lacks a required key or holds a value of the
+    wrong type raises DataError naming the file and the line."""
     records = []
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
@@ -71,6 +78,10 @@ def read_jsonl(path: str | Path, required: Iterable[str] = ()) -> list[dict]:
             missing = [k for k in required if k not in rec]
             if missing:
                 raise DataError(f"{path}:{n}: missing key(s) {', '.join(missing)}")
+            for k, kind in required.items():
+                if not isinstance(rec[k], kind):
+                    raise DataError(f"{path}:{n}: key {k} has wrong type "
+                                    f"{type(rec[k]).__name__}")
             records.append(rec)
     return records
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .archsearch import arch_table, derive_config
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_json
 from .data import (chat_sequence, generate_alignment_set, load_alignment_set,
                    load_corpus, save_alignment_set)
 from .distill import extract_sparse_logits, write_sparse_dataset
@@ -117,9 +117,7 @@ def cmd_bench_latency(args) -> int:
                 "flagged": run.flagged,
             })
     out = out_dir / cfg.get("out_name", "latency.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2)
+    write_json(out, results)
     write_manifest(out_dir, cfg, seed)
     print(f"wrote {len(results)} measurements to {out}")
     return 0
@@ -133,9 +131,7 @@ def cmd_arch_search(args) -> int:
         row["config"] = (derive_config(base_cfg, row["hidden_size"], row["n_layers"]).to_dict()
                          if row["feasible"] else None)
     out = out_dir / cfg.get("out_name", "arch_search.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2)
+    write_json(out, rows)
     write_manifest(out_dir, cfg, seed)
     for r in rows:
         status = (f"layers={r['n_layers']} deviation={r['deviation']}" if r["feasible"]
@@ -194,7 +190,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (SpecLabError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SpecLabError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2 if isinstance(exc, SpecLabError) else 3

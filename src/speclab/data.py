@@ -51,7 +51,7 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(documents=[
         Document(text=rec["text"].encode("utf-8", errors="surrogateescape"),
                  tag=rec.get("tag", "text"))
-        for rec in read_jsonl(path, ("text",))])
+        for rec in read_jsonl(path, {"text": str})])
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -185,7 +185,7 @@ def load_alignment_set(path: str | Path, tokenizer: ByteTokenizer) -> list[Align
         temperature=rec.get("temperature"),
         instruction_source=rec.get("instruction_source", "corpus"),
         truncated=rec.get("truncated", False),
-    ) for rec in read_jsonl(path, ("instruction", "response", "source"))]
+    ) for rec in read_jsonl(path, {"instruction": str, "response": str, "source": str})]
 
 
 def chat_prompt(tokenizer: ByteTokenizer, instruction: list[int]) -> list[int]:
@@ -214,45 +214,32 @@ def generate_alignment_set(
     if not temperatures and not include_greedy:
         raise ConfigError("need at least one sampling configuration")
     configs: list[float | None] = ([None] if include_greedy else []) + list(temperatures)
-    ss = np.random.SeedSequence(seed)
-    n_total = len(seed_instructions) * len(configs) + self_prompt_count
-    children = ss.spawn(n_total)
+    # (instruction, temperature); None as instruction: the target writes it
+    jobs: list[tuple[list[int] | None, float | None]] = [
+        (list(instr), temp) for instr in seed_instructions for temp in configs]
+    jobs += [(None, temperatures[0] if temperatures else None)] * self_prompt_count
     samples: list[AlignmentSample] = []
-    idx = 0
-    for instr in seed_instructions:
-        for temp in configs:
-            rng = np.random.default_rng(children[idx]); idx += 1
-            policy = (SamplingPolicy("greedy") if temp is None
-                      else SamplingPolicy("multinomial", temperature=temp))
-            out = autoregressive_decode(
-                target, chat_prompt(tokenizer, instr), policy,
-                max_new_tokens, rng=rng, eos_id=tokenizer.eos_id)
-            truncated = tokenizer.eos_id not in out
-            response = out[:-1] if not truncated else out
-            samples.append(AlignmentSample(
-                instruction=list(instr), response=response,
-                source="target_generated", temperature=temp,
-                instruction_source="corpus", truncated=truncated))
-    base_temp = temperatures[0] if temperatures else None
-    for _ in range(self_prompt_count):
-        rng = np.random.default_rng(children[idx]); idx += 1
-        policy = (SamplingPolicy("greedy") if base_temp is None
-                  else SamplingPolicy("multinomial", temperature=base_temp))
-        # the model writes the instruction from the bare separator prefix
-        instr_out = autoregressive_decode(
-            target, [tokenizer.bos_id, tokenizer.inst_id], policy,
-            max_new_tokens, rng=rng, eos_id=tokenizer.resp_id)
-        instr_truncated = tokenizer.resp_id not in instr_out
-        instr = instr_out[:-1] if not instr_truncated else instr_out
-        out = autoregressive_decode(
-            target, chat_prompt(tokenizer, instr), policy,
-            max_new_tokens, rng=rng, eos_id=tokenizer.eos_id)
-        truncated = tokenizer.eos_id not in out
-        response = out[:-1] if not truncated else out
+    for (instr, temp), child in zip(jobs, np.random.SeedSequence(seed).spawn(len(jobs))):
+        rng = np.random.default_rng(child)
+        policy = (SamplingPolicy("greedy") if temp is None
+                  else SamplingPolicy("multinomial", temperature=temp))
+
+        def respond(prompt: list[int], stop: int) -> tuple[list[int], bool]:
+            out = autoregressive_decode(target, prompt, policy, max_new_tokens,
+                                        rng=rng, eos_id=stop)
+            return (out[:-1], False) if stop in out else (out, True)
+
+        instr_source, instr_truncated = "corpus", False
+        if instr is None:
+            # the model writes the instruction from the bare separator prefix
+            instr_source = "model"
+            instr, instr_truncated = respond([tokenizer.bos_id, tokenizer.inst_id],
+                                             tokenizer.resp_id)
+        response, truncated = respond(chat_prompt(tokenizer, instr), tokenizer.eos_id)
         samples.append(AlignmentSample(
             instruction=instr, response=response,
-            source="target_generated", temperature=base_temp,
-            instruction_source="model", truncated=truncated or instr_truncated))
+            source="target_generated", temperature=temp,
+            instruction_source=instr_source, truncated=truncated or instr_truncated))
     return samples
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .archsearch import arch_table
-from .checkpoint import canonical_json, load_checkpoint, save_checkpoint
+from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
 from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
                    chat_sequence, generate_alignment_set, lm_batches,
                    load_alignment_set, load_corpus, make_completion_tasks, mix)
@@ -183,9 +183,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> dict:
         },
         "created_unix": time.time(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -233,11 +231,8 @@ class _Run:
             ckpt = self.out / "checkpoints" / f"{name}.sfmd"
             save_checkpoint(state, ckpt)
             report.checkpoints[name] = ckpt
-            losses_path = self.out / "losses" / f"{name}.json"
-            losses_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(losses_path, "w", encoding="utf-8") as f:
-                json.dump({"stage": name, "losses": result.losses,
-                           "steps_run": result.steps_run}, f)
+            write_json(self.out / "losses" / f"{name}.json",
+                       {"stage": name, "losses": result.losses, "steps_run": result.steps_run})
         return report, state
 
     def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:

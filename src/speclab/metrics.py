@@ -9,10 +9,10 @@ exact in floating point.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .checkpoint import write_json
 from .errors import ConfigError, ContractError
 
 REPORT_COLUMNS = [
@@ -167,16 +167,13 @@ def write_table(rows: list[dict], csv_path: str | Path, json_path: str | Path,
                 columns: list[str] | None = None) -> None:
     """Emit rows as CSV plus a JSON twin with the same fields; the CSV
     columns default to the sorted union of the rows' keys."""
-    csv_path, json_path = Path(csv_path), Path(json_path)
+    csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=columns or sorted({k for r in rows for k in r}))
         writer.writeheader()
         writer.writerows(rows)
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
+    write_json(json_path, rows)
 
 
 def write_report(rows: list[MetricsRow], csv_path: str | Path, json_path: str | Path) -> None:

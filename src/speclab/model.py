@@ -6,6 +6,12 @@ pass optionally records a tape of intermediates so that `backward` can
 produce exact gradients for every tensor; gradients are validated against
 central finite differences in the test suite.
 
+Attention has one head layout, in forward and backward. With KV key/value
+heads and G = n_heads / KV query heads per group, queries are
+(B, KV, G, S, d) and keys and values (B, KV, 1, T, d), so matmul
+broadcasting pairs query head kv*G + g with key/value head kv and no head
+is copied; backward sums the key and value gradients over the G axis.
+
 All tensors are float32 by default, and a float32 state computes in float32
 end to end, forward and backward. Passing float64 tensors (see
 `cast_state`) runs the same code at double precision, which the gradient
@@ -189,12 +195,8 @@ class Tape:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def _rms_inv(x: np.ndarray) -> np.ndarray:
@@ -215,16 +217,6 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     c = cos[None, :, None, :]
     s = sin[None, :, None, :]
     return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
-
-
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, s, _ = x.shape
-    return x.reshape(b, s, n_heads, -1)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, s, h, d = x.shape
-    return x.reshape(b, s, h * d)
 
 
 def _forward_batch(
@@ -248,14 +240,12 @@ def _forward_batch(
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    positions = np.arange(start, total)
-    cos, sin = _rope_tables(cfg, positions, dtype)
-    groups = cfg.n_heads // cfg.n_kv_heads
-    scale = float(1.0 / np.sqrt(cfg.head_dim))
-
+    cos, sin = _rope_tables(cfg, np.arange(start, total), dtype)
+    H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
+    G = H // KV
+    scale = float(1.0 / np.sqrt(d))
     # additive causal mask: query i (global start+i) may attend keys <= start+i
-    key_pos = np.arange(total)
-    mask = np.where(key_pos[None, :] <= (positions[:, None]), 0.0, -np.inf).astype(dtype)
+    mask = np.triu(np.full((S, total), -np.inf, dtype), k=start + 1)
 
     tape = Tape(tokens=tokens) if record else None
     x = t["embed"][tokens]
@@ -266,30 +256,25 @@ def _forward_batch(
         n1 = x * r1
         y1 = n1 * t[p + "attn_norm"]
 
-        q = _split_heads(y1 @ t[p + "wq"], cfg.n_heads)
-        k = _split_heads(y1 @ t[p + "wk"], cfg.n_kv_heads)
-        v = _split_heads(y1 @ t[p + "wv"], cfg.n_kv_heads)
-        q = _apply_rope(q, cos, sin)
-        k = _apply_rope(k, cos, sin)
-
+        q = _apply_rope((y1 @ t[p + "wq"]).reshape(B, S, H, d), cos, sin)
+        k = _apply_rope((y1 @ t[p + "wk"]).reshape(B, S, KV, d), cos, sin)
+        v = (y1 @ t[p + "wv"]).reshape(B, S, KV, d)
         if cache is not None:
             cache.keys[l, start:total] = k[0]
             cache.values[l, start:total] = v[0]
-            k_all = cache.keys[l, :total][None, ...]
-            v_all = cache.values[l, :total][None, ...]
-        else:
-            k_all, v_all = k, v
+            k, v = cache.keys[l, :total][None], cache.values[l, :total][None]
 
-        # (B, H, S, d) x (B, H, d, T) -> (B, H, S, T)
-        qh = q.transpose(0, 2, 1, 3)
-        kh = np.repeat(k_all.transpose(0, 2, 1, 3), groups, axis=1)
-        vh = np.repeat(v_all.transpose(0, 2, 1, 3), groups, axis=1)
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale + mask[None, None, :, :]
+        # grouped heads: (B, KV, G, S, d) x (B, KV, 1, d, T) -> (B, KV, G, S, T);
+        # broadcasting pairs query head kv*G + g with key/value head kv
+        qh = q.reshape(B, S, KV, G, d).transpose(0, 2, 3, 1, 4)
+        kh = k.transpose(0, 2, 1, 3)[:, :, None]
+        vh = v.transpose(0, 2, 1, 3)[:, :, None]
+        scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         probs = e / e.sum(axis=-1, keepdims=True)
 
-        o = _merge_heads((probs @ vh).transpose(0, 2, 1, 3))
+        o = (probs @ vh).transpose(0, 3, 1, 2, 4).reshape(B, S, H * d)
         attn_out = o @ t[p + "wo"]
         x2 = x + attn_out
 
@@ -371,8 +356,8 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
     cfg = state.config
     t = state.tensors
     grads = zero_grads(state)
-    groups = cfg.n_heads // cfg.n_kv_heads
-    scale = float(1.0 / np.sqrt(cfg.head_dim))
+    H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
+    scale = float(1.0 / np.sqrt(d))
     B, S = tape.tokens.shape
     flat = lambda a: a.reshape(-1, a.shape[-1])
 
@@ -408,25 +393,18 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
         # attention branch
         d_attn_out = dx2
         grads[p + "wo"] += flat(tp["o"]).T @ flat(d_attn_out)
-        do = (d_attn_out @ t[p + "wo"].T).reshape(B, S, cfg.n_heads, cfg.head_dim)
-        do = do.transpose(0, 2, 1, 3)
-        dprobs = do @ tp["v"].transpose(0, 1, 3, 2)
-        dv_rep = tp["probs"].transpose(0, 1, 3, 2) @ do
+        # the forward's grouped layout; a key/value head's gradient sums its group
+        do = (d_attn_out @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(0, 2, 3, 1, 4)
+        dprobs = do @ tp["v"].swapaxes(-1, -2)
         dscores = tp["probs"] * (dprobs - np.sum(dprobs * tp["probs"], axis=-1, keepdims=True))
         dq = (dscores @ tp["k"]) * scale
-        dk_rep = (dscores.transpose(0, 1, 3, 2) @ tp["q"]) * scale
-
-        def group_sum(a: np.ndarray) -> np.ndarray:
-            b, _, s, d = a.shape
-            return a.reshape(b, cfg.n_kv_heads, groups, s, d).sum(axis=2)
-
-        dk = group_sum(dk_rep).transpose(0, 2, 1, 3)
-        dv = group_sum(dv_rep).transpose(0, 2, 1, 3)
-        dq = dq.transpose(0, 2, 1, 3)
-        # inverse rotation (orthogonal): rotate by the negated angle
-        dq = _apply_rope(dq, tp["cos"], -tp["sin"])
-        dk = _apply_rope(dk, tp["cos"], -tp["sin"])
-        dqm, dkm, dvm = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        dk = ((dscores.swapaxes(-1, -2) @ tp["q"]) * scale).sum(axis=2)
+        dv = (tp["probs"].swapaxes(-1, -2) @ do).sum(axis=2)
+        # back to (B, S, heads, d); inverse rotation (orthogonal): rotate by the negated angle
+        dq = _apply_rope(dq.transpose(0, 3, 1, 2, 4).reshape(B, S, H, d), tp["cos"], -tp["sin"])
+        dk = _apply_rope(dk.transpose(0, 2, 1, 3), tp["cos"], -tp["sin"])
+        dqm, dkm = dq.reshape(B, S, H * d), dk.reshape(B, S, KV * d)
+        dvm = dv.transpose(0, 2, 1, 3).reshape(B, S, KV * d)
 
         grads[p + "wq"] += flat(tp["y1"]).T @ flat(dqm)
         grads[p + "wk"] += flat(tp["y1"]).T @ flat(dkm)

@@ -251,4 +251,5 @@ def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
 
 def read_audit_log(path: str | Path) -> list[dict]:
     """The block records of an audit log; damage raises DataError."""
-    return read_jsonl(path, ("proposed", "accepted_count", "emitted", "u"))
+    return read_jsonl(path, {"proposed": list, "accepted_count": int,
+                             "emitted": list, "u": list})

@@ -71,12 +71,15 @@ def test_jsonl_round_trip_and_damage(tmp_path):
     path = tmp_path / "records.jsonl"
     records = [{"a": 1, "b": "x\udcff"}, {"a": 2, "b": None}]
     write_jsonl(path, records)
-    assert read_jsonl(path, ("a", "b")) == records
+    required = {"a": int, "b": (str, type(None))}
+    assert read_jsonl(path, required) == records
     good = path.read_bytes()
     for damaged, where, what in ((good[:-4], ":2:", "not JSON"),
                                  (b"\n[1]\n", ":2:", "not a JSON object"),
                                  (b'{"a": 1}\n', ":1:", "missing key"),
-                                 (b'{"a": 1, "b": "\xff"}\n', ":1:", "not JSON")):
+                                 (b'{"a": 1, "b": "\xff"}\n', ":1:", "not JSON"),
+                                 (b'{"a": 1, "b": null}\n{"a": "2", "b": null}\n', ":2:",
+                                  "key a has wrong type str")):
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=f"records.jsonl{where} {what}"):
-            read_jsonl(path, ("a", "b"))
+            read_jsonl(path, required)

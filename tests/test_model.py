@@ -3,7 +3,9 @@ import pytest
 
 from speclab import ModelConfig, init_model
 from speclab.errors import ConfigError, LengthError
-from speclab.model import KVCache, cast_state, forward, forward_train, param_count
+from speclab.losses import ce_loss
+from speclab.model import (KVCache, backward, cast_state, forward, forward_train,
+                           param_count)
 from speclab.sampling import SamplingPolicy, sample, softmax
 
 from conftest import rel_err
@@ -110,6 +112,44 @@ def test_forward_returns_state_dtype(tiny_state, dtype):
     assert cached.dtype == dtype
     train_logits, _ = forward_train(st, np.array([[1, 2, 3]]))
     assert train_logits.dtype == dtype
+
+
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("heads,kv_heads", [(2, 1), (4, 2), (2, 2)])
+def test_backward_matches_finite_differences(heads, kv_heads, tie):
+    """`backward` of `ce_loss` equals central differences on sampled entries
+    of every tensor, at float64, for grouped, multi-query and plain heads."""
+    cfg = ModelConfig(hidden_size=16, intermediate_size=24, n_layers=2,
+                      n_heads=heads, n_kv_heads=kv_heads, vocab_size=20,
+                      max_seq_len=16, tie_embeddings=tie)
+    st = cast_state(init_model(cfg, seed=3), np.float64)
+    rng = np.random.default_rng(4)
+    for name, t in st.tensors.items():
+        if name.endswith("norm"):  # gains away from 1 so their gradients are generic
+            t += 0.3 * rng.standard_normal(t.shape)
+    tokens = rng.integers(0, 20, size=(2, 6))
+    gold = rng.integers(0, 20, size=(2, 6))
+
+    def loss() -> float:
+        return ce_loss(forward_train(st, tokens)[0], gold)[0]
+
+    logits, tape = forward_train(st, tokens)
+    grads = backward(st, tape, ce_loss(logits, gold)[1])
+    eps = 1e-5
+    worst = 0.0
+    for name, t in st.tensors.items():
+        flat = t.reshape(-1)
+        for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = loss()
+            flat[i] = keep - eps
+            down = loss()
+            flat[i] = keep
+            numeric = (up - down) / (2 * eps)
+            analytic = grads[name].reshape(-1)[i]
+            worst = max(worst, abs(analytic - numeric) / max(abs(numeric), 1e-3))
+    assert worst < 1e-5
 
 
 class TestParamCount:

@@ -144,9 +144,13 @@ def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
     good = path.read_bytes()
     assert read(path)
     first = json.loads(good.splitlines()[0])
-    del first[next(iter(first))]
+    key = next(iter(first))
+    wrong = dict(first, **{key: 5})
+    del first[key]
     for damaged, where in ((good[:-3], "not JSON"),
-                           (json.dumps(first).encode() + b"\n" + good, "missing key")):
+                           (json.dumps(first).encode() + b"\n" + good, "missing key"),
+                           (json.dumps(wrong).encode() + b"\n" + good,
+                            f":1: key {key} has wrong type int")):
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=where):
             read(path)
@@ -159,3 +163,20 @@ def test_report_on_damaged_audit_log_exits_2_with_json_error(tmp_path, capsys):
     assert main(["report", config, "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "DataError" and "audit.jsonl:1" in error["message"]
+
+
+def test_report_on_wrongly_typed_audit_log_exits_2_with_json_error(tmp_path, capsys):
+    (tmp_path / "audit.jsonl").write_text(
+        '{"proposed": 3, "accepted_count": 1, "emitted": [5], "u": []}\n')
+    config = _write(tmp_path / "report.json",
+                    {"runs": [{"audit": "audit.jsonl", "gamma": 2, "c_hat": 0.5}]})
+    assert main(["report", config, "--out-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "DataError" and "audit.jsonl:1: key proposed" in error["message"]
+
+
+def test_config_not_utf8_exits_3_with_json_error(tmp_path, capsys):
+    config = tmp_path / "report.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["report", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
