@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .model import row_max
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,12 @@ class LossSpec:
                    tvd=float(d.get("TVD", 0.0)))
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+def _log_softmax(logits: np.ndarray, maxes: np.ndarray) -> np.ndarray:
+    """A fresh array of log-softmax over the last axis, given the exact max
+    of each row (keepdims)."""
+    z = logits - maxes
+    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 def ce_loss(logits: np.ndarray, gold: np.ndarray, mask: np.ndarray | None = None):
@@ -67,11 +71,12 @@ def ce_loss(logits: np.ndarray, gold: np.ndarray, mask: np.ndarray | None = None
     if n <= 0:
         raise ContractError("cross entropy needs at least one unmasked position")
 
-    ls = _log_softmax(flat_logits)
+    # rows of a whole vocabulary are long enough for numpy's own max
+    ls = _log_softmax(flat_logits, flat_logits.max(axis=-1, keepdims=True))
     rows = np.arange(flat_gold.size)
     loss = -(ls[rows, flat_gold] * m).sum() / n
 
-    dflat = np.exp(ls)
+    dflat = np.exp(ls, out=ls)
     dflat[rows, flat_gold] -= 1.0
     dflat *= (m / n)[:, None]
     return float(loss), dflat.reshape(logits.shape)
@@ -87,24 +92,18 @@ def _restricted_dists(student_rows: np.ndarray, ids: np.ndarray, t_logits: np.nd
         if np.any(srt[:, 1:] == srt[:, :-1]):
             raise ContractError("duplicate token ids in a sparse logit row")
     rows = np.arange(ids.shape[0])[:, None]
+    t = t_logits.astype(student_rows.dtype)
     s = student_rows[rows, ids]
-    p_t = np.exp(_log_softmax(t_logits.astype(student_rows.dtype)))
-    p_s = np.exp(_log_softmax(s))
+    p_t = np.exp(_log_softmax(t, row_max(t)))
+    p_s = np.exp(_log_softmax(s, row_max(s)))
     return p_t, p_s, rows
 
 
-def kd_loss(
-    student_logits: np.ndarray,
-    teacher_ids: np.ndarray,
-    teacher_logits: np.ndarray,
-    kind: str,
-    mask: np.ndarray | None = None,
-):
-    """Vectorized distillation loss over aligned positions.
-
-    student_logits: (P, V); teacher_ids/teacher_logits: (P, k).
-    kind: "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1), mean over positions.
-    """
+def _kd_sparse(student_logits: np.ndarray, teacher_ids: np.ndarray,
+               teacher_logits: np.ndarray, kind: str, mask: np.ndarray | None):
+    """`kd_loss` with its gradient left on the teacher's support: returns
+    (loss, rows, grad), where dloss/dlogits is grad at [rows, teacher_ids]
+    and zero elsewhere."""
     if kind not in ("KL", "TVD"):
         raise ConfigError(f"unknown distillation loss {kind!r}")
     student_logits = np.asarray(student_logits)
@@ -135,10 +134,25 @@ def kd_loss(
         per_pos = 0.5 * np.abs(diff).sum(axis=-1)
         g = 0.5 * np.sign(diff)
         dker = p_s * (g - np.sum(g * p_s, axis=-1, keepdims=True))
+    dker *= (m / n)[:, None]
+    return float((per_pos * m).sum() / n), rows, dker
 
-    loss = float((per_pos * m).sum() / n)
+
+def kd_loss(
+    student_logits: np.ndarray,
+    teacher_ids: np.ndarray,
+    teacher_logits: np.ndarray,
+    kind: str,
+    mask: np.ndarray | None = None,
+):
+    """Vectorized distillation loss over aligned positions.
+
+    student_logits: (P, V); teacher_ids/teacher_logits: (P, k).
+    kind: "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1), mean over positions.
+    """
+    loss, rows, grad = _kd_sparse(student_logits, teacher_ids, teacher_logits, kind, mask)
     dlogits = np.zeros_like(student_logits)
-    np.add.at(dlogits, (rows, teacher_ids), dker * (m / n)[:, None])
+    dlogits[rows, teacher_ids] += grad  # ids are distinct within a row (checked)
     return loss, dlogits
 
 
@@ -154,13 +168,18 @@ def combined_loss(
     if spec.needs_teacher and (teacher_ids is None or teacher_logits is None):
         raise ConfigError("KL/TVD weights require sparse-logit supervision")
     total = 0.0
-    dlogits = np.zeros_like(logits2d)
     parts: dict[str, float] = {}
-    for kind, weight in (("CE", spec.ce), ("KL", spec.kl), ("TVD", spec.tvd)):
+    if spec.ce > 0:
+        parts["CE"], dlogits = ce_loss(logits2d, gold, mask=mask)
+        total += spec.ce * parts["CE"]
+        dlogits *= spec.ce
+    else:
+        dlogits = np.zeros_like(logits2d)
+    for kind, weight in (("KL", spec.kl), ("TVD", spec.tvd)):
         if weight > 0:
-            l, d = (ce_loss(logits2d, gold, mask=mask) if kind == "CE" else
-                    kd_loss(logits2d, teacher_ids, teacher_logits, kind, mask=mask))
-            parts[kind] = l
-            total += weight * l
-            dlogits += weight * d
+            parts[kind], rows, grad = _kd_sparse(logits2d, teacher_ids, teacher_logits,
+                                                 kind, mask)
+            total += weight * parts[kind]
+            grad *= weight
+            dlogits[rows, teacher_ids] += grad  # ids are distinct within a row
     return total, dlogits, parts

@@ -9,10 +9,11 @@ exact in floating point.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .checkpoint import write_json
+from .checkpoint import atomic_write, write_json
 from .errors import ConfigError, ContractError
 
 REPORT_COLUMNS = [
@@ -166,13 +167,15 @@ def metrics_row(
 def write_table(rows: list[dict], csv_path: str | Path, json_path: str | Path,
                 columns: list[str] | None = None) -> None:
     """Emit rows as CSV plus a JSON twin with the same fields; the CSV
-    columns default to the sorted union of the rows' keys."""
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns or sorted({k for r in rows for k in r}))
-        writer.writeheader()
-        writer.writerows(rows)
+    columns default to the sorted union of the rows' keys. Both files are
+    written through `atomic_write`, so a row that does not fit the columns
+    (ValueError) leaves the previous files as they were."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns or sorted({k for r in rows for k in r}))
+    writer.writeheader()
+    writer.writerows(rows)
+    with atomic_write(csv_path) as f:
+        f.write(text.getvalue().encode("utf-8"))
     write_json(json_path, rows)
 
 

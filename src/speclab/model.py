@@ -16,10 +16,25 @@ All tensors are float32 by default, and a float32 state computes in float32
 end to end, forward and backward. Passing float64 tensors (see
 `cast_state`) runs the same code at double precision, which the gradient
 checks rely on.
+
+The tape holds exactly what `backward` reads: per layer the normalised
+inputs and inverse RMS of both norms (`n1`, `r1`, `n2`, `r2`), the normed
+inputs to the projections (`y1`, `y2`), the rotated queries and keys and
+the values in the grouped layout (`q`, `k`, `v`), the attention weights
+`probs`, the merged heads `o`, and the MLP's `gate`, `up`, `sig`, `silu`
+and `act`; once per tape the rope tables and the final norm's `n`, `r`
+and output `y`. Forward and backward write into their own fresh buffers in
+place (the softmax runs on its score buffer, residual sums on the branch
+output) with the same float operations in the same order as the
+out-of-place expressions they replace. A buffer on the tape is never
+written after it is recorded. The rope tables and the causal mask are
+computed once per config and dtype, read-only, and sliced per forward.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +159,6 @@ def cast_state(state: ModelState, dtype) -> ModelState:
     )
 
 
-def zero_grads(state: ModelState) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in state.tensors.items()}
-
-
 def param_count(config: ModelConfig, exclude_embedding_tables: bool = False) -> int:
     """Exact element count over all tensors.
 
@@ -188,35 +199,75 @@ class KVCache:
 class Tape:
     """Intermediates recorded by a training forward for use in backward."""
     tokens: np.ndarray                      # (B, S) int
+    cos: np.ndarray                         # (S, n_heads, d) rope tables, see `_position_tables`
+    sin: np.ndarray
     layers: list[dict] = field(default_factory=list)
-    x_final: np.ndarray | None = None       # residual stream before final norm
-    r_final: np.ndarray | None = None
+    r_final: np.ndarray | None = None       # inverse RMS of the residual stream
     n_final: np.ndarray | None = None       # normalized final hidden
+    y_final: np.ndarray | None = None       # n_final times the final norm gain
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+    e = np.exp(-np.abs(x))  # cannot overflow
+    den = 1 + e
+    # 1/(1+e) for x >= 0 and e/(1+e) below: the numerator is 1 or e
+    np.maximum(e, x >= 0, out=e)
+    e /= den
+    return e
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims, of an array with short rows.
+
+    numpy reduces a last axis row by row, at a fixed cost per row, but an
+    outer axis elementwise; so this reduces a transposed copy. Max is
+    exact, so the result equals `x.max(axis=-1, keepdims=True)`.
+    """
+    return np.ascontiguousarray(x.swapaxes(-1, -2)).max(axis=-2)[..., None]
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """`np.mean(x, axis=-1, keepdims=True)` without its Python wrapper: the
+    same sum, divided by the count. For float32, np.mean divides in
+    float64 and rounds; with over twice float32's precision, that equals
+    the correctly rounded float32 quotient taken here, bit for bit."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
 def _rms_inv(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + RMS_EPS)
+    return 1.0 / np.sqrt(_mean_last(np.square(x)) + RMS_EPS)
 
 
-def _rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    d = config.head_dim
+@functools.lru_cache(maxsize=16)
+def _position_tables(config: ModelConfig, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """Read-only tables over all `max_seq_len` positions, sliced by each
+    forward: the full-width (T, n_heads, d) rope tables for `_rotate` (the
+    cosine of each half's angle, and its sine negated on the first half)
+    and the (T, T) additive causal mask, the size of one head's scores
+    over the full context."""
+    d, T = config.head_dim, config.max_seq_len
     inv_freq = config.rope_base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
-    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    angles = np.arange(T, dtype=np.float64)[:, None] * np.concatenate([inv_freq, inv_freq])
+    sin = np.sin(angles)
+    sin[:, :d // 2] *= -1.0
+    tables = (np.repeat(np.cos(angles).astype(dtype)[:, None], config.n_heads, axis=1),
+              np.repeat(sin.astype(dtype)[:, None], config.n_heads, axis=1),
+              np.triu(np.full((T, T), -np.inf, dtype), k=1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: (B, S, H, d), cos/sin: (S, d/2). Half-split rotation.
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Half-split rotary rotation of x (B, S, heads, d): x * cos plus x with
+    its halves swapped times the signed sine, that is x1*c - x2*s and
+    x2*c + x1*s. Negating `sin` rotates by the negated angle."""
     d2 = x.shape[-1] // 2
-    x1, x2 = x[..., :d2], x[..., d2:]
-    c = cos[None, :, None, :]
-    s = sin[None, :, None, :]
-    return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
+    swapped = np.concatenate((x[..., d2:], x[..., :d2]), axis=-1)
+    swapped *= sin
+    out = x * cos
+    out += swapped
+    return out
 
 
 def _forward_batch(
@@ -240,14 +291,15 @@ def _forward_batch(
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    cos, sin = _rope_tables(cfg, np.arange(start, total), dtype)
+    cos, sin, causal = _position_tables(cfg, dtype)
+    cos, sin = cos[start:total], sin[start:total]
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     G = H // KV
-    scale = float(1.0 / np.sqrt(d))
+    scale = 1.0 / math.sqrt(d)
     # additive causal mask: query i (global start+i) may attend keys <= start+i
-    mask = np.triu(np.full((S, total), -np.inf, dtype), k=start + 1)
+    mask = causal[start:total, :total]
 
-    tape = Tape(tokens=tokens) if record else None
+    tape = Tape(tokens=tokens, cos=cos, sin=sin) if record else None
     x = t["embed"][tokens]
 
     for l in range(cfg.n_layers):
@@ -256,8 +308,8 @@ def _forward_batch(
         n1 = x * r1
         y1 = n1 * t[p + "attn_norm"]
 
-        q = _apply_rope((y1 @ t[p + "wq"]).reshape(B, S, H, d), cos, sin)
-        k = _apply_rope((y1 @ t[p + "wk"]).reshape(B, S, KV, d), cos, sin)
+        q = _rotate((y1 @ t[p + "wq"]).reshape(B, S, H, d), cos, sin)
+        k = _rotate((y1 @ t[p + "wk"]).reshape(B, S, KV, d), cos[:, :KV], sin[:, :KV])
         v = (y1 @ t[p + "wv"]).reshape(B, S, KV, d)
         if cache is not None:
             cache.keys[l, start:total] = k[0]
@@ -269,14 +321,16 @@ def _forward_batch(
         qh = q.reshape(B, S, KV, G, d).transpose(0, 2, 3, 1, 4)
         kh = k.transpose(0, 2, 1, 3)[:, :, None]
         vh = v.transpose(0, 2, 1, 3)[:, :, None]
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale + mask
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
+        probs = qh @ kh.swapaxes(-1, -2)
+        probs *= scale
+        probs += mask
+        probs -= row_max(probs)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
 
         o = (probs @ vh).transpose(0, 3, 1, 2, 4).reshape(B, S, H * d)
-        attn_out = o @ t[p + "wo"]
-        x2 = x + attn_out
+        x2 = o @ t[p + "wo"]
+        x2 += x
 
         r2 = _rms_inv(x2)
         n2 = x2 * r2
@@ -284,19 +338,18 @@ def _forward_batch(
         gate = y2 @ t[p + "w_gate"]
         up = y2 @ t[p + "w_up"]
         sig = _sigmoid(gate)
-        act = gate * sig * up
-        mlp_out = act @ t[p + "w_down"]
-        x3 = x2 + mlp_out
+        silu = gate * sig
+        act = silu * up
+        x = act @ t[p + "w_down"]
+        x += x2
 
         if record:
             tape.layers.append({
-                "x": x, "r1": r1, "y1": y1,
+                "n1": n1, "r1": r1, "y1": y1,
                 "q": qh, "k": kh, "v": vh, "probs": probs, "o": o,
-                "x2": x2, "r2": r2, "y2": y2,
-                "gate": gate, "up": up, "sig": sig,
-                "cos": cos, "sin": sin,
+                "n2": n2, "r2": r2, "y2": y2,
+                "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
             })
-        x = x3
 
     r_f = _rms_inv(x)
     n_f = x * r_f
@@ -304,9 +357,7 @@ def _forward_batch(
     logits = y_f @ state.head_weight()
 
     if record:
-        tape.x_final = x
-        tape.r_final = r_f
-        tape.n_final = n_f
+        tape.r_final, tape.n_final, tape.y_final = r_f, n_f, y_f
     return logits, tape
 
 
@@ -343,77 +394,95 @@ def forward_train(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Ta
     return logits, tape
 
 
-def _rmsnorm_backward(dy: np.ndarray, x: np.ndarray, r: np.ndarray, gain: np.ndarray):
-    n = x * r
+def _rmsnorm_backward(dy: np.ndarray, n: np.ndarray, r: np.ndarray, gain: np.ndarray):
+    """(dx, dgain) of y = n * gain with n = x * r, given the recorded n and r."""
     dn = dy * gain
-    dgain = np.sum(dy * n, axis=tuple(range(dy.ndim - 1)))
-    dx = r * (dn - n * np.mean(dn * n, axis=-1, keepdims=True))
-    return dx, dgain
+    prod = dy * n
+    dgain = np.sum(prod, axis=tuple(range(dy.ndim - 1)))
+    mean = _mean_last(np.multiply(dn, n, out=prod))
+    # dx = r * (dn - n * mean)
+    dn -= np.multiply(n, mean, out=prod)
+    dn *= r
+    return dn, dgain
 
 
 def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every model tensor, given dloss/dlogits."""
     cfg = state.config
     t = state.tensors
-    grads = zero_grads(state)
+    grads: dict[str, np.ndarray] = {}
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    scale = float(1.0 / np.sqrt(d))
+    scale = 1.0 / math.sqrt(d)
     B, S = tape.tokens.shape
     flat = lambda a: a.reshape(-1, a.shape[-1])
+    # the inverse rotation (orthogonal) rotates by the negated angle
+    cos, sin = tape.cos, -tape.sin
 
-    y_f = tape.n_final * t["final_norm"]
+    y_f = tape.y_final
     if cfg.tie_embeddings:
-        grads["embed"] += np.einsum("pv,ph->vh", flat(dlogits), flat(y_f))
+        grads["embed"] = np.einsum("pv,ph->vh", flat(dlogits), flat(y_f))
         dy_f = dlogits @ t["embed"]
     else:
-        grads["head"] += flat(y_f).T @ flat(dlogits)
+        grads["embed"] = np.zeros_like(t["embed"])
+        grads["head"] = flat(y_f).T @ flat(dlogits)
         dy_f = dlogits @ t["head"].T
-    dx, dg = _rmsnorm_backward(dy_f, tape.x_final, tape.r_final, t["final_norm"])
-    grads["final_norm"] += dg
+    dx, grads["final_norm"] = _rmsnorm_backward(dy_f, tape.n_final, tape.r_final,
+                                                t["final_norm"])
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layers.{l}."
         tp = tape.layers[l]
 
-        # MLP branch
-        d_mlp_out = dx
-        act = tp["gate"] * tp["sig"] * tp["up"]
-        grads[p + "w_down"] += flat(act).T @ flat(d_mlp_out)
-        dact = d_mlp_out @ t[p + "w_down"].T
-        silu = tp["gate"] * tp["sig"]
-        dgate = dact * tp["up"] * (tp["sig"] * (1.0 + tp["gate"] * (1.0 - tp["sig"])))
-        dup = dact * silu
-        grads[p + "w_gate"] += flat(tp["y2"]).T @ flat(dgate)
-        grads[p + "w_up"] += flat(tp["y2"]).T @ flat(dup)
-        dy2 = dgate @ t[p + "w_gate"].T + dup @ t[p + "w_up"].T
-        dx2, dg2 = _rmsnorm_backward(dy2, tp["x2"], tp["r2"], t[p + "mlp_norm"])
-        grads[p + "mlp_norm"] += dg2
-        dx2 = dx2 + dx  # residual
+        # MLP branch: act = silu * up, silu = gate * sig
+        grads[p + "w_down"] = flat(tp["act"]).T @ flat(dx)
+        dact = dx @ t[p + "w_down"].T
+        # dgate = dact * up * (sig * (1 + gate * (1 - sig)))
+        dsilu = 1.0 - tp["sig"]
+        dsilu *= tp["gate"]
+        dsilu += 1.0
+        dsilu *= tp["sig"]
+        dgate = dact * tp["up"]
+        dgate *= dsilu
+        dup = np.multiply(dact, tp["silu"], out=dact)
+        grads[p + "w_gate"] = flat(tp["y2"]).T @ flat(dgate)
+        grads[p + "w_up"] = flat(tp["y2"]).T @ flat(dup)
+        dy2 = dgate @ t[p + "w_gate"].T
+        dy2 += dup @ t[p + "w_up"].T
+        dx2, grads[p + "mlp_norm"] = _rmsnorm_backward(dy2, tp["n2"], tp["r2"],
+                                                       t[p + "mlp_norm"])
+        dx2 += dx  # residual
 
         # attention branch
-        d_attn_out = dx2
-        grads[p + "wo"] += flat(tp["o"]).T @ flat(d_attn_out)
+        grads[p + "wo"] = flat(tp["o"]).T @ flat(dx2)
         # the forward's grouped layout; a key/value head's gradient sums its group
-        do = (d_attn_out @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(0, 2, 3, 1, 4)
-        dprobs = do @ tp["v"].swapaxes(-1, -2)
-        dscores = tp["probs"] * (dprobs - np.sum(dprobs * tp["probs"], axis=-1, keepdims=True))
-        dq = (dscores @ tp["k"]) * scale
-        dk = ((dscores.swapaxes(-1, -2) @ tp["q"]) * scale).sum(axis=2)
-        dv = (tp["probs"].swapaxes(-1, -2) @ do).sum(axis=2)
-        # back to (B, S, heads, d); inverse rotation (orthogonal): rotate by the negated angle
-        dq = _apply_rope(dq.transpose(0, 3, 1, 2, 4).reshape(B, S, H, d), tp["cos"], -tp["sin"])
-        dk = _apply_rope(dk.transpose(0, 2, 1, 3), tp["cos"], -tp["sin"])
+        do = (dx2 @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(0, 2, 3, 1, 4)
+        probs = tp["probs"]
+        # softmax backward in place: dscores = probs * (dprobs - sum(dprobs * probs))
+        dscores = do @ tp["v"].swapaxes(-1, -2)
+        dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
+        dscores *= probs
+        dq = dscores @ tp["k"]
+        dq *= scale
+        dk = dscores.swapaxes(-1, -2) @ tp["q"]
+        dk *= scale
+        dk = dk.sum(axis=2)
+        dv = (probs.swapaxes(-1, -2) @ do).sum(axis=2)
+        # back to contiguous (B, S, heads, d), then un-rotated
+        dq = _rotate(np.ascontiguousarray(dq.transpose(0, 3, 1, 2, 4)).reshape(B, S, H, d),
+                     cos, sin)
+        dk = _rotate(np.ascontiguousarray(dk.transpose(0, 2, 1, 3)), cos[:, :KV], sin[:, :KV])
         dqm, dkm = dq.reshape(B, S, H * d), dk.reshape(B, S, KV * d)
         dvm = dv.transpose(0, 2, 1, 3).reshape(B, S, KV * d)
 
-        grads[p + "wq"] += flat(tp["y1"]).T @ flat(dqm)
-        grads[p + "wk"] += flat(tp["y1"]).T @ flat(dkm)
-        grads[p + "wv"] += flat(tp["y1"]).T @ flat(dvm)
-        dy1 = dqm @ t[p + "wq"].T + dkm @ t[p + "wk"].T + dvm @ t[p + "wv"].T
-        dx1, dg1 = _rmsnorm_backward(dy1, tp["x"], tp["r1"], t[p + "attn_norm"])
-        grads[p + "attn_norm"] += dg1
-        dx = dx1 + dx2  # residual
+        grads[p + "wq"] = flat(tp["y1"]).T @ flat(dqm)
+        grads[p + "wk"] = flat(tp["y1"]).T @ flat(dkm)
+        grads[p + "wv"] = flat(tp["y1"]).T @ flat(dvm)
+        dy1 = dqm @ t[p + "wq"].T
+        dy1 += dkm @ t[p + "wk"].T
+        dy1 += dvm @ t[p + "wv"].T
+        dx, grads[p + "attn_norm"] = _rmsnorm_backward(dy1, tp["n1"], tp["r1"],
+                                                       t[p + "attn_norm"])
+        dx += dx2  # residual
 
-    demb = grads["embed"]
-    np.add.at(demb, tape.tokens.reshape(-1), flat(dx))
-    return grads
+    np.add.at(grads["embed"], tape.tokens.reshape(-1), flat(dx))
+    return {name: grads[name] for name in t}

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .losses import LossSpec, combined_loss
-from .model import ModelState, backward, forward_train, zero_grads
+from .model import ModelState, backward, forward_train
 
 ADAM_EPS = 1e-8
 
@@ -79,12 +79,17 @@ class Batch:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; deterministic, float32 state."""
+    """Adam with decoupled weight decay; deterministic, float32 state.
+
+    The moments of all tensors live in one flat array each (in
+    `state.tensors` order), so every moment update is one numpy call."""
 
     def __init__(self, state: ModelState, schedule: TrainSchedule) -> None:
         self.schedule = schedule
-        self.m = zero_grads(state)
-        self.v = zero_grads(state)
+        size = sum(t.size for t in state.tensors.values())
+        self.m = np.zeros(size, dtype=state.dtype)
+        self.v = np.zeros(size, dtype=state.dtype)
+        self._scratch = np.empty(size, dtype=state.dtype)
         self.t = 0
 
     def step(self, state: ModelState, grads: dict[str, np.ndarray], lr: float) -> None:
@@ -92,19 +97,26 @@ class AdamW:
         self.t += 1
         b1c = 1.0 - s.beta1 ** self.t
         b2c = 1.0 - s.beta2 ** self.t
-        for name, p in state.tensors.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * g
-            v *= s.beta2
-            v += (1.0 - s.beta2) * np.square(g)
-            if lr != 0.0:
-                update = (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-                p -= (lr * update).astype(p.dtype, copy=False)
-                if s.weight_decay != 0.0:
-                    p -= (lr * s.weight_decay) * p
+        m, v, buf = self.m, self.v, self._scratch
+        g = np.concatenate([grads[name].reshape(-1) for name in state.tensors])
+        m *= s.beta1
+        m += np.multiply(g, 1.0 - s.beta1, out=buf)
+        v *= s.beta2
+        v += np.multiply(np.square(g, out=buf), 1.0 - s.beta2, out=buf)
+        if lr == 0.0:
+            return
+        # p -= lr * ((m / b1c) / (sqrt(v / b2c) + eps)), then p -= (lr * wd) * p
+        den = np.sqrt(np.divide(v, b2c, out=buf), out=buf)
+        den += ADAM_EPS
+        update = np.divide(np.divide(m, b1c, out=g), den, out=g)
+        update *= lr
+        start = 0
+        for p in state.tensors.values():
+            p -= update[start:start + p.size].reshape(p.shape)
+            if s.weight_decay != 0.0:
+                p -= np.multiply(p, lr * s.weight_decay,
+                                 out=buf[start:start + p.size].reshape(p.shape))
+            start += p.size
 
 
 def loss_and_grads(state: ModelState, batch: Batch, loss_spec: LossSpec):

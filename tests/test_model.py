@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from speclab import ModelConfig, init_model
+from speclab.distill import top_k
 from speclab.errors import ConfigError, LengthError
-from speclab.losses import ce_loss
-from speclab.model import (KVCache, backward, cast_state, forward, forward_train,
+from speclab.losses import LossSpec, ce_loss, combined_loss
+from speclab.model import (KVCache, _sigmoid, backward, cast_state, forward, forward_train,
                            param_count)
 from speclab.sampling import SamplingPolicy, sample, softmax
 
@@ -150,6 +153,72 @@ def test_backward_matches_finite_differences(heads, kv_heads, tie):
             analytic = grads[name].reshape(-1)[i]
             worst = max(worst, abs(analytic - numeric) / max(abs(numeric), 1e-3))
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["KL", "TVD", "mix"])
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("heads,kv_heads", [(2, 1), (4, 2)])
+def test_distillation_backward_matches_finite_differences(heads, kv_heads, tie, kind):
+    """`backward` of `combined_loss` with sparse KL, TVD and a CE/KL/TVD mix
+    equals central differences, at float64. The teacher pairs are
+    `top_k` of a second model, and one position per row is masked."""
+    cfg = ModelConfig(hidden_size=16, intermediate_size=24, n_layers=2,
+                      n_heads=heads, n_kv_heads=kv_heads, vocab_size=20,
+                      max_seq_len=16, tie_embeddings=tie)
+    st = cast_state(init_model(cfg, seed=3), np.float64)
+    rng = np.random.default_rng(5)
+    for name, t in st.tensors.items():
+        if name.endswith("norm"):
+            t += 0.3 * rng.standard_normal(t.shape)
+    tokens = rng.integers(0, 20, size=(2, 6))
+    gold = rng.integers(0, 20, size=12)
+    mask = np.ones(12)
+    mask[[2, 9]] = 0.0
+    teacher, _ = forward_train(init_model(cfg, seed=11), tokens)
+    pairs = top_k(teacher.reshape(12, 20), 6)
+    spec = {"KL": LossSpec(kl=1.0), "TVD": LossSpec(tvd=1.0),
+            "mix": LossSpec(ce=0.4, kl=0.3, tvd=0.3)}[kind]
+
+    def loss_and_dlogits():
+        logits, tape = forward_train(st, tokens)
+        total, dflat, _ = combined_loss(logits.reshape(12, 20), gold, spec,
+                                        pairs["id"], pairs["logit"], mask=mask)
+        return total, dflat.reshape(logits.shape), tape
+
+    _, dlogits, tape = loss_and_dlogits()
+    grads = backward(st, tape, dlogits)
+    eps = 1e-5
+    worst = 0.0
+    for name, t in st.tensors.items():
+        flat = t.reshape(-1)
+        for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = loss_and_dlogits()[0]
+            flat[i] = keep - eps
+            down = loss_and_dlogits()[0]
+            flat[i] = keep
+            numeric = (up - down) / (2 * eps)
+            worst = max(worst, abs(grads[name].reshape(-1)[i] - numeric)
+                        / max(abs(numeric), 1e-3))
+    assert worst < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_edges(dtype):
+    """Exactly 1/2 at both zeros, within a few ulp of 1/(1+exp(-x)), and
+    saturating at +-1e4 without an overflow warning."""
+    x = np.concatenate([np.array([-1e4, -0.0, 0.0, 1e4]),
+                        np.linspace(-80.0, 80.0, 1001)]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _sigmoid(x)
+    assert s.dtype == dtype
+    assert s[1] == 0.5 and s[2] == 0.5
+    assert s[0] == 0.0 and s[3] == 1.0
+    ref = 1.0 / (1.0 + np.exp(-x[4:].astype(np.longdouble)))
+    np.testing.assert_allclose(s[4:], ref.astype(np.float64),
+                               rtol=4 * np.finfo(dtype).eps, atol=0)
 
 
 class TestParamCount:
