@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .archsearch import arch_table, derive_config
 from .checkpoint import load_checkpoint, write_json
-from .data import (chat_sequence, generate_alignment_set, load_alignment_set,
-                   load_corpus, save_alignment_set)
+from .data import (generate_alignment_set, load_alignment_set, load_corpus,
+                   save_alignment_set, teacher_sequences)
 from .distill import extract_sparse_logits, write_sparse_dataset
 from .errors import ConfigError, SpecLabError
 from .experiment import (load_config, resolve_run, run_evaluation, run_experiment,
@@ -58,8 +58,8 @@ def cmd_distill_data(args) -> int:
     k = int(cfg.get("k", 16))
     max_len = int(cfg.get("max_seq_len", teacher.config.max_seq_len))
     if "alignment" in cfg:
-        samples = load_alignment_set(base / cfg["alignment"], tokenizer)
-        sequences = [chat_sequence(tokenizer, s)[0][:max_len] for s in samples]
+        sequences = teacher_sequences(
+            tokenizer, load_alignment_set(base / cfg["alignment"], tokenizer), max_len)
     else:
         corpus = load_corpus(base / cfg["corpus"])
         sequences = [([tokenizer.bos_id] + tokenizer.encode(d.text)

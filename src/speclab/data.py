@@ -198,6 +198,12 @@ def chat_sequence(tokenizer: ByteTokenizer, sample: AlignmentSample) -> tuple[li
     return prompt + list(sample.response) + [tokenizer.eos_id], len(prompt)
 
 
+def teacher_sequences(tokenizer: ByteTokenizer, samples: list[AlignmentSample],
+                      max_len: int) -> list[list[int]]:
+    """Training sequences cut to `max_len`, as teacher logits are extracted."""
+    return [chat_sequence(tokenizer, s)[0][:max_len] for s in samples]
+
+
 def generate_alignment_set(
     target: ModelState,
     tokenizer: ByteTokenizer,

@@ -24,14 +24,15 @@ from . import __version__
 from .archsearch import arch_table
 from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
 from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
-                   chat_sequence, generate_alignment_set, lm_batches,
-                   load_alignment_set, load_corpus, make_completion_tasks, mix)
+                   generate_alignment_set, lm_batches, load_alignment_set,
+                   load_corpus, make_completion_tasks, mix, save_alignment_set,
+                   save_corpus, teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError
-from .latency import build_latency_profile
+from .latency import measure_latency
 from .losses import LossSpec
-from .metrics import (DecodeStats, LatencyProfile, MetricsRow, acceptance_rate,
-                      metrics_row, write_report, write_table)
+from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
+                      write_report, write_table)
 from .model import ModelConfig, ModelState, init_model, param_count
 from .sampling import SamplingPolicy
 from .specdec import SpecConfig, generate, start_session, write_audit_log
@@ -123,13 +124,12 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
         if loss_spec.needs_teacher:
             if target is None:
                 raise ConfigError("distillation stages need a target checkpoint")
+            sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
             sfkd = out_dir / "distill" / f"{stage['name']}.sfkd"
             if "sparse_dataset" in stage:
                 sfkd = base_dir / stage["sparse_dataset"]
             else:
                 k = int(stage.get("k") or 16)
-                sequences = [chat_sequence(tokenizer, s)[0][:schedule.seq_len + 1]
-                             for s in samples]
                 write_sparse_dataset(
                     sfkd, extract_sparse_logits(target, sequences, k),
                     k=k, vocab_size=target.config.vocab_size)
@@ -137,10 +137,15 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
             if len(items) != len(samples):
                 raise DataError(f"{sfkd} holds {len(items)} sequences for "
                                 f"{len(samples)} alignment samples")
+            # the stored logits are only valid for the tokens they were taken over
+            for i, ((tokens, _), seq) in enumerate(zip(items, sequences)):
+                if tokens[:len(seq)] != seq:
+                    raise DataError(f"{sfkd} sequence {i} does not begin with the "
+                                    f"training sequence of alignment sample {i}")
             teacher = [pairs for _, pairs in items]
         return alignment_batches(samples, tokenizer, schedule.batch_size,
                                  schedule.seq_len, seed=stage_seed, epochs=None,
-                                 teacher=teacher)
+                                 teacher=teacher, mask_mode=stage.get("mask", "response"))
     raise ConfigError(f"unknown stage kind {kind!r}")
 
 
@@ -218,11 +223,11 @@ class _Run:
 
         for si, stage in enumerate(self.cfg.get("stages", [])):
             name = stage["name"]
-            schedule = TrainSchedule.from_dict(stage["schedule"])
+            schedule = TrainSchedule(**stage["schedule"])
             loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
             batches = _build_stage_batches(
-                stage, tokenizer, schedule, derive_seed(self.seed, si), self.base_dir,
-                self.out, self.target, loss_spec)
+                stage, tokenizer, schedule, int(stage.get("seed", derive_seed(self.seed, si))),
+                self.base_dir, self.out, self.target, loss_spec)
             try:
                 result = train_stage(state, batches, schedule, loss_spec)
             except Exception as exc:
@@ -251,13 +256,14 @@ class _Run:
         c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
 
         lat_cfg = ev.get("latency", {})
-        profiles: dict[int, LatencyProfile] = {}
-        for gamma in gammas:
-            profiles[gamma], _ = build_latency_profile(
-                draft, target, gamma,
-                warmup=int(lat_cfg.get("warmup", 2)),
-                reps=int(lat_cfg.get("reps", 5)),
-                seed=self.seed)
+        lat = {"warmup": int(lat_cfg.get("warmup", 2)), "reps": int(lat_cfg.get("reps", 5)),
+               "seed": self.seed}
+        # AR decoding does not depend on gamma: block-1 latencies serve every row
+        l_draft = measure_latency(draft, 1, **lat).median
+        l_target_1 = measure_latency(target, 1, **lat).median
+        profiles = {gamma: LatencyProfile(l_draft, l_target_1,
+                                          measure_latency(target, gamma, **lat).median)
+                    for gamma in gammas}
 
         benchmarks = [(b["name"], _benchmark_prompts(
                           b, tokenizer, derive_seed(self.seed, 100 + bi), self.base_dir))
@@ -316,18 +322,12 @@ class AlignmentStudyResult:
     ft_original_ar: list[float]
 
 
-def alignment_direction_study(
-    seeds: tuple[int, ...] = (0, 1, 2),
-    n_topics: int = 32,
-    n_ft_topics: int = 24,
-    gamma: int = 3,
-    eval_mode: str = "greedy",
-    temperature: float = 0.6,
-    verbose: bool = False,
-) -> AlignmentStudyResult:
+def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
+                              out_dir: str | Path = "runs/study") -> AlignmentStudyResult:
     """Fine-tune a pre-trained draft on target-generated vs. original
     responses and compare held-out acceptance rates against a fixed tiny
-    target trained to memorize a synthetic topic world.
+    target trained to memorize a synthetic topic world, each model a
+    pipeline run under `out_dir` (layout in README.md).
 
     The target's own phrasing of each fact differs from the "original"
     dataset's phrasing, so drafts tuned on the target's answers align
@@ -335,59 +335,54 @@ def alignment_direction_study(
     """
     from .synthetic import TopicWorld
 
+    out = Path(out_dir)
     tokenizer = ByteTokenizer()
-    world = TopicWorld(n_topics=n_topics, seed=0)
-    target_cfg = ModelConfig(hidden_size=64, intermediate_size=128, n_layers=2,
-                             n_heads=4, n_kv_heads=4, vocab_size=264, max_seq_len=96)
-    draft_cfg = ModelConfig(hidden_size=32, intermediate_size=64, n_layers=2,
-                            n_heads=4, n_kv_heads=4, vocab_size=264, max_seq_len=96)
+    world = TopicWorld(n_topics=32, seed=0)
+    ft_topics, eval_topics = list(range(24)), list(range(24, 32))
+    save_alignment_set(world.target_training_samples(), out / "target.jsonl", tokenizer)
+    save_corpus(world.pretrain_corpus(repeats=30, seed=3), out / "pretrain.jsonl")
+    save_alignment_set(world.original_samples(ft_topics), out / "original.jsonl", tokenizer)
+    save_alignment_set(world.original_samples(eval_topics), out / "held_out.jsonl", tokenizer)
 
-    target_sched = TrainSchedule(peak_lr=3e-3, total_steps=600, batch_size=16, seq_len=64)
-    target = train_stage(
-        init_model(target_cfg, seed=1),
-        alignment_batches(world.target_training_samples(), tokenizer,
-                          target_sched.batch_size, target_sched.seq_len,
-                          seed=11, epochs=None, mask_mode="full"),
-        target_sched, LossSpec(ce=1.0)).state
+    target_cfg = {"hidden_size": 64, "intermediate_size": 128, "n_layers": 2, "n_heads": 4,
+                  "n_kv_heads": 4, "vocab_size": 264, "max_seq_len": 96}
+    draft_cfg = dict(target_cfg, hidden_size=32, intermediate_size=64)
 
-    pt_sched = TrainSchedule(peak_lr=3e-3, total_steps=120, batch_size=16, seq_len=64)
-    pt_corpus = world.pretrain_corpus(repeats=30, seed=3)
-    pt_batches = itertools.chain(*[
-        lm_batches(pt_corpus, tokenizer, 16, 64, seed=4 + e) for e in range(3)])
-    draft_pt = train_stage(init_model(draft_cfg, seed=2), pt_batches,
-                           pt_sched, LossSpec(ce=1.0)).state
+    def stage(name: str, kind: str, seed: int, peak_lr: float, steps: int, **keys) -> dict:
+        return {"name": name, "kind": kind, "seed": seed, **keys,
+                "schedule": {"peak_lr": peak_lr, "total_steps": steps,
+                             "batch_size": 16, "seq_len": 64}}
 
-    ft_topics = list(range(n_ft_topics))
-    eval_topics = list(range(n_ft_topics, n_topics))
-    prompts = [chat_prompt(tokenizer, list(world.instruction(k))) for k in eval_topics]
-    policy = _policy(eval_mode, temperature)
+    target = run_training({"draft": target_cfg, "stages": [stage(
+        "target", "align", 11, 3e-3, 600, alignment=str(out / "target.jsonl"), mask="full")]},
+        out / "target", seed=1).checkpoints["target"]
+    draft = run_training({"draft": draft_cfg, "stages": [stage(
+        "pretrain", "lm", 4, 3e-3, 120, corpus=str(out / "pretrain.jsonl"), epochs=3)]},
+        out / "pretrain", seed=2).checkpoints["pretrain"]
 
-    def held_out_ar(draft: ModelState, seed: int) -> float:
-        stats = evaluate_acceptance(draft, target, prompts, policy, gamma,
-                                    max_new_tokens=32, seed=seed,
-                                    eos_id=tokenizer.eos_id)
-        return acceptance_rate(stats)
+    def held_out_ar(run: str, seed: int, stages: list[dict]) -> float:
+        report = run_experiment({
+            "target_checkpoint": str(target), "draft_init_checkpoint": str(draft),
+            "stages": stages,
+            "eval": {"benchmarks": [{"name": "held_out", "kind": "instruction",
+                                     "alignment": str(out / "held_out.jsonl")}],
+                     "modes": ["greedy"], "gammas": [3]},
+        }, out / run, seed)
+        return report.rows[0].alpha
 
-    pt_ar = held_out_ar(draft_pt, 0)
-    ft_sched = TrainSchedule(peak_lr=2e-3, total_steps=250, batch_size=16, seq_len=64)
+    pt_ar = held_out_ar("pt", 0, [])
+    target_state = load_checkpoint(target)
     ft_target_ar, ft_original_ar = [], []
     for seed in seeds:
-        generated = generate_alignment_set(
-            target, tokenizer, world.seed_instructions(ft_topics),
-            temperatures=[temperature], include_greedy=False,
-            seed=100 + seed, max_new_tokens=48)
-        original = world.original_samples(ft_topics)
-        ft_t = train_stage(
-            draft_pt, alignment_batches(generated, tokenizer, 16, 64, seed=200 + seed),
-            ft_sched, LossSpec(ce=1.0)).state
-        ft_o = train_stage(
-            draft_pt, alignment_batches(original, tokenizer, 16, 64, seed=200 + seed),
-            ft_sched, LossSpec(ce=1.0)).state
-        ft_target_ar.append(held_out_ar(ft_t, 300 + seed))
-        ft_original_ar.append(held_out_ar(ft_o, 300 + seed))
-        if verbose:
-            print(f"seed {seed}: FT-target AR {ft_target_ar[-1]:.3f}  "
-                  f"FT-original AR {ft_original_ar[-1]:.3f}")
+        generated = out / f"generated_{seed}.jsonl"
+        save_alignment_set(generate_alignment_set(
+            target_state, tokenizer, world.seed_instructions(ft_topics),
+            temperatures=[0.6], include_greedy=False,
+            seed=100 + seed, max_new_tokens=48), generated, tokenizer)
+        for name, data, ars in (("generated", generated, ft_target_ar),
+                                ("original", out / "original.jsonl", ft_original_ar)):
+            ars.append(held_out_ar(f"ft_{name}_{seed}", seed, [stage(
+                "ft", "align", 200 + seed, 2e-3, 250, alignment=str(data))]))
     return AlignmentStudyResult(pt_ar=pt_ar, ft_target_ar=ft_target_ar,
                                 ft_original_ar=ft_original_ar)
 

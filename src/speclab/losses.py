@@ -36,9 +36,6 @@ class LossSpec:
     def needs_teacher(self) -> bool:
         return self.kl > 0 or self.tvd > 0
 
-    def to_dict(self) -> dict:
-        return {"CE": self.ce, "KL": self.kl, "TVD": self.tvd}
-
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
         return cls(ce=float(d.get("CE", 0.0)), kl=float(d.get("KL", 0.0)),

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,17 +77,7 @@ class ModelConfig:
         return self.head_dim * self.n_kv_heads
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_size": self.hidden_size,
-            "intermediate_size": self.intermediate_size,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "n_kv_heads": self.n_kv_heads,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "rope_base": self.rope_base,
-            "tie_embeddings": self.tie_embeddings,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

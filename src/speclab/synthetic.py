@@ -63,16 +63,12 @@ class TopicWorld:
     def original_response(self, k: int) -> bytes:
         return f"i think {self.topics[k]} means {self._original_words[k]}.".encode()
 
-    def target_training_samples(self, repeats: int = 1) -> list[AlignmentSample]:
+    def target_training_samples(self) -> list[AlignmentSample]:
         """Instruction/response pairs in the target's own phrasing."""
-        out = []
-        for _ in range(repeats):
-            for k in range(self.n_topics):
-                out.append(AlignmentSample(
-                    instruction=list(self.instruction(k)),
-                    response=list(self.target_response(k)),
-                    source="original"))
-        return out
+        return [AlignmentSample(
+            instruction=list(self.instruction(k)),
+            response=list(self.target_response(k)),
+            source="original") for k in range(self.n_topics)]
 
     def original_samples(self, topic_ids: list[int]) -> list[AlignmentSample]:
         return [AlignmentSample(

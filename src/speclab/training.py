@@ -43,18 +43,6 @@ class TrainSchedule:
         if self.batch_size <= 0 or self.seq_len <= 0:
             raise ConfigError("batch_size and seq_len must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "peak_lr": self.peak_lr, "total_steps": self.total_steps,
-            "warmup_fraction": self.warmup_fraction, "beta1": self.beta1,
-            "beta2": self.beta2, "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size, "seq_len": self.seq_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainSchedule":
-        return cls(**d)
-
 
 def lr_at(schedule: TrainSchedule, step: int | float) -> float:
     """Piecewise-linear rate: 0 to peak over the warmup, then linear to 0."""

@@ -7,17 +7,20 @@ reproduce those rows in every column that does not come from a measured
 latency.
 """
 
+import itertools
 import json
 
 import pytest
 
-from speclab import ModelConfig, init_model, save_checkpoint
+from speclab import (LossSpec, ModelConfig, TrainSchedule, init_model, save_checkpoint,
+                     train_stage)
 from speclab.cli import main
-from speclab.data import (chat_sequence, load_alignment_set, load_corpus, save_alignment_set,
-                          save_corpus)
+from speclab.data import (MixPart, MixSpec, alignment_batches, lm_batches,
+                          load_alignment_set, load_corpus, mix, save_alignment_set,
+                          save_corpus, teacher_sequences)
 from speclab.distill import extract_sparse_logits, write_sparse_dataset
 from speclab.errors import DataError
-from speclab.experiment import run_training
+from speclab.experiment import derive_seed, run_training
 from speclab.specdec import BlockResult, read_audit_log, write_audit_log
 from speclab.synthetic import TopicWorld
 from speclab.tokenizer import ByteTokenizer
@@ -97,6 +100,8 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files):
     assert main(["eval", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
     train_rows = _read(run / "metrics.json")
     assert len(train_rows) == 2 * 2 * 2
+    # AR latency does not depend on gamma: one measurement serves every row
+    assert len({(r["tpot_ar"], r["c"]) for r in train_rows}) == 1
     _same_outside_latency(_read(tmp_path / "eval" / "metrics.json"), train_rows)
 
     arch_cfg = _write(tmp_path / "arch.json",
@@ -108,21 +113,71 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files):
                           ARCH_COLUMNS)
 
 
-def test_align_stage_rejects_a_sparse_dataset_of_another_length(tmp_path, world_files):
+@pytest.mark.parametrize("case, match", [
+    ("fewer", "7 sequences for 8"),
+    ("other", "sequence 0 does not begin with the training sequence of alignment sample 0"),
+    ("short", "sequence 0 does not begin with the training sequence of alignment sample 0"),
+], ids=["fewer", "other", "short"])
+def test_align_stage_rejects_a_sparse_dataset_of_another_length(tmp_path, world_files,
+                                                                 case, match):
     samples, target = world_files
     tok = ByteTokenizer()
-    sequences = [chat_sequence(tok, s)[0][:33] for s in samples[:-1]]
-    write_sparse_dataset(tmp_path / "short.sfkd", extract_sparse_logits(target, sequences, 8),
+    sequences = {
+        "fewer": teacher_sequences(tok, samples[:-1], 33),
+        "other": teacher_sequences(
+            tok, TopicWorld(n_topics=8, seed=0).original_samples(list(range(8))), 33),
+        "short": teacher_sequences(tok, samples, 8),
+    }[case]
+    write_sparse_dataset(tmp_path / "teacher.sfkd", extract_sparse_logits(target, sequences, 8),
                          k=8, vocab_size=target.config.vocab_size)
     config = {
         "target_checkpoint": str(tmp_path / "target.sfmd"),
         "draft": DRAFT,
         "stages": [{"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
-                    "sparse_dataset": str(tmp_path / "short.sfkd"),
+                    "sparse_dataset": str(tmp_path / "teacher.sfkd"),
                     "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}],
     }
-    with pytest.raises(DataError, match="7 sequences for 8"):
+    with pytest.raises(DataError, match=match):
         run_training(config, out_dir=tmp_path / "run")
+
+
+def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files):
+    """An align stage with `seed` and `mask`, an lm stage with `seed` and
+    `epochs`, and an lm stage with `mix` train byte for byte what the
+    documented batch builders and train_stage give by hand."""
+    samples, _ = world_files
+    tok = ByteTokenizer()
+    save_corpus(TopicWorld(n_topics=8, seed=0).pretrain_corpus(repeats=1, seed=5),
+                tmp_path / "other.jsonl")
+    corpus = load_corpus(tmp_path / "pretrain.jsonl")
+    corpora = {"pretrain": corpus, "other": load_corpus(tmp_path / "other.jsonl")}
+    parts = [["pretrain", 300], ["other", 200]]
+    epoch_steps = len(list(lm_batches(corpus, tok, 4, 32, seed=4)))
+    schedules = {"target": SCHEDULE, "pretrain": dict(SCHEDULE, total_steps=epoch_steps + 1),
+                 "mix": dict(SCHEDULE, total_steps=2)}
+    run_training({"draft": DRAFT, "stages": [
+        {"name": "target", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
+         "seed": 11, "mask": "full", "schedule": schedules["target"]},
+        {"name": "pretrain", "kind": "lm", "corpus": str(tmp_path / "pretrain.jsonl"),
+         "seed": 4, "epochs": 2, "schedule": schedules["pretrain"]},
+        {"name": "mix", "kind": "lm", "schedule": schedules["mix"], "mix": {
+            "corpora": {cid: str(tmp_path / f"{cid}.jsonl") for cid in corpora},
+            "parts": parts}},
+    ]}, out_dir=tmp_path / "run", seed=3)
+
+    mix_seed = derive_seed(3, 2)
+    mixed = mix(MixSpec(tuple(MixPart(cid, b) for cid, b in parts), seed=mix_seed), corpora)
+    state = init_model(ModelConfig(**DRAFT), 3)
+    for name, batches in (
+            ("target", alignment_batches(samples, tok, 4, 32, seed=11, mask_mode="full")),
+            ("pretrain", itertools.chain(lm_batches(corpus, tok, 4, 32, seed=4),
+                                         lm_batches(corpus, tok, 4, 32, seed=5))),
+            ("mix", lm_batches(mixed, tok, 4, 32, seed=mix_seed))):
+        state = train_stage(state, batches, TrainSchedule(**schedules[name]),
+                            LossSpec(ce=1.0)).state
+        save_checkpoint(state, tmp_path / f"{name}.sfmd")
+        assert ((tmp_path / f"{name}.sfmd").read_bytes()
+                == (tmp_path / "run" / "checkpoints" / f"{name}.sfmd").read_bytes()), name
 
 
 def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_files, capsys):
