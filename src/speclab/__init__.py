@@ -20,9 +20,8 @@ from .training import AdamW, Batch, TrainSchedule, lr_at, train_stage
 from .distill import SPARSE_DTYPE, extract_sparse_logits
 from .specdec import (BlockResult, SpecConfig, SpecSession, accept_step,
                       generate, speculate_block, start_session)
-from .metrics import (DecodeStats, LatencyProfile, SpeedupInputs,
-                      acceptance_rate, block_efficiency, expected_speedup,
-                      mbsu, tpot_ar, tpot_sd)
+from .metrics import (DecodeStats, LatencyProfile, acceptance_rate,
+                      block_efficiency, expected_speedup, mbsu, tpot_ar, tpot_sd)
 from .data import (AlignmentSample, Corpus, MixPart, MixSpec,
                    generate_alignment_set, make_completion_tasks, mix, subsample)
 from .latency import LatencyRun, build_latency_profile, measure_latency

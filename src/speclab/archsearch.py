@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .latency import measure_latency
-from .metrics import SpeedupInputs, expected_speedup, mbsu
-from .model import ModelConfig, ModelState, param_count
+from .metrics import LatencyProfile, expected_speedup, mbsu
+from .model import ModelConfig, param_count
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def per_layer_count(base: ModelConfig, hidden: int) -> int:
 
 def budget_search(spec: BudgetSearchSpec) -> list[dict]:
     """One row per hidden size: the layer count whose excluded-embeddings
-    count lands closest to the budget (at most one per-layer block away by
-    construction), or feasible=False with the reason. Raises only if no
+    count lands closest to the budget (at most half a per-layer block away
+    by construction), or feasible=False with the reason. Raises only if no
     candidate is feasible."""
     rows = []
     for hidden in spec.hidden_candidates:
@@ -94,31 +94,35 @@ def budget_search(spec: BudgetSearchSpec) -> list[dict]:
     return rows
 
 
-def arch_table(ac: dict, base: ModelConfig, target: ModelState | None = None,
-               tau: float | None = None, seed: int = 0) -> list[dict]:
-    """`budget_search` rows for an `arch_search` config section.
+def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
+               l_target_1: float | None = None, tau: float | None = None, exclude: bool = False,
+               **latency) -> list[dict]:
+    """`budget_search` rows for an `arch_search` config section, each
+    feasible row with its `config`.
 
-    The budget defaults to `base`'s excluded-embeddings count. With a target,
-    feasible rows add their measured single-token latency, c and c_hat and,
-    given a tau, the simplified speedup tau / (c * gamma + 1) and MBSU.
+    The budget defaults to `base`'s excluded-embeddings count. With a target
+    config and its measured block-1 latency `l_target_1`, feasible rows add
+    their single-token latency (`measure_latency` with `latency`), c, and
+    c_hat (embedding tables `exclude`d or not); given a tau also the
+    simplified speedup, the profile whose block-gamma target forward costs
+    one block-1 forward, and MBSU.
     """
     rows = budget_search(BudgetSearchSpec(
         budget=int(ac.get("budget") or param_count(base, exclude_embedding_tables=True)),
         hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
         base_config=base))
-    if target is None:
-        return rows
     gamma = int(ac.get("gamma", 3))
-    target_l1 = measure_latency(target, 1, warmup=2, reps=5, seed=seed).median
     for row in rows:
-        if not row["feasible"]:
+        cfg = derive_config(base, row["hidden_size"], row["n_layers"]) if row["feasible"] else None
+        row["config"] = cfg.to_dict() if cfg else None
+        if cfg is None or target is None:
             continue
-        cfg = derive_config(base, row["hidden_size"], row["n_layers"])
-        row["latency_1tok"] = lat = measure_latency(cfg, 1, warmup=2, reps=5, seed=seed).median
-        row["c"] = c = lat / target_l1
-        row["c_hat"] = c_hat = param_count(cfg) / param_count(target.config)
+        row["latency_1tok"] = lat = measure_latency(cfg, 1, **latency).median
+        row["c"] = lat / l_target_1
+        row["c_hat"] = c_hat = param_count(cfg, exclude) / param_count(target, exclude)
         if tau is not None:
             row["tau"] = tau
-            row["speedup_est"] = expected_speedup(SpeedupInputs(c=c), gamma, tau)
+            row["speedup_est"] = expected_speedup(
+                LatencyProfile(lat, l_target_1, l_target_1), gamma, tau)
             row["mbsu"] = mbsu(tau, c_hat, gamma)
     return rows

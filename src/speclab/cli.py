@@ -13,14 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .archsearch import arch_table, derive_config
+from .archsearch import arch_table
 from .checkpoint import load_checkpoint, write_json
 from .data import (generate_alignment_set, load_alignment_set, load_corpus,
                    save_alignment_set, teacher_sequences)
 from .distill import extract_sparse_logits, write_sparse_dataset
 from .errors import ConfigError, SpecLabError
-from .experiment import (load_config, resolve_run, run_evaluation, run_experiment,
-                         write_manifest)
+from .experiment import _Run, load_config, resolve_run, run_experiment, write_manifest
 from .latency import measure_latency
 from .metrics import DecodeStats, metrics_row, write_report
 from .model import ModelConfig
@@ -42,11 +41,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, base = load_config(args.config)
-    if not cfg.get("draft_init_checkpoint"):
+    run = _Run(args.config, args.out_dir, args.seed)
+    if not run.cfg.get("draft_init_checkpoint"):
         raise ConfigError("eval needs draft_init_checkpoint in the config")
-    draft = load_checkpoint(base / cfg["draft_init_checkpoint"])
-    report = run_evaluation(args.config, draft, out_dir=args.out_dir, seed=args.seed)
+    run.cfg = {k: v for k, v in run.cfg.items() if k not in ("stages", "arch_search")}
+    report = run.run()
     print(f"wrote {len(report.rows)} metric row(s) under {report.out_dir}")
     return 0
 
@@ -125,11 +124,7 @@ def cmd_bench_latency(args) -> int:
 
 def cmd_arch_search(args) -> int:
     cfg, _, seed, out_dir = _load(args)
-    base_cfg = ModelConfig.from_dict(cfg["base_config"])
-    rows = arch_table(cfg, base_cfg)
-    for row in rows:
-        row["config"] = (derive_config(base_cfg, row["hidden_size"], row["n_layers"]).to_dict()
-                         if row["feasible"] else None)
+    rows = arch_table(cfg, ModelConfig.from_dict(cfg["base_config"]))
     out = out_dir / cfg.get("out_name", "arch_search.json")
     write_json(out, rows)
     write_manifest(out_dir, cfg, seed)

@@ -28,7 +28,7 @@ from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
                    load_corpus, make_completion_tasks, mix, save_alignment_set,
                    save_corpus, teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, StageError, VocabMismatchError
 from .latency import measure_latency
 from .losses import LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
@@ -65,18 +65,16 @@ def evaluate_acceptance(
     """Pooled decode statistics over a set of prompts."""
     spec = SpecConfig(gamma=gamma, policy=policy,
                       max_new_tokens=max_new_tokens, eos_id=eos_id)
-    stats = DecodeStats(gamma=gamma, blocks=[])
-    all_blocks = []
+    blocks = []
     # prompt i draws from child i of SeedSequence(seed)
     for prompt, child in zip(prompts, np.random.SeedSequence(seed).spawn(len(prompts))):
         session = start_session(draft, target, prompt, policy=policy,
                                 rng=np.random.default_rng(child))
-        result = generate(session, spec)
-        stats = stats.merged(result.stats)
-        all_blocks.extend(result.blocks)
+        blocks.extend(generate(session, spec).blocks)
     if audit_path is not None:
-        write_audit_log(audit_path, all_blocks)
-    return stats
+        write_audit_log(audit_path, blocks)
+    return DecodeStats(gamma=gamma, blocks=[b.accepted_count for b in blocks],
+                       proposal_lens=[len(b.proposed) for b in blocks])
 
 
 def _benchmark_prompts(spec: dict, tokenizer: ByteTokenizer, seed: int,
@@ -102,7 +100,7 @@ def _benchmark_prompts(spec: dict, tokenizer: ByteTokenizer, seed: int,
 
 def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainSchedule,
                          stage_seed: int, base_dir: Path, out_dir: Path,
-                         target: ModelState | None, loss_spec: LossSpec):
+                         target: ModelState | None, loss_spec: LossSpec, vocab_size: int):
     kind = stage.get("kind", "lm")
     if kind == "lm":
         if "mix" in stage:
@@ -133,7 +131,11 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
                 write_sparse_dataset(
                     sfkd, extract_sparse_logits(target, sequences, k),
                     k=k, vocab_size=target.config.vocab_size)
-            _, _, items = read_sparse_dataset(sfkd)
+            # the header's vocabulary is the target's on the extraction path
+            _, teacher_vocab, items = read_sparse_dataset(sfkd)
+            if teacher_vocab != vocab_size:
+                raise VocabMismatchError(f"{sfkd} holds logits over {teacher_vocab} "
+                                         f"tokens for a draft of {vocab_size}")
             if len(items) != len(samples):
                 raise DataError(f"{sfkd} holds {len(items)} sequences for "
                                 f"{len(samples)} alignment samples")
@@ -227,7 +229,7 @@ class _Run:
             loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
             batches = _build_stage_batches(
                 stage, tokenizer, schedule, int(stage.get("seed", derive_seed(self.seed, si))),
-                self.base_dir, self.out, self.target, loss_spec)
+                self.base_dir, self.out, self.target, loss_spec, state.config.vocab_size)
             try:
                 result = train_stage(state, batches, schedule, loss_spec)
             except Exception as exc:
@@ -241,6 +243,8 @@ class _Run:
         return report, state
 
     def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
+        """The benchmark x mode x gamma grid, then the optional arch table,
+        which shares the grid's latency settings, target latency and c_hat."""
         ev, target = self.cfg["eval"], self.target
         if target is None:
             raise ConfigError("evaluation requires a target_checkpoint")
@@ -282,36 +286,29 @@ class _Run:
 
         write_report(report.rows, self.out / "metrics.csv", self.out / "metrics.json")
 
-    def arch_search(self, draft: ModelState, report: ExperimentReport) -> list[dict]:
         ac = self.cfg.get("arch_search")
-        if not ac:
-            return []
-        gamma = int(ac.get("gamma", 3))
-        bench = ac.get("benchmark")
-        tau = next((row.tau for row in report.rows
-                    if row.gamma == gamma and bench in (None, row.benchmark)), None)
-        table = arch_table(ac, draft.config, self.target, tau, self.seed)
-        write_table(table, self.out / "arch_search.csv", self.out / "arch_search.json")
-        report.arch_table = table
-        return table
+        if ac:
+            gamma = int(ac.get("gamma", 3))
+            bench = ac.get("benchmark")
+            tau = next((row.tau for row in report.rows
+                        if row.gamma == gamma and bench in (None, row.benchmark)), None)
+            report.arch_table = arch_table(ac, draft.config, target.config, l_target_1,
+                                           tau, exclude, **lat)
+            write_table(report.arch_table, self.out / "arch_search.csv",
+                        self.out / "arch_search.json")
+
+    def run(self) -> ExperimentReport:
+        """Stages, then the evaluation grid and the optional arch table."""
+        report, draft = self.train()
+        if self.cfg.get("eval"):
+            self.evaluate(draft, report)
+        return report
 
 
 def run_training(config: dict | str | Path, out_dir: str | Path | None = None,
                  seed: int | None = None) -> ExperimentReport:
     """Execute the declared stages, writing one checkpoint per stage."""
     return _Run(config, out_dir, seed).train()[0]
-
-
-def run_evaluation(config: dict | str | Path, draft: ModelState,
-                   out_dir: str | Path | None = None,
-                   seed: int | None = None) -> ExperimentReport:
-    """Run the benchmark x mode x gamma grid against the target."""
-    run = _Run(config, out_dir, seed)
-    report = ExperimentReport(out_dir=run.out,
-                              manifest=write_manifest(run.out, run.cfg, run.seed))
-    if run.cfg.get("eval"):
-        run.evaluate(draft, report)
-    return report
 
 
 @dataclass
@@ -389,10 +386,5 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None,
                    seed: int | None = None) -> ExperimentReport:
-    """Stages, then the evaluation grid, then optional architecture tables."""
-    run = _Run(config, out_dir, seed)
-    report, draft = run.train()
-    if run.cfg.get("eval"):
-        run.evaluate(draft, report)
-        run.arch_search(draft, report)
-    return report
+    """Stages, then the evaluation grid, then the optional architecture table."""
+    return _Run(config, out_dir, seed).run()

@@ -41,12 +41,6 @@ class DecodeStats:
             if not 0 <= a <= n <= self.gamma:
                 raise ContractError(f"accepted {a} of {n} proposed outside [0, {self.gamma}]")
 
-    def merged(self, other: "DecodeStats") -> "DecodeStats":
-        if other.gamma != self.gamma:
-            raise ConfigError("cannot merge stats with different gamma")
-        return DecodeStats(gamma=self.gamma, blocks=self.blocks + other.blocks,
-                           proposal_lens=self.proposal_lens + other.proposal_lens)
-
 
 @dataclass(frozen=True)
 class LatencyProfile:
@@ -59,12 +53,6 @@ class LatencyProfile:
     def __post_init__(self) -> None:
         if min(self.l_draft, self.l_target_1, self.l_target_gamma) <= 0:
             raise ConfigError("latencies must be positive")
-
-
-@dataclass(frozen=True)
-class SpeedupInputs:
-    """The draft/target latency ratio c of the simplified speedup estimator."""
-    c: float
 
 
 def acceptance_rate(stats: DecodeStats) -> float:
@@ -101,21 +89,16 @@ def tpot_sd(profile: LatencyProfile, gamma: int, tau: float) -> float:
     return (profile.l_draft * gamma + profile.l_target_gamma) / tau
 
 
-def expected_speedup(inputs: LatencyProfile | SpeedupInputs, gamma: int, tau: float) -> float:
-    """Expected speedup of speculative over autoregressive decoding.
-
-    With a LatencyProfile this is tpot_ar / tpot_sd, algebraically equal to
-    tau / ((l_draft/l_target_1)*gamma + l_target_gamma/l_target_1). With
-    SpeedupInputs it is the simplified estimator tau / (c*gamma + 1), which
-    treats the target's block-gamma forward as costing one block-1 forward.
+def expected_speedup(profile: LatencyProfile, gamma: int, tau: float) -> float:
+    """Expected speedup of speculative over autoregressive decoding:
+    tpot_ar / tpot_sd, algebraically equal to
+    tau / ((l_draft/l_target_1)*gamma + l_target_gamma/l_target_1). A profile
+    whose l_target_gamma equals its l_target_1 gives the simplified
+    estimator tau / (c*gamma + 1) of Leviathan et al. (arXiv 2211.17192).
     """
     if tau < 1.0:
         raise ContractError("tau must be >= 1")
-    if isinstance(inputs, LatencyProfile):
-        return tpot_ar(inputs) / tpot_sd(inputs, gamma, tau)
-    if inputs.c <= 0:
-        raise ConfigError("latency ratio c must be positive")
-    return tau / (inputs.c * gamma + 1.0)
+    return tpot_ar(profile) / tpot_sd(profile, gamma, tau)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Gradient training: warmup/decay schedule, Adam with decoupled weight
 decay, and the stage runner used for pre-training, continued pre-training
 and fine-tuning. Runs are deterministic for a fixed seed, so chained
-stages and reruns reproduce bitwise."""
+stages and reruns reproduce bitwise on the same BLAS thread count."""
 
 from __future__ import annotations
 

@@ -18,8 +18,8 @@ from speclab.cli import main
 from speclab.data import (MixPart, MixSpec, alignment_batches, lm_batches,
                           load_alignment_set, load_corpus, mix, save_alignment_set,
                           save_corpus, teacher_sequences)
-from speclab.distill import extract_sparse_logits, write_sparse_dataset
-from speclab.errors import DataError
+from speclab.distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
+from speclab.errors import DataError, VocabMismatchError
 from speclab.experiment import derive_seed, run_training
 from speclab.specdec import BlockResult, read_audit_log, write_audit_log
 from speclab.synthetic import TopicWorld
@@ -27,7 +27,7 @@ from speclab.tokenizer import ByteTokenizer
 
 MEASURED = {"c", "tpot_ar", "tpot_sd", "speedup_est", "latency_1tok"}
 ARCH_COLUMNS = {"hidden_size", "n_layers", "achieved_params_excl", "deviation",
-                "feasible", "reason"}
+                "feasible", "reason", "config"}
 DRAFT = {"hidden_size": 16, "intermediate_size": 32, "n_layers": 1, "n_heads": 2,
          "n_kv_heads": 2, "vocab_size": 264, "max_seq_len": 96}
 SCHEDULE = {"peak_lr": 3e-3, "total_steps": 4, "batch_size": 4, "seq_len": 32}
@@ -73,7 +73,9 @@ def world_files(tmp_path):
     return samples, target
 
 
-def test_train_eval_and_arch_search_agree(tmp_path, world_files):
+@pytest.mark.parametrize("c_hat_mode", ["total", "excluded"])
+def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
+    eval_section = dict(EVAL, c_hat_mode=c_hat_mode)
     train_cfg = _write(tmp_path / "train.json", {
         "seed": 3,
         "target_checkpoint": "target.sfmd",
@@ -84,7 +86,7 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files):
             {"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 8,
              "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE},
         ],
-        "eval": EVAL,
+        "eval": eval_section,
         "arch_search": {"hidden_candidates": HIDDEN, "gamma": 2},
     })
     run = tmp_path / "run"
@@ -95,7 +97,7 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files):
         "seed": 3,
         "target_checkpoint": "target.sfmd",
         "draft_init_checkpoint": "run/checkpoints/align.sfmd",
-        "eval": EVAL,
+        "eval": eval_section,
     })
     assert main(["eval", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
     train_rows = _read(run / "metrics.json")
@@ -109,6 +111,12 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files):
     assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
     train_arch = _read(run / "arch_search.json")
     assert [r["feasible"] for r in train_arch] == [True, False, True, False]
+    # the table shares the eval's target latency and c_hat definition
+    tpot_ar, c_hat = train_rows[0]["tpot_ar"], train_rows[0]["c_hat"]
+    feasible = [r for r in train_arch if r["feasible"]]
+    assert all(r["c"] == r["latency_1tok"] / tpot_ar for r in feasible)
+    assert [r["c_hat"] for r in feasible
+            if ModelConfig.from_dict(r["config"]) == ModelConfig(**DRAFT)] == [c_hat]
     _same_outside_latency(_read(tmp_path / "arch" / "arch_search.json"), train_arch,
                           ARCH_COLUMNS)
 
@@ -139,6 +147,26 @@ def test_align_stage_rejects_a_sparse_dataset_of_another_length(tmp_path, world_
     }
     with pytest.raises(DataError, match=match):
         run_training(config, out_dir=tmp_path / "run")
+
+
+@pytest.mark.parametrize("sparse_dataset", [False, True], ids=["extracted", "sparse_dataset"])
+def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_files,
+                                                             sparse_dataset):
+    """The teacher's vocabulary is the target's when the stage extracts the
+    logits and the `.sfkd` header's when it reads them; either must be the
+    draft's."""
+    samples, target = world_files
+    stage = {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
+             "k": 8, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}
+    draft, match = dict(DRAFT, vocab_size=300), "over 264 tokens for a draft of 300"
+    if sparse_dataset:
+        write_sparse_dataset(tmp_path / "teacher.sfkd", extract_sparse_logits(
+            target, teacher_sequences(ByteTokenizer(), samples, 33), 8), k=8, vocab_size=300)
+        stage["sparse_dataset"] = str(tmp_path / "teacher.sfkd")
+        draft, match = DRAFT, "over 300 tokens for a draft of 264"
+    with pytest.raises(VocabMismatchError, match=match):
+        run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": draft,
+                      "stages": [stage]}, out_dir=tmp_path / "run")
 
 
 def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files):
@@ -178,6 +206,44 @@ def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files
         save_checkpoint(state, tmp_path / f"{name}.sfmd")
         assert ((tmp_path / f"{name}.sfmd").read_bytes()
                 == (tmp_path / "run" / "checkpoints" / f"{name}.sfmd").read_bytes()), name
+
+
+@pytest.mark.parametrize("command", ["align-gen", "distill-data", "bench-latency"])
+def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_files, command,
+                                                               capsys):
+    samples, target = world_files
+    tok = ByteTokenizer()
+    (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
+                                          encoding="utf-8")
+    config = {
+        "align-gen": {"target_checkpoint": "target.sfmd", "seed_instructions": "seeds.jsonl",
+                      "temperatures": [0.6], "max_new_tokens": 8},
+        "distill-data": {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
+                         "k": 4, "max_seq_len": 40},
+        "bench-latency": {"models": [{"name": "target", "checkpoint": "target.sfmd"},
+                                     {"name": "draft", "config": DRAFT}],
+                          "block_sizes": [1, 2], "warmup": 1, "reps": 5},
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, _write(tmp_path / "cmd.json", config), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    if command == "align-gen":
+        got = load_alignment_set(out / "alignment.jsonl", tok)
+        assert [(tok.decode_bytes(s.instruction), s.temperature) for s in got] == [
+            (b"topic one?", None), (b"topic one?", 0.6), (b"and two?", None), (b"and two?", 0.6)]
+        assert {s.source for s in got} == {"target_generated"}
+    elif command == "distill-data":
+        k, vocab, items = read_sparse_dataset(out / "teacher.sfkd")
+        assert (k, vocab) == (4, target.config.vocab_size)
+        assert [tokens for tokens, _ in items] == teacher_sequences(tok, samples, 40)
+        assert all(pairs.shape == (len(tokens) - 1, 4) for tokens, pairs in items)
+    else:
+        rows = _read(out / "latency.json")
+        assert [(r["name"], r["n_layers"], r["block_size"], len(r["samples_s"]))
+                for r in rows] == [("target", 1, 1, 5), ("target", 1, 2, 5),
+                                   ("draft", 1, 1, 5), ("draft", 1, 2, 5)]
+        assert all(r["median_s"] > 0 for r in rows)
+        assert _read(out / "manifest.json")["config"] == config
 
 
 def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_files, capsys):

@@ -13,7 +13,8 @@ from speclab import specdec
 from speclab.cli import main
 from speclab.errors import ContractError
 from speclab.metrics import DecodeStats, acceptance_rate, block_efficiency
-from speclab.sampling import SamplingPolicy, autoregressive_decode
+from speclab.model import forward
+from speclab.sampling import SamplingPolicy, autoregressive_decode, distribution
 from speclab.specdec import (SpecConfig, accept_step, generate, start_session,
                              write_audit_log)
 
@@ -70,6 +71,22 @@ def test_accept_step_is_lossless():
         assert residual.sum() == pytest.approx(1.0)
         reject = float(np.sum(q * (1.0 - ratios)))
         np.testing.assert_allclose(q * ratios + reject * residual, p, rtol=0, atol=1e-12)
+
+
+def test_sampled_generate_draws_from_the_target_joint():
+    """2,000 seeded two-token generations (gamma 2, so both the accept/reject
+    path and the bonus token run) against the target's exact joint over the
+    36 two-token outcomes: chi-square below its 0.999 quantile on 35 df."""
+    draft, target = make_pair(vocab=6, max_seq=16, sharpen=1.0)
+    policy = SamplingPolicy("multinomial", temperature=1.0)
+    first = distribution(forward(target, PROMPT)[0][-1], policy)
+    joint = np.stack([first[t] * distribution(forward(target, PROMPT + [t])[0][-1], policy)
+                      for t in range(6)])
+    counts = np.zeros((6, 6))
+    for seed in range(2000):
+        counts[tuple(_sd(draft, target, PROMPT, policy, 2, 2, seed=seed).tokens)] += 1
+    expected = 2000 * joint
+    assert ((counts - expected) ** 2 / expected).sum() < 66.6
 
 
 def test_accept_step_rejects_unnormalized_or_impossible_proposals():
@@ -163,10 +180,9 @@ def test_decode_stats_validates_and_merges_proposal_lengths():
         DecodeStats(gamma=3, blocks=[2], proposal_lens=[4])
     with pytest.raises(ContractError):
         DecodeStats(gamma=3, blocks=[2, 1], proposal_lens=[3])
-    merged = DecodeStats(gamma=3, blocks=[3]).merged(
-        DecodeStats(gamma=3, blocks=[1, 0], proposal_lens=[2, 0]))
-    assert merged.blocks == [3, 1, 0] and merged.proposal_lens == [3, 2, 0]
-    assert acceptance_rate(merged) == pytest.approx(0.75)
+    # a shortened block counts against its own proposal length, an empty one not at all
+    stats = DecodeStats(gamma=3, blocks=[3, 1, 0], proposal_lens=[3, 2, 0])
+    assert acceptance_rate(stats) == pytest.approx(0.75)
     assert acceptance_rate(DecodeStats(gamma=4, blocks=[1, 3])) == 0.5
     with pytest.raises(ContractError):
         acceptance_rate(DecodeStats(gamma=3, blocks=[0], proposal_lens=[0]))
