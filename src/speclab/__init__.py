@@ -13,7 +13,7 @@ from .errors import (ConfigError, ContractError, DataError, LengthError,
 from .model import (KVCache, ModelConfig, ModelState, forward, forward_train,
                     backward, init_model, param_count)
 from .sampling import SamplingPolicy, autoregressive_decode, sample, softmax
-from .tokenizer import ByteTokenizer, ensure_shared_vocab
+from .tokenizer import ByteTokenizer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .losses import LossSpec, ce_loss, kd_loss
 from .training import AdamW, Batch, TrainSchedule, lr_at, train_stage

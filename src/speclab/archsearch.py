@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .latency import measure_latency
 from .metrics import LatencyProfile, expected_speedup, mbsu
-from .model import ModelConfig, param_count
+from .model import ModelConfig, param_count, param_split
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ def derive_config(base: ModelConfig, hidden: int, n_layers: int) -> ModelConfig:
     )
 
 
-def per_layer_count(base: ModelConfig, hidden: int) -> int:
-    two = param_count(derive_config(base, hidden, 2), exclude_embedding_tables=True)
-    one = param_count(derive_config(base, hidden, 1), exclude_embedding_tables=True)
-    return two - one
-
-
 def budget_search(spec: BudgetSearchSpec) -> list[dict]:
     """One row per hidden size: the layer count whose excluded-embeddings
     count lands closest to the budget (at most half a per-layer block away
@@ -73,22 +67,23 @@ def budget_search(spec: BudgetSearchSpec) -> list[dict]:
                "deviation": None, "feasible": False, "reason": ""}
         rows.append(row)
         try:
-            layer = per_layer_count(spec.base_config, hidden)
+            fixed, layer = param_split(derive_config(spec.base_config, hidden, 1),
+                                       exclude_embedding_tables=True)
         except ConfigError as exc:
             row["reason"] = str(exc)
             continue
         if layer > spec.budget:
             row["reason"] = f"one layer costs {layer} params, over the {spec.budget} budget"
             continue
-        base_cost = param_count(derive_config(spec.base_config, hidden, 1),
-                                exclude_embedding_tables=True) - layer
-        ideal = (spec.budget - base_cost) / layer
-        for n_layers in {max(1, int(ideal)), max(1, int(ideal) + 1)}:
-            achieved = param_count(derive_config(spec.base_config, hidden, n_layers),
-                                   exclude_embedding_tables=True)
-            if not row["feasible"] or abs(achieved - spec.budget) < abs(row["deviation"]):
-                row.update(n_layers=n_layers, achieved_params_excl=achieved,
-                           deviation=achieved - spec.budget, feasible=True)
+        # the count is linear in depth: the closest depth is the one below
+        # the ideal (fractional) depth or the next, and a tie keeps the shallower
+        n_layers = max(1, (spec.budget - fixed) // layer)
+        if abs(fixed + (n_layers + 1) * layer - spec.budget) < abs(
+                fixed + n_layers * layer - spec.budget):
+            n_layers += 1
+        achieved = fixed + n_layers * layer
+        row.update(n_layers=n_layers, achieved_params_excl=achieved,
+                   deviation=achieved - spec.budget, feasible=True)
     if not any(r["feasible"] for r in rows):
         raise ConfigError("no feasible layer count for any hidden candidate")
     return rows

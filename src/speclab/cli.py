@@ -56,14 +56,8 @@ def cmd_distill_data(args) -> int:
     teacher = load_checkpoint(base / cfg["teacher_checkpoint"])
     k = int(cfg.get("k", 16))
     max_len = int(cfg.get("max_seq_len", teacher.config.max_seq_len))
-    if "alignment" in cfg:
-        sequences = teacher_sequences(
-            tokenizer, load_alignment_set(base / cfg["alignment"], tokenizer), max_len)
-    else:
-        corpus = load_corpus(base / cfg["corpus"])
-        sequences = [([tokenizer.bos_id] + tokenizer.encode(d.text)
-                      + [tokenizer.eos_id])[:max_len]
-                     for d in corpus.documents]
+    sequences = teacher_sequences(
+        tokenizer, load_alignment_set(base / cfg["alignment"], tokenizer), max_len)
     out = out_dir / cfg.get("out_name", "teacher.sfkd")
     n = write_sparse_dataset(out, extract_sparse_logits(teacher, sequences, k),
                              k=k, vocab_size=teacher.config.vocab_size)

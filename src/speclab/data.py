@@ -43,9 +43,6 @@ class Corpus:
         # byte-level tokenization: one token per byte
         self.token_count = sum(len(d.text) for d in self.documents)
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 def load_corpus(path: str | Path) -> Corpus:
     return Corpus(documents=[
@@ -112,34 +109,27 @@ def mix(spec: MixSpec, corpora: dict[str, Corpus]) -> Corpus:
     return Corpus(documents=[docs[int(i)] for i in order])
 
 
-@dataclass
-class CompletionTask:
-    context: list[int]
-    reference: list[int]
-
-
 def make_completion_tasks(
     corpus: Corpus,
     tokenizer: ByteTokenizer,
     n_tasks: int,
     min_ctx: int,
     seed: int,
-) -> list[CompletionTask]:
-    """Split documents at a uniform random position >= min_ctx; the prefix
-    becomes the decode context, the remainder the reference continuation."""
+) -> list[list[int]]:
+    """Decode contexts: documents split at a uniform random position
+    >= min_ctx, each the prefix before the split."""
     if n_tasks < 0:
         raise DataError("n_tasks must be nonnegative")
     eligible = [d for d in corpus.documents if len(d.text) > min_ctx]
     if n_tasks and not eligible:
         raise DataError(f"no document longer than min_ctx={min_ctx}")
     rng = np.random.default_rng(seed)
-    tasks = []
+    contexts = []
     for _ in range(n_tasks):
         doc = eligible[int(rng.integers(len(eligible)))]
         ids = tokenizer.encode(doc.text)
-        split = int(rng.integers(min_ctx, len(ids)))
-        tasks.append(CompletionTask(context=ids[:split], reference=ids[split:]))
-    return tasks
+        contexts.append(ids[:int(rng.integers(min_ctx, len(ids)))])
+    return contexts
 
 
 @dataclass

@@ -83,9 +83,9 @@ def _benchmark_prompts(spec: dict, tokenizer: ByteTokenizer, seed: int,
     n_tasks = int(spec.get("n_tasks", 8))
     if kind == "completion":
         corpus = load_corpus(base_dir / spec["corpus"])
-        tasks = make_completion_tasks(corpus, tokenizer, n_tasks,
-                                      int(spec.get("min_ctx", 4)), seed)
-        prompts = [[tokenizer.bos_id] + t.context for t in tasks]
+        contexts = make_completion_tasks(corpus, tokenizer, n_tasks,
+                                         int(spec.get("min_ctx", 4)), seed)
+        prompts = [[tokenizer.bos_id] + c for c in contexts]
     elif kind == "instruction":
         samples = load_alignment_set(base_dir / spec["alignment"], tokenizer)
         rng = np.random.default_rng(seed)
@@ -154,7 +154,6 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
 @dataclass
 class ExperimentReport:
     out_dir: Path
-    manifest: dict
     rows: list[MetricsRow] = field(default_factory=list)
     checkpoints: dict[str, Path] = field(default_factory=dict)
     arch_table: list[dict] = field(default_factory=list)
@@ -178,7 +177,7 @@ def resolve_run(cfg: dict, out_dir: str | Path | None, seed: int | None,
             Path(out_dir or cfg.get("out_dir", default_out)))
 
 
-def write_manifest(out_dir: Path, config: dict, seed: int) -> dict:
+def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
     manifest = {
         "config_hash": hashlib.sha256(canonical_json(config).encode()).hexdigest(),
         "config": config,
@@ -191,7 +190,6 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> dict:
         "created_unix": time.time(),
     }
     write_json(out_dir / "manifest.json", manifest)
-    return manifest
 
 
 class _Run:
@@ -211,9 +209,9 @@ class _Run:
 
     def train(self) -> tuple[ExperimentReport, ModelState]:
         """Run the stages; returns the report and the final draft."""
-        manifest = write_manifest(self.out, self.cfg, self.seed)
+        write_manifest(self.out, self.cfg, self.seed)
         tokenizer = ByteTokenizer()
-        report = ExperimentReport(out_dir=self.out, manifest=manifest)
+        report = ExperimentReport(out_dir=self.out)
 
         if self.cfg.get("draft_init_checkpoint"):
             state = load_checkpoint(self.base_dir / self.cfg["draft_init_checkpoint"])

@@ -23,10 +23,8 @@ MIN_TICKS = 10
 @dataclass
 class LatencyRun:
     config: ModelConfig
-    block_size: int
     samples: list[float] = field(default_factory=list)
-    warmup_count: int = 0
-    flagged: bool = False  # true when the timer resolution is too coarse
+    flagged: bool = False  # a sample under MIN_TICKS ticks of the clock
 
     @property
     def median(self) -> float:
@@ -40,12 +38,13 @@ def measure_latency(
     reps: int = 10,
     prefill: int = 16,
     seed: int = 0,
-    timer=time.perf_counter,
 ) -> LatencyRun:
     """Median wall-clock seconds of one forward over `block_size` tokens.
 
     The model sees `prefill` cached context tokens first, mirroring decode
     conditions. Accepts a config (instantiated with `seed`) or a live state.
+    The samples and the resolution that judges them come from one clock,
+    `time.perf_counter`.
     """
     if reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} repetitions")
@@ -60,17 +59,16 @@ def measure_latency(
     block = rng.integers(0, cfg.vocab_size, size=block_size).tolist()
 
     resolution = time.get_clock_info("perf_counter").resolution
-    run = LatencyRun(config=cfg, block_size=block_size, warmup_count=warmup)
+    run = LatencyRun(config=cfg)
     for i in range(warmup + reps):
         cache = KVCache(cfg, dtype=state.dtype)
         forward(state, context, cache)
-        t0 = timer()
+        t0 = time.perf_counter()
         forward(state, block, cache)
-        elapsed = timer() - t0
+        elapsed = time.perf_counter() - t0
         if i >= warmup:
             run.samples.append(elapsed)
-    if min(run.samples) < MIN_TICKS * resolution:
-        run.flagged = True
+    run.flagged = min(run.samples) < MIN_TICKS * resolution
     return run
 
 

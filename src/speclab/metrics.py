@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .checkpoint import atomic_write, write_json
+from .checkpoint import atomic_write, canonical_json, write_json
 from .errors import ConfigError, ContractError
-
-REPORT_COLUMNS = [
-    "benchmark", "sampling_mode", "temperature", "gamma", "N_blocks",
-    "alpha", "tau", "c", "c_hat", "mbsu", "tpot_ar", "tpot_sd", "speedup_est",
-]
 
 
 @dataclass
@@ -150,18 +145,21 @@ def metrics_row(
 def write_table(rows: list[dict], csv_path: str | Path, json_path: str | Path,
                 columns: list[str] | None = None) -> None:
     """Emit rows as CSV plus a JSON twin with the same fields; the CSV
-    columns default to the sorted union of the rows' keys. Both files are
-    written through `atomic_write`, so a row that does not fit the columns
-    (ValueError) leaves the previous files as they were."""
+    columns default to the sorted union of the rows' keys, and dict and list
+    cells are written as `canonical_json`. Both files are written through
+    `atomic_write`, so a row that does not fit the columns (ValueError)
+    leaves the previous files as they were."""
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=columns or sorted({k for r in rows for k in r}))
     writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows({k: canonical_json(v) if isinstance(v, (dict, list)) else v
+                      for k, v in r.items()} for r in rows)
     with atomic_write(csv_path) as f:
         f.write(text.getvalue().encode("utf-8"))
     write_json(json_path, rows)
 
 
 def write_report(rows: list[MetricsRow], csv_path: str | Path, json_path: str | Path) -> None:
-    """Emit the metrics table in REPORT_COLUMNS order."""
-    write_table([asdict(r) for r in rows], csv_path, json_path, REPORT_COLUMNS)
+    """Emit the metrics table in `MetricsRow` field order."""
+    write_table([asdict(r) for r in rows], csv_path, json_path,
+                [f.name for f in fields(MetricsRow)])

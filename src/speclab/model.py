@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -149,6 +149,22 @@ def cast_state(state: ModelState, dtype) -> ModelState:
     )
 
 
+def param_split(config: ModelConfig, exclude_embedding_tables: bool = False) -> tuple[int, int]:
+    """(fixed, per_layer) element counts, so that a config with any
+    `n_layers` holds fixed + n_layers * per_layer elements. Read from the
+    one-layer `tensor_shapes`, which stays the only list of tensors;
+    `exclude_embedding_tables` is as in `param_count`."""
+    fixed = per_layer = 0
+    for name, shape in tensor_shapes(replace(config, n_layers=1)).items():
+        if exclude_embedding_tables and name in ("embed", "head"):
+            continue
+        if name.startswith("layers."):
+            per_layer += math.prod(shape)
+        else:
+            fixed += math.prod(shape)
+    return fixed, per_layer
+
+
 def param_count(config: ModelConfig, exclude_embedding_tables: bool = False) -> int:
     """Exact element count over all tensors.
 
@@ -156,12 +172,8 @@ def param_count(config: ModelConfig, exclude_embedding_tables: bool = False) -> 
     untied) the output head are dropped from the sum; this is the count
     used for latency-oriented parameter budgets.
     """
-    total = 0
-    for name, shape in tensor_shapes(config).items():
-        if exclude_embedding_tables and name in ("embed", "head"):
-            continue
-        total += int(np.prod(shape))
-    return total
+    fixed, per_layer = param_split(config, exclude_embedding_tables)
+    return fixed + config.n_layers * per_layer
 
 
 class KVCache:

@@ -7,8 +7,6 @@ the compatibility precondition for draft/target speculative decoding.
 
 from __future__ import annotations
 
-from .errors import VocabMismatchError
-
 BYTE_VOCAB = 256
 
 PAD = 256
@@ -44,10 +42,8 @@ class ByteTokenizer:
     eos_id = EOS
     inst_id = INST
     resp_id = RESP
-
-    def __init__(self) -> None:
-        self.special_tokens = dict(SPECIAL_TOKENS)
-        self.vocab_size = VOCAB_SIZE
+    vocab_size = VOCAB_SIZE
+    special_tokens = SPECIAL_TOKENS
 
     def encode(self, text: str | bytes) -> list[int]:
         if isinstance(text, str):
@@ -59,24 +55,3 @@ class ByteTokenizer:
 
     def decode(self, ids) -> str:
         return self.decode_bytes(ids).decode("utf-8", errors="replace")
-
-    def is_special(self, token_id: int) -> bool:
-        return token_id >= BYTE_VOCAB
-
-    def id_map(self) -> dict[str, int]:
-        """Full token-id map: byte tokens by repr plus named specials."""
-        m = {f"<0x{b:02x}>": b for b in range(BYTE_VOCAB)}
-        m.update(self.special_tokens)
-        return m
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ByteTokenizer) and self.id_map() == other.id_map()
-
-    def __len__(self) -> int:
-        return self.vocab_size
-
-
-def ensure_shared_vocab(a: ByteTokenizer, b: ByteTokenizer) -> None:
-    """Raise unless the two tokenizers define identical token-id maps."""
-    if a.id_map() != b.id_map():
-        raise VocabMismatchError("tokenizers do not share an identical vocabulary")

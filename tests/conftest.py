@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from speclab import ModelConfig, init_model
+from speclab.model import tensor_shapes
 
 
 @pytest.fixture
@@ -20,6 +23,13 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     otherwise dominate a plain elementwise ratio)."""
     scale = np.maximum(np.abs(want).max(axis=-1, keepdims=True), 1e-6)
     return float((np.abs(got - want) / scale).max())
+
+
+def tensor_walk_count(config: ModelConfig, exclude_embedding_tables: bool = False) -> int:
+    """Reference parameter count: the elements of every tensor `tensor_shapes`
+    lists, the embedding tables dropped on request."""
+    return sum(math.prod(shape) for name, shape in tensor_shapes(config).items()
+               if not (exclude_embedding_tables and name in ("embed", "head")))
 
 
 def make_pair(vocab=64, hidden=8, layers=1, seed=0, max_seq=64, sharpen=3.0):

@@ -1,5 +1,6 @@
 import json
 import time
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,9 +41,14 @@ def test_write_table_keeps_previous_files_on_error(tmp_path):
     assert sorted(p.name for p in csv_path.parent.iterdir()) == ["t.csv", "t.json"]
 
 
-def fake_timer(durations):
-    """A timer whose i-th start/stop pair is exactly `durations[i]` apart."""
-    return iter([t for d in durations for t in (0.0, d)]).__next__
+def fake_clock(monkeypatch, durations, resolution=None):
+    """Replace the `time` module of `speclab.latency` with a clock whose i-th
+    pair of `perf_counter` reads is exactly `durations[i]` apart and which
+    reports `resolution` (by default the real `perf_counter`'s)."""
+    resolution = resolution or time.get_clock_info("perf_counter").resolution
+    monkeypatch.setattr("speclab.latency.time", types.SimpleNamespace(
+        perf_counter=iter([t for d in durations for t in (0.0, d)]).__next__,
+        get_clock_info=lambda name: types.SimpleNamespace(resolution=resolution)))
 
 
 @pytest.fixture
@@ -51,26 +57,34 @@ def tiny_latency_config():
                        n_kv_heads=1, vocab_size=30, max_seq_len=24)
 
 
-def test_measure_latency_discards_warmup_and_takes_median(tiny_latency_config):
-    run = measure_latency(tiny_latency_config, 2, warmup=2, reps=5,
-                          timer=fake_timer([100.0, 200.0, 0.5, 0.1, 0.4, 0.2, 0.3]))
-    assert run.warmup_count == 2
+def test_measure_latency_discards_warmup_and_takes_median(tiny_latency_config, monkeypatch):
+    fake_clock(monkeypatch, [100.0, 200.0, 0.5, 0.1, 0.4, 0.2, 0.3])
+    run = measure_latency(tiny_latency_config, 2, warmup=2, reps=5)
     assert run.samples == [0.5, 0.1, 0.4, 0.2, 0.3]
     assert run.median == 0.3
     assert not run.flagged
     state = init_model(tiny_latency_config, seed=0)
-    live = measure_latency(state, 1, warmup=0, reps=6, timer=fake_timer([1, 2, 3, 4, 5, 6]))
+    fake_clock(monkeypatch, [1, 2, 3, 4, 5, 6])
+    live = measure_latency(state, 1, warmup=0, reps=6)
     assert live.median == 3.5 and live.config == tiny_latency_config
 
 
-def test_measure_latency_flags_coarse_timings(tiny_latency_config):
+def test_measure_latency_flags_coarse_timings(tiny_latency_config, monkeypatch):
     floor = MIN_TICKS * time.get_clock_info("perf_counter").resolution
-    coarse = measure_latency(tiny_latency_config, 1, warmup=0, reps=5,
-                             timer=fake_timer([floor / 2] + [1.0] * 4))
-    assert coarse.flagged
-    fine = measure_latency(tiny_latency_config, 1, warmup=0, reps=5,
-                           timer=fake_timer([floor * 2] + [1.0] * 4))
-    assert not fine.flagged
+    fake_clock(monkeypatch, [floor / 2] + [1.0] * 4)
+    assert measure_latency(tiny_latency_config, 1, warmup=0, reps=5).flagged
+    fake_clock(monkeypatch, [floor * 2] + [1.0] * 4)
+    assert not measure_latency(tiny_latency_config, 1, warmup=0, reps=5).flagged
+
+
+def test_measure_latency_judges_samples_by_the_clock_that_took_them(tiny_latency_config,
+                                                                     monkeypatch):
+    """5 ms forwards read off a clock that ticks every 1 ms are 5 ticks long,
+    under MIN_TICKS."""
+    fake_clock(monkeypatch, [0.005] * 5, resolution=0.001)
+    run = measure_latency(tiny_latency_config, 1, warmup=0, reps=5)
+    assert run.samples == [0.005] * 5
+    assert run.flagged
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -78,7 +92,8 @@ def test_measure_latency_flags_coarse_timings(tiny_latency_config):
     ({"block_size": 0}, "block_size"),
     ({"block_size": 9, "prefill": 16}, "max_seq_len"),
 ], ids=["reps", "block", "prefill"])
-def test_measure_latency_rejects_bad_settings(tiny_latency_config, kwargs, match):
+def test_measure_latency_rejects_bad_settings(tiny_latency_config, monkeypatch, kwargs, match):
+    fake_clock(monkeypatch, [])
     with pytest.raises(ConfigError, match=match):
-        measure_latency(tiny_latency_config, timer=fake_timer([]), **kwargs)
+        measure_latency(tiny_latency_config, **kwargs)
 

@@ -2,16 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from speclab import ModelConfig, init_model
 from speclab.distill import top_k
 from speclab.errors import ConfigError, LengthError
 from speclab.losses import LossSpec, ce_loss, combined_loss
 from speclab.model import (KVCache, _sigmoid, backward, cast_state, forward, forward_train,
-                           param_count)
+                           param_count, param_split)
 from speclab.sampling import SamplingPolicy, sample, softmax
 
-from conftest import rel_err
+from conftest import rel_err, tensor_walk_count
 
 
 def test_init_deterministic(tiny_config):
@@ -221,7 +222,25 @@ def test_sigmoid_edges(dtype):
                                rtol=4 * np.finfo(dtype).eps, atol=0)
 
 
+@st.composite
+def model_configs(draw):
+    n_kv_heads = draw(st.integers(1, 4))
+    n_heads = n_kv_heads * draw(st.integers(1, 4))
+    return ModelConfig(hidden_size=n_heads * draw(st.integers(1, 8)),
+                       intermediate_size=draw(st.integers(1, 64)),
+                       n_layers=draw(st.integers(1, 12)), n_heads=n_heads,
+                       n_kv_heads=n_kv_heads, vocab_size=draw(st.integers(1, 500)),
+                       max_seq_len=8, tie_embeddings=draw(st.booleans()))
+
+
 class TestParamCount:
+    @given(cfg=model_configs())
+    def test_split_matches_a_walk_over_every_tensor(self, cfg):
+        for exclude in (False, True):
+            fixed, per_layer = param_split(cfg, exclude)
+            assert (fixed + cfg.n_layers * per_layer == param_count(cfg, exclude)
+                    == tensor_walk_count(cfg, exclude))
+
     def test_hand_worked_example(self):
         cfg = ModelConfig(hidden_size=4, intermediate_size=8, n_layers=1,
                           n_heads=1, n_kv_heads=1, vocab_size=10, max_seq_len=8)

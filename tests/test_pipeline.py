@@ -7,6 +7,7 @@ reproduce those rows in every column that does not come from a measured
 latency.
 """
 
+import csv
 import itertools
 import json
 
@@ -119,6 +120,21 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
             if ModelConfig.from_dict(r["config"]) == ModelConfig(**DRAFT)] == [c_hat]
     _same_outside_latency(_read(tmp_path / "arch" / "arch_search.json"), train_arch,
                           ARCH_COLUMNS)
+
+
+def test_arch_search_csv_reads_back_the_configs_of_its_json_twin(tmp_path, world_files):
+    train_cfg = _write(tmp_path / "train.json", {
+        "target_checkpoint": "target.sfmd", "draft": DRAFT,
+        "eval": {"gammas": [2], "latency": {"warmup": 1, "reps": 5}},
+        "arch_search": {"hidden_candidates": HIDDEN}})
+    run = tmp_path / "run"
+    assert main(["train", train_cfg, "--out-dir", str(run)]) == 0
+    with open(run / "arch_search.csv", newline="", encoding="utf-8") as f:
+        cells = [row["config"] for row in csv.DictReader(f)]
+    configs = [ModelConfig.from_dict(json.loads(c)) if c else None for c in cells]
+    assert configs == [r["config"] and ModelConfig.from_dict(r["config"])
+                       for r in _read(run / "arch_search.json")]
+    assert [c is not None for c in configs] == [True, False, True, False]
 
 
 @pytest.mark.parametrize("case, match", [

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_pair
 from speclab import specdec
 from speclab.cli import main
-from speclab.errors import ContractError
+from speclab.errors import ContractError, VocabMismatchError
 from speclab.metrics import DecodeStats, acceptance_rate, block_efficiency
 from speclab.model import forward
 from speclab.sampling import SamplingPolicy, autoregressive_decode, distribution
@@ -49,6 +49,13 @@ def test_greedy_sd_equals_ar(pair, gamma):
     room = target.config.max_seq_len - len(prompt)
     assert (_sd(draft, target, prompt, GREEDY, gamma, room).tokens
             == autoregressive_decode(target, prompt, GREEDY, room))
+
+
+def test_start_session_rejects_a_pair_of_different_vocabularies():
+    draft, _ = make_pair(vocab=64)
+    _, target = make_pair(vocab=65)
+    with pytest.raises(VocabMismatchError, match="64 != target vocab 65"):
+        start_session(draft, target, PROMPT)
 
 
 def test_accept_step_is_lossless():
