@@ -102,8 +102,11 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
     simplified speedup, the profile whose block-gamma target forward costs
     one block-1 forward, and MBSU.
     """
+    budget = ac.get("budget")
+    if budget is None:
+        budget = param_count(base, exclude_embedding_tables=True)
     rows = budget_search(BudgetSearchSpec(
-        budget=int(ac.get("budget") or param_count(base, exclude_embedding_tables=True)),
+        budget=int(budget),
         hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
         base_config=base))
     gamma = int(ac.get("gamma", 3))

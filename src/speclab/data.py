@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_jsonl, write_jsonl
+from .distill import SPARSE_DTYPE
 from .errors import ConfigError, DataError
 from .model import ModelState
 from .sampling import SamplingPolicy, autoregressive_decode
@@ -263,7 +264,7 @@ def lm_batches(corpus: Corpus, tokenizer: ByteTokenizer, batch_size: int,
         yield Batch(
             inputs=rows[:, :-1].copy(),
             targets=rows[:, 1:].copy(),
-            mask=np.ones((batch_size, seq_len), dtype=np.float32),
+            mask=np.ones((batch_size, seq_len), dtype=bool),
         )
 
 
@@ -290,8 +291,10 @@ def alignment_batches(
     or the closing eos, never the instruction; mask_mode="full" instead
     supervises the whole sequence (used when training a target model that
     must also model instructions). With `teacher`, each sample's (P, k)
-    sparse teacher pairs (see `distill`) are laid out alongside for
-    distillation.
+    `SPARSE_DTYPE` pairs (see `distill`) are copied into one zeroed
+    (B, S, k) pair array for distillation. The loss is a mean over the
+    supervised positions only (`training.loss_and_grads` picks them), so
+    the zeroed pairs at the other positions are never read.
     """
     if mask_mode not in ("response", "full"):
         raise ConfigError(f"unknown mask_mode {mask_mode!r}")
@@ -315,22 +318,17 @@ def alignment_batches(
             width = max(len(seq) for _, seq, _ in chosen)
             inputs = _pad_rows([seq[:-1] for _, seq, _ in chosen], tokenizer.pad_id, width - 1)
             targets = _pad_rows([seq[1:] for _, seq, _ in chosen], tokenizer.pad_id, width - 1)
-            mask = np.zeros_like(inputs, dtype=np.float32)
+            mask = np.zeros_like(inputs, dtype=bool)
             for i, (_, seq, resp_start) in enumerate(chosen):
                 # position j predicts seq[j+1]; responses start at resp_start
                 lo = 0 if mask_mode == "full" else resp_start - 1
-                mask[i, lo:len(seq) - 1] = 1.0
-            if teacher is None:
-                yield Batch(inputs=inputs, targets=targets, mask=mask)
-            else:
-                # masked positions still need distinct ids; arange is inert
+                mask[i, lo:len(seq) - 1] = True
+            t = None
+            if teacher is not None:
                 k = teacher[chosen[0][0]].shape[1]
-                t_ids = np.tile(np.arange(k, dtype=np.int64), (len(chosen), width - 1, 1))
-                t_log = np.zeros((len(chosen), width - 1, k), dtype=np.float32)
+                t = np.zeros((len(chosen), width - 1, k), dtype=SPARSE_DTYPE)
                 for i, (si, seq, _) in enumerate(chosen):
                     pairs = teacher[si][:len(seq) - 1]
-                    t_ids[i, :len(pairs)] = pairs["id"]
-                    t_log[i, :len(pairs)] = pairs["logit"]
-                yield Batch(inputs=inputs, targets=targets, mask=mask,
-                            teacher_ids=t_ids, teacher_logits=t_log)
+                    t[i, :len(pairs)] = pairs
+            yield Batch(inputs=inputs, targets=targets, mask=mask, teacher=t)
         epoch += 1

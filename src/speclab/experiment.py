@@ -127,7 +127,7 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
             if "sparse_dataset" in stage:
                 sfkd = base_dir / stage["sparse_dataset"]
             else:
-                k = int(stage.get("k") or 16)
+                k = 16 if stage.get("k") is None else int(stage["k"])
                 write_sparse_dataset(
                     sfkd, extract_sparse_logits(target, sequences, k),
                     k=k, vocab_size=target.config.vocab_size)

@@ -58,12 +58,12 @@ def lr_at(schedule: TrainSchedule, step: int | float) -> float:
 
 @dataclass
 class Batch:
-    """One training step: next-token inputs/targets plus optional teacher top-k."""
-    inputs: np.ndarray                      # (B, S) int
-    targets: np.ndarray                     # (B, S) int
-    mask: np.ndarray                        # (B, S) float, 1 where loss applies
-    teacher_ids: np.ndarray | None = None   # (B, S, k)
-    teacher_logits: np.ndarray | None = None
+    """One training step: next-token inputs/targets, the positions the loss
+    supervises, and optional teacher top-k pairs."""
+    inputs: np.ndarray                  # (B, S) int
+    targets: np.ndarray                 # (B, S) int
+    mask: np.ndarray                    # (B, S) bool, True where the loss applies
+    teacher: np.ndarray | None = None   # (B, S, k) SPARSE_DTYPE, read only where mask
 
 
 class AdamW:
@@ -108,17 +108,20 @@ class AdamW:
 
 
 def loss_and_grads(state: ModelState, batch: Batch, loss_spec: LossSpec):
-    """Forward + loss + full backprop; returns (loss, grads, parts)."""
+    """Forward + loss + full backprop; returns (loss, grads, parts).
+
+    The loss is a mean over the supervised positions only: their logits,
+    targets and teacher pairs are gathered once, and the other rows of
+    dloss/dlogits are zero."""
     logits, tape = forward_train(state, batch.inputs)
     B, S, V = logits.shape
     flat_logits = logits.reshape(B * S, V)
-    t_ids = batch.teacher_ids.reshape(B * S, -1) if batch.teacher_ids is not None else None
-    t_log = batch.teacher_logits.reshape(B * S, -1) if batch.teacher_logits is not None else None
-    loss, dflat, parts = combined_loss(
-        flat_logits, batch.targets.reshape(-1), loss_spec,
-        teacher_ids=t_ids, teacher_logits=t_log,
-        mask=batch.mask.reshape(-1),
-    )
+    rows = np.flatnonzero(batch.mask)
+    teacher = None if batch.teacher is None else batch.teacher.reshape(B * S, -1)[rows]
+    loss, drows, parts = combined_loss(flat_logits[rows], batch.targets.reshape(-1)[rows],
+                                       loss_spec, teacher)
+    dflat = np.zeros_like(flat_logits)
+    dflat[rows] = drows
     grads = backward(state, tape, dflat.reshape(B, S, V))
     return loss, grads, parts
 

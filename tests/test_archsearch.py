@@ -3,10 +3,12 @@ to the budget by a walk over every tensor, the shallower on a tie, and so
 lands within half a per-layer block of it; pricing a depth never builds the
 tensor list of more than one layer."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from speclab import model
-from speclab.archsearch import BudgetSearchSpec, budget_search, derive_config
+from speclab.archsearch import BudgetSearchSpec, arch_table, budget_search, derive_config
+from speclab.errors import ConfigError
 from speclab.model import ModelConfig, param_count, param_split
 
 from conftest import tensor_walk_count
@@ -89,3 +91,13 @@ def test_pricing_builds_the_tensor_list_of_one_layer_only(monkeypatch):
     rows = budget_search(BudgetSearchSpec(2_000_000, (2, 4), base))
     assert [(r["n_layers"], r["deviation"]) for r in rows] == [(45454, -22), (11905, 44)]
     assert set(depths) == {1}
+
+
+def test_arch_table_rejects_a_zero_budget():
+    """Only a missing or null `budget` takes the base draft's count."""
+    base = ModelConfig(hidden_size=16, intermediate_size=32, n_layers=2, n_heads=2,
+                       n_kv_heads=2, vocab_size=40, max_seq_len=16)
+    default = arch_table({"hidden_candidates": [16], "budget": None}, base)
+    assert default[0]["n_layers"] == 2 and default[0]["deviation"] == 0
+    with pytest.raises(ConfigError, match="budget must be positive"):
+        arch_table({"hidden_candidates": [16], "budget": 0}, base)

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.distill import top_k
+from speclab.distill import SPARSE_DTYPE, top_k
 from speclab.errors import ConfigError, ContractError
 from speclab.losses import LossSpec, ce_loss, combined_loss, kd_loss
+
+
+def sparse(ids, logits) -> np.ndarray:
+    """(P, k) `SPARSE_DTYPE` teacher pairs; the logits are stored as float32."""
+    pairs = np.empty(np.shape(ids), dtype=SPARSE_DTYPE)
+    pairs["id"] = ids
+    pairs["logit"] = logits
+    return pairs
 
 
 class TestCrossEntropy:
@@ -31,33 +39,39 @@ class TestCrossEntropy:
         # each row of softmax-minus-onehot sums to zero
         assert np.allclose(d.sum(axis=-1), 0.0, atol=1e-12)
 
-    def test_mask_restricts_positions(self):
-        logits = np.zeros((3, 4))
-        logits[2, 0] = 50.0
-        gold = np.array([0, 0, 0])
-        loss_all, _ = ce_loss(logits, gold)
-        loss_last, _ = ce_loss(logits, gold, mask=np.array([0.0, 0.0, 1.0]))
-        assert loss_last < 1e-8 < loss_all
-
 
 class TestDistillation:
     def test_identity_gives_zero(self):
         rng = np.random.default_rng(1)
-        student = rng.normal(size=(3, 12))
+        # float32 values, so the stored teacher logits equal the student's
+        student = rng.normal(size=(3, 12)).astype(np.float32).astype(np.float64)
         ids = np.argsort(-student, axis=-1, kind="stable")[:, :4]
         for kind in ("KL", "TVD"):
-            loss, d = kd_loss(student, ids, np.take_along_axis(student, ids, -1), kind)
+            loss, d = kd_loss(student, sparse(ids, np.take_along_axis(student, ids, -1)), kind)
             assert abs(loss) < 1e-12
             assert np.allclose(d, 0.0, atol=1e-9)
 
     def test_tvd_hand_value(self):
-        # p_t = (0.8, 0.2), p_s = (0.2, 0.8) over k=2 -> tvd 0.6
-        t_logits = np.log(np.array([[0.8, 0.2]]))
+        # p_t = softmax(1, 0), p_s = softmax(0, 1) over k=2 -> tvd tanh(1/2)
         s = np.zeros((1, 5))
-        s[0, 0] = np.log(0.2)
-        s[0, 1] = np.log(0.8)
-        loss, _ = kd_loss(s, np.array([[0, 1]]), t_logits, "TVD")
-        assert abs(loss - 0.6) < 1e-9
+        s[0, 1] = 1.0
+        loss, _ = kd_loss(s, sparse([[0, 1]], [[1.0, 0.0]]), "TVD")
+        assert abs(loss - np.tanh(0.5)) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kl_stays_finite_where_a_probability_underflows(self, dtype):
+        """KL is summed from log-probabilities: a teacher or student
+        probability that underflows to 0 adds no 0 * log 0 and no
+        log 0, and the gradient stays p_s - p_t."""
+        student = np.zeros((1, 4), dtype=dtype)
+        loss, d = kd_loss(student, sparse([[0, 1]], [[0.0, -120.0]]), "KL")
+        assert loss == pytest.approx(np.log(2), rel=1e-6)
+        assert np.allclose(d, [[-0.5, 0.5, 0, 0]], atol=1e-6)
+
+        student[0, 0] = -120.0
+        loss, d = kd_loss(student, sparse([[0, 1]], [[0.0, 0.0]]), "KL")
+        assert loss == pytest.approx(60.0 - np.log(2), rel=1e-6)
+        assert np.allclose(d, [[-0.5, 0.5, 0, 0]], atol=1e-6)
 
     def test_k_equals_vocab_matches_dense(self):
         rng = np.random.default_rng(2)
@@ -76,7 +90,7 @@ class TestDistillation:
             return float(np.mean(0.5 * np.abs(p_t - p_s).sum(-1)))
 
         for kind in ("KL", "TVD"):
-            loss, _ = kd_loss(student, pairs["id"], pairs["logit"], kind)
+            loss, _ = kd_loss(student, pairs, kind)
             assert abs(loss - dense(kind)) < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -86,19 +100,19 @@ class TestDistillation:
         student = rng.normal(scale=3.0, size=(2, 8))
         teacher = rng.normal(scale=3.0, size=(2, 3))
         ids = np.stack([rng.choice(8, size=3, replace=False) for _ in range(2)])
-        kl, _ = kd_loss(student, ids, teacher, "KL")
-        tvd, _ = kd_loss(student, ids, teacher, "TVD")
+        kl, _ = kd_loss(student, sparse(ids, teacher), "KL")
+        tvd, _ = kd_loss(student, sparse(ids, teacher), "TVD")
         assert kl >= 0.0
         assert 0.0 <= tvd <= 1.0
 
     def test_duplicate_ids_rejected(self):
         student = np.zeros((1, 5))
         with pytest.raises(ContractError):
-            kd_loss(student, np.array([[1, 1]]), np.zeros((1, 2)), "KL")
+            kd_loss(student, sparse([[1, 1]], [[0.0, 0.0]]), "KL")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ContractError):
-            kd_loss(np.zeros((0, 5)), np.zeros((0, 2), dtype=int), np.zeros((0, 2)), "KL")
+            kd_loss(np.zeros((0, 5)), np.zeros((0, 2), dtype=SPARSE_DTYPE), "KL")
 
 
 class TestLossSpec:
@@ -118,14 +132,13 @@ class TestLossSpec:
         logits = rng.normal(size=(6, 11))
         gold = rng.integers(0, 11, size=6)
         ids = np.stack([rng.choice(11, size=4, replace=False) for _ in range(6)])
-        t_logits = rng.normal(size=(6, 4))
+        teacher = sparse(ids, rng.normal(size=(6, 4)))
         ce, _ = ce_loss(logits, gold)
-        kl, _ = kd_loss(logits, ids, t_logits, "KL")
-        tvd, _ = kd_loss(logits, ids, t_logits, "TVD")
+        kl, _ = kd_loss(logits, teacher, "KL")
+        tvd, _ = kd_loss(logits, teacher, "TVD")
         for spec in (LossSpec(ce=0.5, kl=0.5), LossSpec(ce=0.5, tvd=0.5),
                      LossSpec(ce=0.2, kl=0.3, tvd=0.5)):
-            total, _, _ = combined_loss(logits, gold, spec,
-                                        teacher_ids=ids, teacher_logits=t_logits)
+            total, _, _ = combined_loss(logits, gold, spec, teacher)
             expect = spec.ce * ce + spec.kl * kl + spec.tvd * tvd
             assert total == expect
 

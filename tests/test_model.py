@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 from speclab import ModelConfig, init_model
 from speclab.distill import top_k
 from speclab.errors import ConfigError, LengthError
-from speclab.losses import LossSpec, ce_loss, combined_loss
+from speclab.losses import LossSpec, ce_loss
 from speclab.model import (KVCache, _sigmoid, backward, cast_state, forward, forward_train,
                            param_count, param_split)
 from speclab.sampling import SamplingPolicy, sample, softmax
+from speclab.training import Batch, loss_and_grads
 
 from conftest import rel_err, tensor_walk_count
 
@@ -160,9 +161,9 @@ def test_backward_matches_finite_differences(heads, kv_heads, tie):
 @pytest.mark.parametrize("tie", [False, True])
 @pytest.mark.parametrize("heads,kv_heads", [(2, 1), (4, 2)])
 def test_distillation_backward_matches_finite_differences(heads, kv_heads, tie, kind):
-    """`backward` of `combined_loss` with sparse KL, TVD and a CE/KL/TVD mix
-    equals central differences, at float64. The teacher pairs are
-    `top_k` of a second model, and one position per row is masked."""
+    """`loss_and_grads` with sparse KL, TVD and a CE/KL/TVD mix equals
+    central differences, at float64. The teacher pairs are `top_k` of a
+    second model, and one position per row is masked."""
     cfg = ModelConfig(hidden_size=16, intermediate_size=24, n_layers=2,
                       n_heads=heads, n_kv_heads=kv_heads, vocab_size=20,
                       max_seq_len=16, tie_embeddings=tie)
@@ -172,22 +173,14 @@ def test_distillation_backward_matches_finite_differences(heads, kv_heads, tie, 
         if name.endswith("norm"):
             t += 0.3 * rng.standard_normal(t.shape)
     tokens = rng.integers(0, 20, size=(2, 6))
-    gold = rng.integers(0, 20, size=12)
-    mask = np.ones(12)
-    mask[[2, 9]] = 0.0
-    teacher, _ = forward_train(init_model(cfg, seed=11), tokens)
-    pairs = top_k(teacher.reshape(12, 20), 6)
+    mask = np.ones((2, 6), dtype=bool)
+    mask[[0, 1], [2, 3]] = False
+    batch = Batch(inputs=tokens, targets=rng.integers(0, 20, size=(2, 6)), mask=mask,
+                  teacher=top_k(forward_train(init_model(cfg, seed=11), tokens)[0], 6))
     spec = {"KL": LossSpec(kl=1.0), "TVD": LossSpec(tvd=1.0),
             "mix": LossSpec(ce=0.4, kl=0.3, tvd=0.3)}[kind]
 
-    def loss_and_dlogits():
-        logits, tape = forward_train(st, tokens)
-        total, dflat, _ = combined_loss(logits.reshape(12, 20), gold, spec,
-                                        pairs["id"], pairs["logit"], mask=mask)
-        return total, dflat.reshape(logits.shape), tape
-
-    _, dlogits, tape = loss_and_dlogits()
-    grads = backward(st, tape, dlogits)
+    _, grads, _ = loss_and_grads(st, batch, spec)
     eps = 1e-5
     worst = 0.0
     for name, t in st.tensors.items():
@@ -195,9 +188,9 @@ def test_distillation_backward_matches_finite_differences(heads, kv_heads, tie, 
         for i in rng.choice(flat.size, size=min(4, flat.size), replace=False):
             keep = flat[i]
             flat[i] = keep + eps
-            up = loss_and_dlogits()[0]
+            up = loss_and_grads(st, batch, spec)[0]
             flat[i] = keep - eps
-            down = loss_and_dlogits()[0]
+            down = loss_and_grads(st, batch, spec)[0]
             flat[i] = keep
             numeric = (up - down) / (2 * eps)
             worst = max(worst, abs(grads[name].reshape(-1)[i] - numeric)

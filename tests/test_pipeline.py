@@ -20,7 +20,7 @@ from speclab.data import (MixPart, MixSpec, alignment_batches, lm_batches,
                           load_alignment_set, load_corpus, mix, save_alignment_set,
                           save_corpus, teacher_sequences)
 from speclab.distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
-from speclab.errors import DataError, VocabMismatchError
+from speclab.errors import ConfigError, DataError, VocabMismatchError
 from speclab.experiment import derive_seed, run_training
 from speclab.specdec import BlockResult, read_audit_log, write_audit_log
 from speclab.synthetic import TopicWorld
@@ -183,6 +183,16 @@ def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_fil
     with pytest.raises(VocabMismatchError, match=match):
         run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": draft,
                       "stages": [stage]}, out_dir=tmp_path / "run")
+
+
+def test_align_stage_rejects_k_zero(tmp_path, world_files):
+    """Only a missing or null `k` takes the default of 16."""
+    stage = {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
+             "k": 0, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}
+    with pytest.raises(ConfigError, match="k must be positive"):
+        run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT,
+                      "stages": [stage]}, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run" / "distill" / "align.sfkd").exists()
 
 
 def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files):

@@ -6,9 +6,10 @@ import pytest
 from speclab import LossSpec, ModelConfig, TrainSchedule, init_model, lr_at, train_stage
 from speclab.checkpoint import load_checkpoint, save_checkpoint
 from speclab.data import lm_batches
-from speclab.distill import extract_sparse_logits
+from speclab.distill import extract_sparse_logits, top_k
 from speclab.errors import ConfigError
-from speclab.model import forward
+from speclab.losses import ce_loss
+from speclab.model import forward, forward_train
 from speclab.synthetic import word_sentence_corpus
 from speclab.tokenizer import ByteTokenizer
 from speclab.training import AdamW, Batch, loss_and_grads
@@ -47,7 +48,7 @@ def _tiny_batch(vocab=40, batch=2, seq=6, seed=0):
     return Batch(
         inputs=rng.integers(0, vocab, size=(batch, seq)),
         targets=rng.integers(0, vocab, size=(batch, seq)),
-        mask=np.ones((batch, seq), dtype=np.float32),
+        mask=np.ones((batch, seq), dtype=bool),
     )
 
 
@@ -68,6 +69,35 @@ class TestOptimizer:
         _, grads, _ = loss_and_grads(tiny_state, _tiny_batch(), LossSpec(ce=1.0))
         opt.step(tiny_state, grads, lr=1e-3)
         assert any(not np.array_equal(tiny_state.tensors[n], before[n]) for n in before)
+
+
+class TestSupervisedRows:
+    def test_mask_restricts_positions(self, tiny_state):
+        """The loss is the mean over the supervised positions alone."""
+        full = _tiny_batch()
+        part = _tiny_batch()
+        part.mask[0, :4] = False
+        part.mask[1, 5] = False
+        loss, _, parts = loss_and_grads(tiny_state, part, LossSpec(ce=1.0))
+        logits, _ = forward_train(tiny_state, part.inputs)
+        assert loss == parts["CE"] == ce_loss(logits[part.mask], part.targets[part.mask])[0]
+        assert loss != loss_and_grads(tiny_state, full, LossSpec(ce=1.0))[0]
+
+    def test_masked_positions_are_never_read(self, tiny_state):
+        """Duplicate ids and NaN logits in the teacher pairs of masked
+        positions change nothing: loss, parts and grads are bit-identical."""
+        spec = LossSpec(ce=0.4, kl=0.3, tvd=0.3)
+        clean = _tiny_batch()
+        clean.mask[:, :2] = False
+        clean.teacher = top_k(np.random.default_rng(1).normal(size=(2, 6, 40)), 4)
+        dirty = Batch(clean.inputs, clean.targets, clean.mask, clean.teacher.copy())
+        dirty.teacher["id"][~clean.mask] = 3
+        dirty.teacher["logit"][~clean.mask] = np.nan
+        loss, grads, parts = loss_and_grads(tiny_state, clean, spec)
+        d_loss, d_grads, d_parts = loss_and_grads(tiny_state, dirty, spec)
+        assert (d_loss, d_parts) == (loss, parts)
+        for name, g in grads.items():
+            assert np.array_equal(d_grads[name], g), name
 
 
 def _stage_inputs(total_steps=60, seed=0):
@@ -137,9 +167,7 @@ class TestTrainStage:
             arr = np.asarray(seq)
             batches.append(Batch(
                 inputs=arr[None, :-1], targets=arr[None, 1:],
-                mask=np.ones((1, len(seq) - 1), dtype=np.float32),
-                teacher_ids=pairs["id"][None].astype(np.int64),
-                teacher_logits=pairs["logit"][None]))
+                mask=np.ones((1, len(seq) - 1), dtype=bool), teacher=pairs[None]))
 
         # (a) fixed point: no decay, four steps, nothing moves
         sched = TrainSchedule(peak_lr=1e-3, total_steps=4, batch_size=1,
