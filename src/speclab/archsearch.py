@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .latency import measure_latency
-from .metrics import LatencyProfile, expected_speedup, mbsu
 from .model import ModelConfig, param_count, param_split
 
 
@@ -90,7 +89,7 @@ def budget_search(spec: BudgetSearchSpec) -> list[dict]:
 
 
 def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
-               l_target_1: float | None = None, tau: float | None = None, exclude: bool = False,
+               l_target_1: float | None = None, exclude: bool = False,
                **latency) -> list[dict]:
     """`budget_search` rows for an `arch_search` config section, each
     feasible row with its `config`.
@@ -98,9 +97,8 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
     The budget defaults to `base`'s excluded-embeddings count. With a target
     config and its measured block-1 latency `l_target_1`, feasible rows add
     their single-token latency (`measure_latency` with `latency`), c, and
-    c_hat (embedding tables `exclude`d or not); given a tau also the
-    simplified speedup, the profile whose block-gamma target forward costs
-    one block-1 forward, and MBSU.
+    c_hat (embedding tables `exclude`d or not). A row holds only its own
+    candidate's numbers: no acceptance has been measured for it.
     """
     budget = ac.get("budget")
     if budget is None:
@@ -109,7 +107,6 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
         budget=int(budget),
         hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
         base_config=base))
-    gamma = int(ac.get("gamma", 3))
     for row in rows:
         cfg = derive_config(base, row["hidden_size"], row["n_layers"]) if row["feasible"] else None
         row["config"] = cfg.to_dict() if cfg else None
@@ -117,10 +114,5 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
             continue
         row["latency_1tok"] = lat = measure_latency(cfg, 1, **latency).median
         row["c"] = lat / l_target_1
-        row["c_hat"] = c_hat = param_count(cfg, exclude) / param_count(target, exclude)
-        if tau is not None:
-            row["tau"] = tau
-            row["speedup_est"] = expected_speedup(
-                LatencyProfile(lat, l_target_1, l_target_1), gamma, tau)
-            row["mbsu"] = mbsu(tau, c_hat, gamma)
+        row["c_hat"] = param_count(cfg, exclude) / param_count(target, exclude)
     return rows

@@ -47,16 +47,17 @@ def atomic_write(path: str | Path):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """`obj` as JSON indented by 2 plus a newline, written through `atomic_write`."""
+    """`obj` as strict JSON (a NaN or infinity raises ValueError) indented by
+    2 plus a newline, written through `atomic_write`."""
     with atomic_write(path) as f:
-        f.write((json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+        f.write((json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """One JSON object per line, written through `atomic_write`."""
+    """One strict JSON object per line, written through `atomic_write`."""
     with atomic_write(path) as f:
         for rec in records:
-            f.write((json.dumps(rec) + "\n").encode("utf-8"))
+            f.write((json.dumps(rec, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> list[dict]:

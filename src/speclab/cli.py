@@ -21,7 +21,7 @@ from .distill import extract_sparse_logits, write_sparse_dataset
 from .errors import ConfigError, SpecLabError
 from .experiment import _Run, load_config, resolve_run, run_experiment, write_manifest
 from .latency import measure_latency
-from .metrics import DecodeStats, metrics_row, write_report
+from .metrics import DecodeStats, metrics_row, write_report, write_table
 from .model import ModelConfig
 from .specdec import read_audit_log
 from .tokenizer import ByteTokenizer
@@ -54,8 +54,10 @@ def cmd_distill_data(args) -> int:
     cfg, base, _, out_dir = _load(args)
     tokenizer = ByteTokenizer()
     teacher = load_checkpoint(base / cfg["teacher_checkpoint"])
-    k = int(cfg.get("k", 16))
-    max_len = int(cfg.get("max_seq_len", teacher.config.max_seq_len))
+    # a missing or null key takes its default, as the align stage's `k` does
+    k = 16 if cfg.get("k") is None else int(cfg["k"])
+    max_len = (teacher.config.max_seq_len if cfg.get("max_seq_len") is None
+               else int(cfg["max_seq_len"]))
     sequences = teacher_sequences(
         tokenizer, load_alignment_set(base / cfg["alignment"], tokenizer), max_len)
     out = out_dir / cfg.get("out_name", "teacher.sfkd")
@@ -120,7 +122,7 @@ def cmd_arch_search(args) -> int:
     cfg, _, seed, out_dir = _load(args)
     rows = arch_table(cfg, ModelConfig.from_dict(cfg["base_config"]))
     out = out_dir / cfg.get("out_name", "arch_search.json")
-    write_json(out, rows)
+    write_table(rows, out.with_suffix(".csv"), out)
     write_manifest(out_dir, cfg, seed)
     for r in rows:
         status = (f"layers={r['n_layers']} deviation={r['deviation']}" if r["feasible"]
@@ -144,8 +146,7 @@ def cmd_report(args) -> int:
             entry.get("sampling_mode", "greedy"),
             float(entry.get("temperature", 0.0)),
             stats,
-            float(entry["c_hat"]),
-            profile=None))
+            float(entry["c_hat"])))
     write_report(rows, out_dir / "metrics.csv", out_dir / "metrics.json")
     print(f"wrote {len(rows)} replayed row(s) under {out_dir}")
     return 0

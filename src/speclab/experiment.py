@@ -33,7 +33,7 @@ from .latency import measure_latency
 from .losses import LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
                       write_report, write_table)
-from .model import ModelConfig, ModelState, init_model, param_count
+from .model import ModelConfig, ModelState, from_fields, init_model, param_count
 from .sampling import SamplingPolicy
 from .specdec import SpecConfig, generate, start_session, write_audit_log
 from .tokenizer import ByteTokenizer
@@ -46,9 +46,7 @@ def derive_seed(base: int, *key: int) -> int:
 
 
 def _policy(mode: str, temperature: float) -> SamplingPolicy:
-    if mode == "greedy":
-        return SamplingPolicy("greedy")
-    return SamplingPolicy("multinomial", temperature=temperature)
+    return SamplingPolicy(mode, temperature=temperature)
 
 
 def evaluate_acceptance(
@@ -156,7 +154,6 @@ class ExperimentReport:
     out_dir: Path
     rows: list[MetricsRow] = field(default_factory=list)
     checkpoints: dict[str, Path] = field(default_factory=dict)
-    arch_table: list[dict] = field(default_factory=list)
 
 
 def load_config(config: dict | str | Path) -> tuple[dict, Path]:
@@ -223,7 +220,7 @@ class _Run:
 
         for si, stage in enumerate(self.cfg.get("stages", [])):
             name = stage["name"]
-            schedule = TrainSchedule(**stage["schedule"])
+            schedule = from_fields(TrainSchedule, stage["schedule"])
             loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
             batches = _build_stage_batches(
                 stage, tokenizer, schedule, int(stage.get("seed", derive_seed(self.seed, si))),
@@ -249,12 +246,16 @@ class _Run:
         tokenizer = ByteTokenizer()
 
         temperature = float(ev.get("temperature", 0.6))
-        modes = list(ev.get("modes", ["greedy", "multinomial"]))
+        policies = [(mode, _policy(mode, temperature))
+                    for mode in ev.get("modes", ["greedy", "multinomial"])]
         gammas = [int(g) for g in ev.get("gammas", [3, 5])]
         max_new = int(ev.get("max_new_tokens", 32))
         eos = tokenizer.eos_id if ev.get("stop_at_eos", True) else None
 
-        exclude = ev.get("c_hat_mode", "total") == "excluded"
+        c_hat_mode = ev.get("c_hat_mode", "total")
+        if c_hat_mode not in ("total", "excluded"):
+            raise ConfigError(f"unknown c_hat_mode {c_hat_mode!r}")
+        exclude = c_hat_mode == "excluded"
         c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
 
         lat_cfg = ev.get("latency", {})
@@ -271,9 +272,8 @@ class _Run:
                           b, tokenizer, derive_seed(self.seed, 100 + bi), self.base_dir))
                       for bi, b in enumerate(ev.get("benchmarks", []))]
         for bi, (bench, prompts) in enumerate(benchmarks):
-            for mi, mode in enumerate(modes):
+            for mi, (mode, policy) in enumerate(policies):
                 for gamma in gammas:
-                    policy = _policy(mode, temperature)
                     stats = evaluate_acceptance(
                         draft, target, prompts, policy, gamma, max_new,
                         seed=derive_seed(self.seed, 200 + bi, mi, gamma), eos_id=eos,
@@ -286,14 +286,8 @@ class _Run:
 
         ac = self.cfg.get("arch_search")
         if ac:
-            gamma = int(ac.get("gamma", 3))
-            bench = ac.get("benchmark")
-            tau = next((row.tau for row in report.rows
-                        if row.gamma == gamma and bench in (None, row.benchmark)), None)
-            report.arch_table = arch_table(ac, draft.config, target.config, l_target_1,
-                                           tau, exclude, **lat)
-            write_table(report.arch_table, self.out / "arch_search.csv",
-                        self.out / "arch_search.json")
+            write_table(arch_table(ac, draft.config, target.config, l_target_1, exclude, **lat),
+                        self.out / "arch_search.csv", self.out / "arch_search.json")
 
     def run(self) -> ExperimentReport:
         """Stages, then the evaluation grid and the optional arch table."""

@@ -41,6 +41,8 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
+        if set(d) - {"CE", "KL", "TVD"}:
+            raise ConfigError(f"loss weights {sorted(d)} hold a key other than CE, KL and TVD")
         return cls(ce=float(d.get("CE", 0.0)), kl=float(d.get("KL", 0.0)),
                    tvd=float(d.get("TVD", 0.0)))
 

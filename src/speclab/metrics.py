@@ -105,12 +105,12 @@ class MetricsRow:
     N_blocks: int
     alpha: float
     tau: float
-    c: float
+    c: float | None  # None: no latency profile was measured
     c_hat: float
     mbsu: float
-    tpot_ar: float
-    tpot_sd: float
-    speedup_est: float
+    tpot_ar: float | None
+    tpot_sd: float | None
+    speedup_est: float | None
 
 
 def metrics_row(
@@ -121,10 +121,9 @@ def metrics_row(
     c_hat: float,
     profile: LatencyProfile | None = None,
 ) -> MetricsRow:
-    """Assemble one report row from decode stats and measured latencies."""
+    """One report row from decode stats and measured latencies (None without a profile)."""
     alpha = acceptance_rate(stats)
     tau = block_efficiency(alpha, stats.gamma)
-    c = profile.l_draft / profile.l_target_1 if profile else float("nan")
     return MetricsRow(
         benchmark=benchmark,
         sampling_mode=policy_mode,
@@ -133,12 +132,12 @@ def metrics_row(
         N_blocks=len(stats.blocks),
         alpha=alpha,
         tau=tau,
-        c=c,
+        c=profile.l_draft / profile.l_target_1 if profile else None,
         c_hat=c_hat,
         mbsu=mbsu(tau, c_hat, stats.gamma),
-        tpot_ar=tpot_ar(profile) if profile else float("nan"),
-        tpot_sd=tpot_sd(profile, stats.gamma, tau) if profile else float("nan"),
-        speedup_est=expected_speedup(profile, stats.gamma, tau) if profile else float("nan"),
+        tpot_ar=tpot_ar(profile) if profile else None,
+        tpot_sd=tpot_sd(profile, stats.gamma, tau) if profile else None,
+        speedup_est=expected_speedup(profile, stats.gamma, tau) if profile else None,
     )
 
 

@@ -44,6 +44,15 @@ from .errors import ConfigError, LengthError, NumericError
 RMS_EPS = 1e-5
 
 
+def from_fields(cls, d: dict):
+    """`cls(**d)` for a config dataclass; an unknown or missing key, or a
+    null where a number is due, raises a ConfigError that names it."""
+    try:
+        return cls(**d)
+    except TypeError as exc:  # e.g. "got an unexpected keyword argument 'hidden'"
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     hidden_size: int
@@ -81,7 +90,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return from_fields(cls, d)
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -55,6 +55,15 @@ def test_truncated_or_padded_checkpoint_raises_data_error(tmp_path, tiny_state):
             load_checkpoint(damaged)
 
 
+def test_config_block_with_an_unknown_key_raises_data_error(tmp_path, tiny_state):
+    path = tmp_path / "model.sfmd"
+    save_checkpoint(tiny_state, path)
+    # same length, so only the config's keys change
+    path.write_bytes(path.read_bytes().replace(b'"n_layers"', b'"n_levels"', 1))
+    with pytest.raises(DataError, match="unexpected keyword argument 'n_levels'"):
+        load_checkpoint(path)
+
+
 def test_save_is_atomic(tmp_path, tiny_state):
     path = tmp_path / "model.sfmd"
     save_checkpoint(tiny_state, path)

@@ -11,14 +11,15 @@ import csv
 import itertools
 import json
 
+import numpy as np
 import pytest
 
-from speclab import (LossSpec, ModelConfig, TrainSchedule, init_model, save_checkpoint,
-                     train_stage)
+from speclab import (LossSpec, ModelConfig, ModelState, TrainSchedule, init_model,
+                     save_checkpoint, train_stage)
 from speclab.cli import main
-from speclab.data import (MixPart, MixSpec, alignment_batches, lm_batches,
-                          load_alignment_set, load_corpus, mix, save_alignment_set,
-                          save_corpus, teacher_sequences)
+from speclab.data import (MixPart, MixSpec, alignment_batches, generate_alignment_set,
+                          lm_batches, load_alignment_set, load_corpus, mix,
+                          save_alignment_set, save_corpus, teacher_sequences)
 from speclab.distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from speclab.errors import ConfigError, DataError, VocabMismatchError
 from speclab.experiment import derive_seed, run_training
@@ -74,8 +75,14 @@ def world_files(tmp_path):
     return samples, target
 
 
-@pytest.mark.parametrize("c_hat_mode", ["total", "excluded"])
-def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _agreement_run(tmp_path, c_hat_mode):
+    """`speclab train` with an eval grid and arch table, `speclab eval` on its
+    final draft and `speclab arch-search` on its draft config, writing
+    `run/`, `eval/` and `arch/` under tmp_path; returns `run/`."""
     eval_section = dict(EVAL, c_hat_mode=c_hat_mode)
     train_cfg = _write(tmp_path / "train.json", {
         "seed": 3,
@@ -88,7 +95,7 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
              "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE},
         ],
         "eval": eval_section,
-        "arch_search": {"hidden_candidates": HIDDEN, "gamma": 2},
+        "arch_search": {"hidden_candidates": HIDDEN},
     })
     run = tmp_path / "run"
     assert main(["train", train_cfg, "--out-dir", str(run)]) == 0
@@ -101,15 +108,21 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
         "eval": eval_section,
     })
     assert main(["eval", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
+    arch_cfg = _write(tmp_path / "arch.json",
+                      {"base_config": DRAFT, "hidden_candidates": HIDDEN})
+    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
+    return run
+
+
+@pytest.mark.parametrize("c_hat_mode", ["total", "excluded"])
+def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
+    run = _agreement_run(tmp_path, c_hat_mode)
     train_rows = _read(run / "metrics.json")
     assert len(train_rows) == 2 * 2 * 2
     # AR latency does not depend on gamma: one measurement serves every row
     assert len({(r["tpot_ar"], r["c"]) for r in train_rows}) == 1
     _same_outside_latency(_read(tmp_path / "eval" / "metrics.json"), train_rows)
 
-    arch_cfg = _write(tmp_path / "arch.json",
-                      {"base_config": DRAFT, "hidden_candidates": HIDDEN})
-    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
     train_arch = _read(run / "arch_search.json")
     assert [r["feasible"] for r in train_arch] == [True, False, True, False]
     # the table shares the eval's target latency and c_hat definition
@@ -120,21 +133,51 @@ def test_train_eval_and_arch_search_agree(tmp_path, world_files, c_hat_mode):
             if ModelConfig.from_dict(r["config"]) == ModelConfig(**DRAFT)] == [c_hat]
     _same_outside_latency(_read(tmp_path / "arch" / "arch_search.json"), train_arch,
                           ARCH_COLUMNS)
+    # no row borrows another model's acceptance
+    assert not {"tau", "speedup_est", "mbsu"} & {k for r in train_arch for k in r}
+
+
+def test_pipeline_and_report_write_strict_json(tmp_path, world_files):
+    """Every JSON and JSON-lines file of the agreement run and of `speclab
+    report` replaying its audit logs parses with NaN and infinity rejected;
+    the replay leaves its unmeasured latency cells null (empty in the CSV)."""
+    run = _agreement_run(tmp_path, "total")
+    rows = _read(run / "metrics.json")
+    report_cfg = _write(tmp_path / "report.json", {"runs": [
+        {"audit": f"run/audit/{r['benchmark']}_{r['sampling_mode']}_g{r['gamma']}.jsonl",
+         **{key: r[key] for key in ("gamma", "c_hat", "benchmark", "sampling_mode",
+                                    "temperature")}} for r in rows]})
+    assert main(["report", report_cfg, "--out-dir", str(tmp_path / "report")]) == 0
+    written = sorted(tmp_path.rglob("*.json*"))
+    assert {p.suffix for p in written} == {".json", ".jsonl"}
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=_reject_constant)
+    replayed = _read(tmp_path / "report" / "metrics.json")
+    _same_outside_latency(replayed, rows)
+    unmeasured = ("c", "tpot_ar", "tpot_sd", "speedup_est")
+    assert all(r[key] is None for r in replayed for key in unmeasured)
+    with open(tmp_path / "report" / "metrics.csv", newline="", encoding="utf-8") as f:
+        assert all(r[key] == "" for r in csv.DictReader(f) for key in unmeasured)
 
 
 def test_arch_search_csv_reads_back_the_configs_of_its_json_twin(tmp_path, world_files):
+    """Both the pipeline and `speclab arch-search` write the table as twins."""
     train_cfg = _write(tmp_path / "train.json", {
         "target_checkpoint": "target.sfmd", "draft": DRAFT,
         "eval": {"gammas": [2], "latency": {"warmup": 1, "reps": 5}},
         "arch_search": {"hidden_candidates": HIDDEN}})
-    run = tmp_path / "run"
-    assert main(["train", train_cfg, "--out-dir", str(run)]) == 0
-    with open(run / "arch_search.csv", newline="", encoding="utf-8") as f:
-        cells = [row["config"] for row in csv.DictReader(f)]
-    configs = [ModelConfig.from_dict(json.loads(c)) if c else None for c in cells]
-    assert configs == [r["config"] and ModelConfig.from_dict(r["config"])
-                       for r in _read(run / "arch_search.json")]
-    assert [c is not None for c in configs] == [True, False, True, False]
+    assert main(["train", train_cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    arch_cfg = _write(tmp_path / "arch.json", {"base_config": DRAFT, "hidden_candidates": HIDDEN})
+    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
+    for out in (tmp_path / "run", tmp_path / "arch"):
+        with open(out / "arch_search.csv", newline="", encoding="utf-8") as f:
+            cells = [row["config"] for row in csv.DictReader(f)]
+        configs = [ModelConfig.from_dict(json.loads(c)) if c else None for c in cells]
+        assert configs == [r["config"] and ModelConfig.from_dict(r["config"])
+                           for r in _read(out / "arch_search.json")]
+        assert [c is not None for c in configs] == [True, False, True, False]
 
 
 @pytest.mark.parametrize("case, match", [
@@ -327,3 +370,75 @@ def test_config_not_utf8_exits_3_with_json_error(tmp_path, capsys):
     config.write_bytes(b"\xff\xfe{}")
     assert main(["report", str(config), "--out-dir", str(tmp_path / "out")]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
+
+
+def test_distill_data_takes_the_defaults_for_null_k_and_max_seq_len(tmp_path, world_files,
+                                                                    capsys):
+    samples, target = world_files
+    config = _write(tmp_path / "cmd.json", {"teacher_checkpoint": "target.sfmd",
+                                            "alignment": "align.jsonl",
+                                            "k": None, "max_seq_len": None})
+    assert main(["distill-data", config, "--out-dir", str(tmp_path / "out")]) == 0
+    k, _, items = read_sparse_dataset(tmp_path / "out" / "teacher.sfkd")
+    assert k == 16
+    assert [tokens for tokens, _ in items] == teacher_sequences(
+        ByteTokenizer(), samples, target.config.max_seq_len)
+
+
+LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": SCHEDULE}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("train", {"draft": dict(DRAFT, hidden=3)}, "unexpected keyword argument 'hidden'"),
+    ("train", {"draft": dict(DRAFT, hidden_size=None)}, "ModelConfig: int() argument"),
+    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, schedule=dict(SCHEDULE, lr=1e-3))]},
+     "unexpected keyword argument 'lr'"),
+    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, loss={"CE": 1.0, "kl": 0.5})]},
+     "loss weights ['CE', 'kl'] hold a key other than CE, KL and TVD"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
+               "eval": {"modes": ["sample"]}}, "unknown sampling mode 'sample'"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
+               "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
+    ("arch-search", {"base_config": dict(DRAFT, hidden=3), "hidden_candidates": [8]},
+     "unexpected keyword argument 'hidden'"),
+    ("bench-latency", {"models": [{"config": {k: v for k, v in DRAFT.items()
+                                              if k != "n_heads"}}]},
+     "missing 1 required positional argument: 'n_heads'"),
+], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models"])
+def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, command,
+                                                config, message):
+    assert main([command, _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and message in error["message"]
+
+
+def test_self_prompted_samples_follow_the_seeded_ones(world_files):
+    """The model writes the instruction of each self-prompted sample, after
+    every seeded sample; a written instruction that reaches the length limit
+    before `<resp>` marks its sample truncated."""
+    _, target = world_files
+    tok = ByteTokenizer()
+    seeds = [tok.encode("topic one?"), tok.encode("and two?")]
+
+    def generate(state, temperatures, count):
+        return generate_alignment_set(state, tok, seeds, temperatures=temperatures,
+                                      self_prompt_count=count, seed=5, max_new_tokens=6)
+
+    got = generate(target, [0.6], 3)
+    assert got == generate(target, [0.6], 3)
+    assert [(s.instruction_source, s.temperature) for s in got] == (
+        [("corpus", None), ("corpus", 0.6)] * 2 + [("model", 0.6)] * 3)
+    assert [s.instruction for s in got[:4]] == [seeds[0], seeds[0], seeds[1], seeds[1]]
+
+    # every position's residual is the all-ones embedding, so the head
+    # makes eos the argmax: instructions never reach <resp>, responses stop at once
+    tensors = {name: np.zeros_like(t) if name.endswith(("wo", "w_down")) else t.copy()
+               for name, t in target.tensors.items()}
+    tensors["embed"][:] = 1.0
+    tensors["final_norm"][:] = 1.0
+    tensors["head"][:] = 0.0
+    tensors["head"][:, tok.eos_id] = 1.0
+    eos_only = generate(ModelState(target.config, tensors), [], 1)
+    assert [(s.instruction, s.response, s.truncated) for s in eos_only] == [
+        (seeds[0], [], False), (seeds[1], [], False), ([tok.eos_id] * 6, [], True)]
