@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import read
 from .errors import ConfigError
 from .latency import measure_latency
 from .model import ModelConfig, param_count, param_split
+
+# the `arch_search` config section (notation in config.py)
+ARCH_SEARCH = {"hidden_candidates": [int], "budget": (int, None)}
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,9 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
     c_hat (embedding tables `exclude`d or not). A row holds only its own
     candidate's numbers: no acceptance has been measured for it.
     """
-    budget = ac.get("budget")
-    if budget is None:
-        budget = param_count(base, exclude_embedding_tables=True)
-    rows = budget_search(BudgetSearchSpec(
-        budget=int(budget),
-        hidden_candidates=tuple(int(h) for h in ac["hidden_candidates"]),
-        base_config=base))
+    ac = read("arch_search", ac, ARCH_SEARCH)
+    budget = param_count(base, exclude_embedding_tables=True) if ac.budget is None else ac.budget
+    rows = budget_search(BudgetSearchSpec(budget, tuple(ac.hidden_candidates), base))
     for row in rows:
         cfg = derive_config(base, row["hidden_size"], row["n_layers"]) if row["feasible"] else None
         row["config"] = cfg.to_dict() if cfg else None

@@ -129,7 +129,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
     cfg_blob = take(u32())
     try:
         config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
-    except (ValueError, TypeError) as exc:  # bad utf-8 or JSON, or fields ModelConfig rejects
+    except ValueError as exc:  # bad utf-8 or JSON, or a config the reader rejects
         raise DataError(f"{path}: damaged config block ({exc})") from exc
     expected = tensor_shapes(config)
     if u32() != len(expected):

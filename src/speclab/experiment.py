@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import platform
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .archsearch import arch_table
 from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
+from .config import RUN, check, load, read
 from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
                    generate_alignment_set, lm_batches, load_alignment_set,
                    load_corpus, make_completion_tasks, mix, save_alignment_set,
@@ -33,11 +34,27 @@ from .latency import measure_latency
 from .losses import LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
                       write_report, write_table)
-from .model import ModelConfig, ModelState, from_fields, init_model, param_count
+from .model import ModelConfig, ModelState, init_model, param_count
 from .sampling import SamplingPolicy
 from .specdec import SpecConfig, generate, start_session, write_audit_log
 from .tokenizer import ByteTokenizer
 from .training import TrainSchedule, train_stage
+
+# the schema of each pipeline config section (config.py gives the notation)
+PIPELINE = {**RUN, "out_dir": (str, "runs/experiment"), "target_checkpoint": (str, None),
+            "draft_init_checkpoint": (str, None), "draft": (dict, None),
+            "stages": ([dict], []), "eval": (dict, None), "arch_search": (dict, None)}
+STAGE = {"name": str, "kind": (str, "lm"), "schedule": dict, "loss": (dict, {"CE": 1.0}),
+         "seed": (int, None), "corpus": (str, None), "mix": (dict, None), "epochs": (int, 1),
+         "alignment": (str, None), "mask": (str, "response"), "k": (int, 16),
+         "sparse_dataset": (str, None)}
+MIX = {"corpora": {str: str}, "parts": [[str, int]]}
+EVAL = {"benchmarks": ([dict], []), "modes": ([str], ["greedy", "multinomial"]),
+        "gammas": ([int], [3, 5]), "temperature": (float, 0.6), "max_new_tokens": (int, 32),
+        "stop_at_eos": (bool, True), "c_hat_mode": (str, "total"), "latency": (dict, {})}
+LATENCY = {"warmup": (int, 2), "reps": (int, 5)}
+BENCHMARK = {"name": str, "kind": (str, "completion"), "n_tasks": (int, 8),
+             "min_ctx": (int, 4), "corpus": (str, None), "alignment": (str, None)}
 
 
 def derive_seed(base: int, *key: int) -> int:
@@ -75,60 +92,59 @@ def evaluate_acceptance(
                        proposal_lens=[len(b.proposed) for b in blocks])
 
 
-def _benchmark_prompts(spec: dict, tokenizer: ByteTokenizer, seed: int,
-                       base_dir: Path) -> list[list[int]]:
-    kind = spec.get("kind", "completion")
-    n_tasks = int(spec.get("n_tasks", 8))
-    if kind == "completion":
-        corpus = load_corpus(base_dir / spec["corpus"])
-        contexts = make_completion_tasks(corpus, tokenizer, n_tasks,
-                                         int(spec.get("min_ctx", 4)), seed)
+def write_teacher_logits(path: Path, target: ModelState, sequences: list, k: int) -> int:
+    """Write the target's top-`k` logits over `sequences` to a `.sfkd` file."""
+    return write_sparse_dataset(path, extract_sparse_logits(target, sequences, k),
+                                k=k, vocab_size=target.config.vocab_size)
+
+
+def _benchmark_prompts(d: dict, where: str, tokenizer: ByteTokenizer, seed: int,
+                       base_dir: Path) -> tuple[str, list[list[int]]]:
+    b = read(where, d, BENCHMARK)
+    if b.kind == "completion":
+        corpus = load_corpus(base_dir / check(f"{where}.corpus", b.corpus, str))
+        contexts = make_completion_tasks(corpus, tokenizer, b.n_tasks, b.min_ctx, seed)
         prompts = [[tokenizer.bos_id] + c for c in contexts]
-    elif kind == "instruction":
-        samples = load_alignment_set(base_dir / spec["alignment"], tokenizer)
+    elif b.kind == "instruction":
+        samples = load_alignment_set(
+            base_dir / check(f"{where}.alignment", b.alignment, str), tokenizer)
         rng = np.random.default_rng(seed)
-        order = rng.permutation(len(samples))[:n_tasks]
+        order = rng.permutation(len(samples))[:b.n_tasks]
         prompts = [chat_prompt(tokenizer, samples[int(i)].instruction) for i in order]
     else:
-        raise ConfigError(f"unknown benchmark kind {kind!r}")
+        raise ConfigError(f"unknown benchmark kind {b.kind!r}")
     if not prompts:
-        raise DataError(f"benchmark {spec.get('name')} produced no prompts")
-    return prompts
+        raise DataError(f"benchmark {b.name} produced no prompts")
+    return b.name, prompts
 
 
-def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainSchedule,
+def _build_stage_batches(stage, where: str, tokenizer: ByteTokenizer, schedule: TrainSchedule,
                          stage_seed: int, base_dir: Path, out_dir: Path,
                          target: ModelState | None, loss_spec: LossSpec, vocab_size: int):
-    kind = stage.get("kind", "lm")
-    if kind == "lm":
-        if "mix" in stage:
-            mix_cfg = stage["mix"]
-            corpora = {cid: load_corpus(base_dir / path)
-                       for cid, path in mix_cfg["corpora"].items()}
-            spec = MixSpec(parts=tuple(MixPart(cid, int(b)) for cid, b in mix_cfg["parts"]),
-                           seed=stage_seed)
-            corpus = mix(spec, corpora)
+    if stage.kind == "lm":
+        if stage.mix is not None:
+            m = read(f"{where}.mix", stage.mix, MIX)
+            corpora = {cid: load_corpus(base_dir / path) for cid, path in m.corpora.items()}
+            corpus = mix(MixSpec(parts=tuple(MixPart(cid, b) for cid, b in m.parts),
+                                 seed=stage_seed), corpora)
         else:
-            corpus = load_corpus(base_dir / stage["corpus"])
-        epochs = int(stage.get("epochs", 1))
+            corpus = load_corpus(base_dir / check(f"{where}.corpus", stage.corpus, str))
         iters = [lm_batches(corpus, tokenizer, schedule.batch_size, schedule.seq_len,
-                            seed=stage_seed + e) for e in range(epochs)]
+                            seed=stage_seed + e) for e in range(stage.epochs)]
         return itertools.chain(*iters)
-    if kind == "align":
-        samples = load_alignment_set(base_dir / stage["alignment"], tokenizer)
+    if stage.kind == "align":
+        samples = load_alignment_set(
+            base_dir / check(f"{where}.alignment", stage.alignment, str), tokenizer)
         teacher = None
         if loss_spec.needs_teacher:
             if target is None:
                 raise ConfigError("distillation stages need a target checkpoint")
             sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
-            sfkd = out_dir / "distill" / f"{stage['name']}.sfkd"
-            if "sparse_dataset" in stage:
-                sfkd = base_dir / stage["sparse_dataset"]
+            sfkd = out_dir / "distill" / f"{stage.name}.sfkd"
+            if stage.sparse_dataset is not None:
+                sfkd = base_dir / stage.sparse_dataset
             else:
-                k = 16 if stage.get("k") is None else int(stage["k"])
-                write_sparse_dataset(
-                    sfkd, extract_sparse_logits(target, sequences, k),
-                    k=k, vocab_size=target.config.vocab_size)
+                write_teacher_logits(sfkd, target, sequences, stage.k)
             # the header's vocabulary is the target's on the extraction path
             _, teacher_vocab, items = read_sparse_dataset(sfkd)
             if teacher_vocab != vocab_size:
@@ -145,8 +161,8 @@ def _build_stage_batches(stage: dict, tokenizer: ByteTokenizer, schedule: TrainS
             teacher = [pairs for _, pairs in items]
         return alignment_batches(samples, tokenizer, schedule.batch_size,
                                  schedule.seq_len, seed=stage_seed, epochs=None,
-                                 teacher=teacher, mask_mode=stage.get("mask", "response"))
-    raise ConfigError(f"unknown stage kind {kind!r}")
+                                 teacher=teacher, mask_mode=stage.mask)
+    raise ConfigError(f"unknown stage kind {stage.kind!r}")
 
 
 @dataclass
@@ -154,24 +170,6 @@ class ExperimentReport:
     out_dir: Path
     rows: list[MetricsRow] = field(default_factory=list)
     checkpoints: dict[str, Path] = field(default_factory=dict)
-
-
-def load_config(config: dict | str | Path) -> tuple[dict, Path]:
-    """The config and the directory its relative paths resolve against: the
-    JSON file's own directory, or the working directory for a dict."""
-    if isinstance(config, (str, Path)):
-        path = Path(config)
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f), path.parent
-    return dict(config), Path.cwd()
-
-
-def resolve_run(cfg: dict, out_dir: str | Path | None, seed: int | None,
-                default_out: str = "runs/experiment") -> tuple[int, Path]:
-    """Run seed and output directory; arguments override the config's
-    `seed` and `out_dir`."""
-    return (int(cfg.get("seed", 0) if seed is None else seed),
-            Path(out_dir or cfg.get("out_dir", default_out)))
 
 
 def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
@@ -189,110 +187,106 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
     write_json(out_dir / "manifest.json", manifest)
 
 
+@dataclass
 class _Run:
-    """One loaded config with its run seed, output directory and target
-    checkpoint, loaded on first use."""
-
-    def __init__(self, config: dict | str | Path, out_dir: str | Path | None = None,
-                 seed: int | None = None) -> None:
-        self.cfg, self.base_dir = load_config(config)
-        self.seed, self.out = resolve_run(self.cfg, out_dir, seed)
+    """A pipeline config as `config.load` returns it, and its target checkpoint."""
+    config: dict
+    cfg: SimpleNamespace
+    base_dir: Path
 
     @cached_property
     def target(self) -> ModelState | None:
-        if not self.cfg.get("target_checkpoint"):
+        if not self.cfg.target_checkpoint:
             return None
-        return load_checkpoint(self.base_dir / self.cfg["target_checkpoint"])
+        return load_checkpoint(self.base_dir / self.cfg.target_checkpoint)
 
     def train(self) -> tuple[ExperimentReport, ModelState]:
         """Run the stages; returns the report and the final draft."""
-        write_manifest(self.out, self.cfg, self.seed)
+        cfg = self.cfg
+        write_manifest(cfg.out_dir, self.config, cfg.seed)
         tokenizer = ByteTokenizer()
-        report = ExperimentReport(out_dir=self.out)
+        report = ExperimentReport(out_dir=cfg.out_dir)
 
-        if self.cfg.get("draft_init_checkpoint"):
-            state = load_checkpoint(self.base_dir / self.cfg["draft_init_checkpoint"])
+        if cfg.draft_init_checkpoint:
+            state = load_checkpoint(self.base_dir / cfg.draft_init_checkpoint)
         else:
-            draft_cfg = ModelConfig.from_dict(self.cfg["draft"])
+            draft_cfg = read("draft", cfg.draft, ModelConfig)
             if draft_cfg.vocab_size < tokenizer.vocab_size:
                 raise ConfigError("draft vocab_size smaller than the tokenizer vocabulary")
-            state = init_model(draft_cfg, self.seed)
+            state = init_model(draft_cfg, cfg.seed)
 
-        for si, stage in enumerate(self.cfg.get("stages", [])):
-            name = stage["name"]
-            schedule = from_fields(TrainSchedule, stage["schedule"])
-            loss_spec = LossSpec.from_dict(stage.get("loss", {"CE": 1.0}))
+        for si, d in enumerate(cfg.stages):
+            where = f"stages[{si}]"
+            stage = read(where, d, STAGE)
+            name = stage.name
+            schedule = read(f"{where}.schedule", stage.schedule, TrainSchedule)
+            loss_spec = LossSpec.from_dict(stage.loss)
             batches = _build_stage_batches(
-                stage, tokenizer, schedule, int(stage.get("seed", derive_seed(self.seed, si))),
-                self.base_dir, self.out, self.target, loss_spec, state.config.vocab_size)
+                stage, where, tokenizer, schedule,
+                derive_seed(cfg.seed, si) if stage.seed is None else stage.seed,
+                self.base_dir, cfg.out_dir, self.target, loss_spec, state.config.vocab_size)
             try:
                 result = train_stage(state, batches, schedule, loss_spec)
             except Exception as exc:
                 raise StageError(f"stage {name} failed: {exc}") from exc
             state = result.state
-            ckpt = self.out / "checkpoints" / f"{name}.sfmd"
+            ckpt = cfg.out_dir / "checkpoints" / f"{name}.sfmd"
             save_checkpoint(state, ckpt)
             report.checkpoints[name] = ckpt
-            write_json(self.out / "losses" / f"{name}.json",
+            write_json(cfg.out_dir / "losses" / f"{name}.json",
                        {"stage": name, "losses": result.losses, "steps_run": result.steps_run})
         return report, state
 
     def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
         """The benchmark x mode x gamma grid, then the optional arch table,
         which shares the grid's latency settings, target latency and c_hat."""
-        ev, target = self.cfg["eval"], self.target
+        ev, target = read("eval", self.cfg.eval, EVAL), self.target
         if target is None:
             raise ConfigError("evaluation requires a target_checkpoint")
         tokenizer = ByteTokenizer()
 
-        temperature = float(ev.get("temperature", 0.6))
-        policies = [(mode, _policy(mode, temperature))
-                    for mode in ev.get("modes", ["greedy", "multinomial"])]
-        gammas = [int(g) for g in ev.get("gammas", [3, 5])]
-        max_new = int(ev.get("max_new_tokens", 32))
-        eos = tokenizer.eos_id if ev.get("stop_at_eos", True) else None
+        policies = [(mode, _policy(mode, ev.temperature)) for mode in ev.modes]
+        eos = tokenizer.eos_id if ev.stop_at_eos else None
 
-        c_hat_mode = ev.get("c_hat_mode", "total")
-        if c_hat_mode not in ("total", "excluded"):
-            raise ConfigError(f"unknown c_hat_mode {c_hat_mode!r}")
-        exclude = c_hat_mode == "excluded"
+        if ev.c_hat_mode not in ("total", "excluded"):
+            raise ConfigError(f"unknown c_hat_mode {ev.c_hat_mode!r}")
+        exclude = ev.c_hat_mode == "excluded"
         c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
 
-        lat_cfg = ev.get("latency", {})
-        lat = {"warmup": int(lat_cfg.get("warmup", 2)), "reps": int(lat_cfg.get("reps", 5)),
-               "seed": self.seed}
+        lat = dict(vars(read("eval.latency", ev.latency, LATENCY)), seed=self.cfg.seed)
         # AR decoding does not depend on gamma: block-1 latencies serve every row
         l_draft = measure_latency(draft, 1, **lat).median
         l_target_1 = measure_latency(target, 1, **lat).median
         profiles = {gamma: LatencyProfile(l_draft, l_target_1,
                                           measure_latency(target, gamma, **lat).median)
-                    for gamma in gammas}
+                    for gamma in ev.gammas}
 
-        benchmarks = [(b["name"], _benchmark_prompts(
-                          b, tokenizer, derive_seed(self.seed, 100 + bi), self.base_dir))
-                      for bi, b in enumerate(ev.get("benchmarks", []))]
+        benchmarks = [_benchmark_prompts(b, f"eval.benchmarks[{bi}]", tokenizer,
+                                         derive_seed(self.cfg.seed, 100 + bi), self.base_dir)
+                      for bi, b in enumerate(ev.benchmarks)]
+        out = self.cfg.out_dir
         for bi, (bench, prompts) in enumerate(benchmarks):
             for mi, (mode, policy) in enumerate(policies):
-                for gamma in gammas:
+                for gamma in ev.gammas:
                     stats = evaluate_acceptance(
-                        draft, target, prompts, policy, gamma, max_new,
-                        seed=derive_seed(self.seed, 200 + bi, mi, gamma), eos_id=eos,
-                        audit_path=self.out / "audit" / f"{bench}_{mode}_g{gamma}.jsonl")
+                        draft, target, prompts, policy, gamma, ev.max_new_tokens,
+                        seed=derive_seed(self.cfg.seed, 200 + bi, mi, gamma), eos_id=eos,
+                        audit_path=out / "audit" / f"{bench}_{mode}_g{gamma}.jsonl")
                     report.rows.append(metrics_row(
-                        bench, mode, temperature if mode == "multinomial" else 0.0,
+                        bench, mode, ev.temperature if mode == "multinomial" else 0.0,
                         stats, c_hat, profiles[gamma]))
 
-        write_report(report.rows, self.out / "metrics.csv", self.out / "metrics.json")
+        write_report(report.rows, out / "metrics.csv", out / "metrics.json")
 
-        ac = self.cfg.get("arch_search")
-        if ac:
-            write_table(arch_table(ac, draft.config, target.config, l_target_1, exclude, **lat),
-                        self.out / "arch_search.csv", self.out / "arch_search.json")
+        if self.cfg.arch_search:
+            write_table(arch_table(self.cfg.arch_search, draft.config, target.config,
+                                   l_target_1, exclude, **lat),
+                        out / "arch_search.csv", out / "arch_search.json")
 
     def run(self) -> ExperimentReport:
         """Stages, then the evaluation grid and the optional arch table."""
         report, draft = self.train()
-        if self.cfg.get("eval"):
+        if self.cfg.eval:
             self.evaluate(draft, report)
         return report
 
@@ -300,7 +294,7 @@ class _Run:
 def run_training(config: dict | str | Path, out_dir: str | Path | None = None,
                  seed: int | None = None) -> ExperimentReport:
     """Execute the declared stages, writing one checkpoint per stage."""
-    return _Run(config, out_dir, seed).train()[0]
+    return _Run(*load(config, PIPELINE, out_dir, seed)).train()[0]
 
 
 @dataclass
@@ -379,4 +373,4 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None,
                    seed: int | None = None) -> ExperimentReport:
     """Stages, then the evaluation grid, then the optional architecture table."""
-    return _Run(config, out_dir, seed).run()
+    return _Run(*load(config, PIPELINE, out_dir, seed)).run()

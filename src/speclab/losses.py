@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read
 from .errors import ConfigError, ContractError
 from .model import row_max
 
@@ -41,10 +42,8 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
-        if set(d) - {"CE", "KL", "TVD"}:
-            raise ConfigError(f"loss weights {sorted(d)} hold a key other than CE, KL and TVD")
-        return cls(ce=float(d.get("CE", 0.0)), kl=float(d.get("KL", 0.0)),
-                   tvd=float(d.get("TVD", 0.0)))
+        w = read("loss", d, {"CE": (float, 0.0), "KL": (float, 0.0), "TVD": (float, 0.0)})
+        return cls(w.CE, w.KL, w.TVD)
 
 
 def _log_softmax(logits: np.ndarray, maxes: np.ndarray) -> np.ndarray:

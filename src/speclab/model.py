@@ -39,18 +39,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .config import read
 from .errors import ConfigError, LengthError, NumericError
 
 RMS_EPS = 1e-5
-
-
-def from_fields(cls, d: dict):
-    """`cls(**d)` for a config dataclass; an unknown or missing key, or a
-    null where a number is due, raises a ConfigError that names it."""
-    try:
-        return cls(**d)
-    except TypeError as exc:  # e.g. "got an unexpected keyword argument 'hidden'"
-        raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("hidden_size", "intermediate_size", "n_layers", "n_heads",
                      "n_kv_heads", "vocab_size", "max_seq_len"):
-            if int(getattr(self, name)) <= 0:
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive integer")
         if self.hidden_size % self.n_heads != 0:
             raise ConfigError("hidden_size must be divisible by n_heads")
@@ -90,7 +82,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return from_fields(cls, d)
+        return read(cls.__name__, d, cls)
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -60,7 +60,7 @@ def test_config_block_with_an_unknown_key_raises_data_error(tmp_path, tiny_state
     save_checkpoint(tiny_state, path)
     # same length, so only the config's keys change
     path.write_bytes(path.read_bytes().replace(b'"n_layers"', b'"n_levels"', 1))
-    with pytest.raises(DataError, match="unexpected keyword argument 'n_levels'"):
+    with pytest.raises(DataError, match="unknown key 'n_levels'"):
         load_checkpoint(path)
 
 

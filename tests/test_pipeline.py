@@ -389,28 +389,57 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
 
 
 @pytest.mark.parametrize("command, config, message", [
-    ("train", {"draft": dict(DRAFT, hidden=3)}, "unexpected keyword argument 'hidden'"),
-    ("train", {"draft": dict(DRAFT, hidden_size=None)}, "ModelConfig: int() argument"),
+    ("train", {"draft": dict(DRAFT, hidden=3)}, "draft: unknown key 'hidden'"),
+    ("train", {"draft": dict(DRAFT, hidden_size=None)}, "draft.hidden_size is missing"),
     ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, schedule=dict(SCHEDULE, lr=1e-3))]},
-     "unexpected keyword argument 'lr'"),
+     "stages[0].schedule: unknown key 'lr'"),
     ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, loss={"CE": 1.0, "kl": 0.5})]},
-     "loss weights ['CE', 'kl'] hold a key other than CE, KL and TVD"),
+     "loss: unknown key 'kl'"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
                "eval": {"modes": ["sample"]}}, "unknown sampling mode 'sample'"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
                "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
     ("arch-search", {"base_config": dict(DRAFT, hidden=3), "hidden_candidates": [8]},
-     "unexpected keyword argument 'hidden'"),
+     "base_config: unknown key 'hidden'"),
     ("bench-latency", {"models": [{"config": {k: v for k, v in DRAFT.items()
                                               if k != "n_heads"}}]},
-     "missing 1 required positional argument: 'n_heads'"),
-], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models"])
+     "models[0].config.n_heads is missing"),
+    ("arch-search", {"base_config": DRAFT, "hidden_candidates": ["x"]},
+     "hidden_candidates[0] must be int, not str"),
+    ("train", {"draft": dict(DRAFT, hidden_size="x")},
+     "draft.hidden_size must be int, not str"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
+               "eval": {"temperature": "hot"}}, "eval.temperature must be float, not str"),
+    ("train", {"draft": DRAFT, "stages": [None]}, "stages[0] is missing"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gamma": [2]}},
+     "eval: unknown key 'gamma'"),
+    ("distill-data", {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
+                      "top_k": 4}, "unknown key 'top_k'"),
+], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models",
+        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data"])
 def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, command,
                                                 config, message):
     assert main([command, _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
+
+
+def test_a_null_key_trains_as_an_absent_one(tmp_path, world_files):
+    """Null stage `seed`, `sparse_dataset` and `mix` keys, and null sections,
+    train the same bytes as a config without them; null `stages` train none."""
+    stages = [dict(LM_STAGE, corpus=str(tmp_path / "pretrain.jsonl")),
+              {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
+               "k": 8, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]
+    config = {"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT}
+    nulls = {"seed": None, "sparse_dataset": None, "mix": None}
+    run_training(dict(config, stages=stages), out_dir=tmp_path / "absent", seed=3)
+    run_training(dict(config, stages=[dict(s, **nulls) for s in stages], eval=None,
+                      arch_search=None), out_dir=tmp_path / "null", seed=3)
+    for name in ("lm.sfmd", "align.sfmd"):
+        assert ((tmp_path / "absent" / "checkpoints" / name).read_bytes()
+                == (tmp_path / "null" / "checkpoints" / name).read_bytes()), name
+    assert not run_training(dict(config, stages=None), out_dir=tmp_path / "none").checkpoints
 
 
 def test_self_prompted_samples_follow_the_seeded_ones(world_files):
