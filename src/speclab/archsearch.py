@@ -8,9 +8,8 @@ dimension fixed, so width candidates stay in the same family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .config import read
 from .errors import ConfigError
 from .latency import measure_latency
 from .model import ModelConfig, param_count, param_split
@@ -45,18 +44,9 @@ def derive_config(base: ModelConfig, hidden: int, n_layers: int) -> ModelConfig:
     kv_ratio = base.n_heads // base.n_kv_heads
     if n_heads % kv_ratio != 0:
         raise ConfigError(f"hidden {hidden} cannot keep the template kv grouping")
-    inter = round(hidden * base.intermediate_size / base.hidden_size)
-    return ModelConfig(
-        hidden_size=hidden,
-        intermediate_size=inter,
-        n_layers=n_layers,
-        n_heads=n_heads,
-        n_kv_heads=n_heads // kv_ratio,
-        vocab_size=base.vocab_size,
-        max_seq_len=base.max_seq_len,
-        rope_base=base.rope_base,
-        tie_embeddings=base.tie_embeddings,
-    )
+    return replace(base, hidden_size=hidden, n_layers=n_layers, n_heads=n_heads,
+                   n_kv_heads=n_heads // kv_ratio,
+                   intermediate_size=round(hidden * base.intermediate_size / base.hidden_size))
 
 
 def budget_search(spec: BudgetSearchSpec) -> list[dict]:
@@ -92,11 +82,11 @@ def budget_search(spec: BudgetSearchSpec) -> list[dict]:
     return rows
 
 
-def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
-               l_target_1: float | None = None, exclude: bool = False,
-               **latency) -> list[dict]:
-    """`budget_search` rows for an `arch_search` config section, each
-    feasible row with its `config`.
+def arch_table(hidden_candidates: list[int], budget: int | None, base: ModelConfig,
+               target: ModelConfig | None = None, l_target_1: float | None = None,
+               exclude: bool = False, **latency) -> list[dict]:
+    """`budget_search` rows for the two keys of an `arch_search` config
+    section, each feasible row with its `config`.
 
     The budget defaults to `base`'s excluded-embeddings count. With a target
     config and its measured block-1 latency `l_target_1`, feasible rows add
@@ -104,9 +94,9 @@ def arch_table(ac: dict, base: ModelConfig, target: ModelConfig | None = None,
     c_hat (embedding tables `exclude`d or not). A row holds only its own
     candidate's numbers: no acceptance has been measured for it.
     """
-    ac = read("arch_search", ac, ARCH_SEARCH)
-    budget = param_count(base, exclude_embedding_tables=True) if ac.budget is None else ac.budget
-    rows = budget_search(BudgetSearchSpec(budget, tuple(ac.hidden_candidates), base))
+    if budget is None:
+        budget = param_count(base, exclude_embedding_tables=True)
+    rows = budget_search(BudgetSearchSpec(budget, tuple(hidden_candidates), base))
     for row in rows:
         cfg = derive_config(base, row["hidden_size"], row["n_layers"]) if row["feasible"] else None
         row["config"] = cfg.to_dict() if cfg else None

@@ -2,8 +2,9 @@
 
 Every subcommand takes one JSON config file plus optional --seed and
 --out-dir overrides; failures exit nonzero with a machine-readable error
-JSON on stderr. `speclab train` also runs any evaluation declared in the
-config, so a single config file drives a full pipeline.
+JSON on stderr. `speclab train` runs the whole pipeline a config declares:
+its stages (generate, lm, align), then its evaluation, so a config with
+no stages evaluates a draft checkpoint.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from pathlib import Path
 
 from .archsearch import ARCH_SEARCH, arch_table
 from .checkpoint import load_checkpoint, write_json
-from .config import RUN, load, read
-from .data import (generate_alignment_set, load_alignment_set, load_corpus,
-                   save_alignment_set, teacher_sequences)
+from .config import RUN, load
+from .data import load_alignment_set, teacher_sequences
 from .errors import ConfigError, SpecLabError
 from .experiment import PIPELINE, STAGE, _Run, write_manifest, write_teacher_logits
 from .latency import measure_latency
@@ -26,36 +26,23 @@ from .model import ModelConfig
 from .specdec import read_audit_log
 from .tokenizer import ByteTokenizer
 
-# the config schema of each command but `train` and `eval`, which read the
+# the config schema of each command but `train`, which reads the
 # pipeline's (notation in config.py)
-DISTILL_DATA = {**RUN, "teacher_checkpoint": str, "alignment": str, "k": STAGE["k"],
-                "max_seq_len": (int, None), "out_name": (str, "teacher.sfkd")}
-ALIGN_GEN = {**RUN, "target_checkpoint": str, "seed_instructions": str,
-             "temperatures": ([float], [0.6, 0.8, 1.0]), "include_greedy": (bool, True),
-             "self_prompt_count": (int, 0), "max_new_tokens": (int, 64),
-             "out_name": (str, "alignment.jsonl")}
-BENCH_LATENCY = {**RUN, "models": [dict], "block_sizes": ([int], [1]), "warmup": (int, 3),
-                 "reps": (int, 10), "out_name": (str, "latency.json")}
-LATENCY_MODEL = {"name": (str, "model"), "checkpoint": (str, None), "config": (dict, None)}
-ARCH = {**RUN, **ARCH_SEARCH, "base_config": dict, "out_name": (str, "arch_search.json")}
-REPORT = {**RUN, "runs": [dict]}
-REPORT_RUN = {"audit": str, "gamma": int, "c_hat": float, "benchmark": (str, "replay"),
+DISTILL_DATA = {**RUN, "teacher_checkpoint": Path, "alignment": Path, "k": STAGE["align"]["k"],
+                "max_seq_len": (int, None), "out_name": (Path, "teacher.sfkd")}
+LATENCY_MODEL = {"name": (str, "model"), "checkpoint": (Path, None), "config": (ModelConfig, None)}
+BENCH_LATENCY = {**RUN, "models": [LATENCY_MODEL], "block_sizes": ([int], [1]),
+                 "warmup": (int, 3), "reps": (int, 10), "out_name": (Path, "latency.json")}
+ARCH = {**RUN, **ARCH_SEARCH, "base_config": ModelConfig, "out_name": (Path, "arch_search.json")}
+REPORT_RUN = {"audit": Path, "gamma": int, "c_hat": float, "benchmark": (str, "replay"),
               "sampling_mode": (str, "greedy"), "temperature": (float, 0.0)}
+REPORT = {**RUN, "runs": [REPORT_RUN]}
 
 
 def cmd_train(given: dict, cfg, base: Path) -> None:
     report = _Run(given, cfg, base).run()
     print(f"wrote {len(report.checkpoints)} checkpoint(s) and "
           f"{len(report.rows)} metric row(s) under {report.out_dir}")
-
-
-def cmd_eval(given: dict, cfg, base: Path) -> None:
-    if not cfg.draft_init_checkpoint:
-        raise ConfigError("eval needs draft_init_checkpoint in the config")
-    cfg.stages, cfg.arch_search = [], None
-    report = _Run({k: v for k, v in given.items() if k not in ("stages", "arch_search")},
-                  cfg, base).run()
-    print(f"wrote {len(report.rows)} metric row(s) under {report.out_dir}")
 
 
 def cmd_distill_data(given: dict, cfg, base: Path) -> None:
@@ -69,34 +56,17 @@ def cmd_distill_data(given: dict, cfg, base: Path) -> None:
     print(f"wrote {n} sequences (k={cfg.k}) to {out}")
 
 
-def cmd_align_gen(given: dict, cfg, base: Path) -> None:
-    tokenizer = ByteTokenizer()
-    target = load_checkpoint(base / cfg.target_checkpoint)
-    seeds_corpus = load_corpus(base / cfg.seed_instructions)
-    instructions = [tokenizer.encode(d.text) for d in seeds_corpus.documents]
-    samples = generate_alignment_set(
-        target, tokenizer, instructions, temperatures=cfg.temperatures,
-        include_greedy=cfg.include_greedy, self_prompt_count=cfg.self_prompt_count,
-        seed=cfg.seed, max_new_tokens=cfg.max_new_tokens)
-    out = cfg.out_dir / cfg.out_name
-    save_alignment_set(samples, out, tokenizer)
-    print(f"wrote {len(samples)} alignment samples to {out}")
-
-
 def cmd_bench_latency(given: dict, cfg, base: Path) -> None:
     results = []
-    for i, d in enumerate(cfg.models):
-        entry = read(f"models[{i}]", d, LATENCY_MODEL)
-        if entry.checkpoint is not None:
-            model = load_checkpoint(base / entry.checkpoint)
-            mcfg = model.config
-        else:
-            mcfg = model = read(f"models[{i}].config", entry.config, ModelConfig)
+    for i, m in enumerate(cfg.models):
+        if m.checkpoint is None and m.config is None:
+            raise ConfigError(f"config.models[{i}].config is missing, and so is its checkpoint")
+        model = m.config if m.checkpoint is None else load_checkpoint(base / m.checkpoint)
         for block in cfg.block_sizes:
             run = measure_latency(model, block, warmup=cfg.warmup, reps=cfg.reps,
                                   seed=cfg.seed)
-            results.append({"name": entry.name, "hidden_size": mcfg.hidden_size,
-                            "n_layers": mcfg.n_layers, "block_size": block,
+            results.append({"name": m.name, "hidden_size": run.config.hidden_size,
+                            "n_layers": run.config.n_layers, "block_size": block,
                             "median_s": run.median, "samples_s": run.samples,
                             "flagged": run.flagged})
     out = cfg.out_dir / cfg.out_name
@@ -106,8 +76,7 @@ def cmd_bench_latency(given: dict, cfg, base: Path) -> None:
 
 
 def cmd_arch_search(given: dict, cfg, base: Path) -> None:
-    rows = arch_table({"hidden_candidates": cfg.hidden_candidates, "budget": cfg.budget},
-                      read("base_config", cfg.base_config, ModelConfig))
+    rows = arch_table(cfg.hidden_candidates, cfg.budget, cfg.base_config)
     out = cfg.out_dir / cfg.out_name
     write_table(rows, out.with_suffix(".csv"), out)
     write_manifest(cfg.out_dir, given, cfg.seed)
@@ -120,8 +89,7 @@ def cmd_arch_search(given: dict, cfg, base: Path) -> None:
 def cmd_report(given: dict, cfg, base: Path) -> None:
     """Recompute a metrics table from recorded audit logs."""
     rows = []
-    for i, d in enumerate(cfg.runs):
-        run = read(f"runs[{i}]", d, REPORT_RUN)
+    for run in cfg.runs:
         blocks = read_audit_log(base / run.audit)
         stats = DecodeStats(gamma=run.gamma,
                             blocks=[int(b["accepted_count"]) for b in blocks],
@@ -133,15 +101,13 @@ def cmd_report(given: dict, cfg, base: Path) -> None:
 
 
 COMMANDS = {"train": (cmd_train, PIPELINE), "distill-data": (cmd_distill_data, DISTILL_DATA),
-            "align-gen": (cmd_align_gen, ALIGN_GEN), "eval": (cmd_eval, PIPELINE),
             "bench-latency": (cmd_bench_latency, BENCH_LATENCY),
             "arch-search": (cmd_arch_search, ARCH), "report": (cmd_report, REPORT)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="speclab",
-        description="Desk-scale speculative decoding laboratory")
+        prog="speclab", description="Desk-scale speculative decoding laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)

@@ -2,12 +2,15 @@
 
 A schema maps each key of a config section to its type, when the key is
 required, or to a `(type, default)` pair. A type is `int`, `float`,
-`bool`, `str`, `dict` (an object, read as a section of its own), `[t]`
-(a list of `t`), `[t1, t2]` (a pair) or `{str: t}` (an object of `t`
-values). A null is the key's absence. An unknown or missing key, or a
-value of another JSON type, is a ConfigError that names the section and
-the key; `bool` is not an `int`, and an `int` is taken where a `float`
-is due.
+`bool`, `str`, `Path` (a non-empty string), a schema or a config
+dataclass (an object, read as a section of its own), `Kinds` (a section
+read by the schema of its `kind`), `[t]` (a list of `t`), `[t1, t2]` (a
+pair) or `{str: t}` (an object of `t` values). A null is the key's
+absence, and a non-null default is read as if it were given. An unknown
+or missing key, an empty path, a value of another JSON type (`bool` is
+not an `int`; an `int` is taken where a `float` is due) or a config
+dataclass that rejects its fields is a ConfigError that names the key's
+full path.
 """
 
 from __future__ import annotations
@@ -21,8 +24,12 @@ from types import SimpleNamespace
 
 from .errors import ConfigError
 
-RUN = {"seed": (int, 0), "out_dir": (str, ".")}  # what --seed and --out-dir override
+RUN = {"seed": (int, 0), "out_dir": (Path, ".")}  # what --seed and --out-dir override
 _type_hints = functools.cache(typing.get_type_hints)  # of a config dataclass's fields
+
+
+class Kinds(dict):
+    """Schemas by the section's `kind` key, which is the first kind when absent."""
 
 
 def read(section: str, d, schema):
@@ -33,33 +40,51 @@ def read(section: str, d, schema):
         hints = _type_hints(schema)
         cls, schema = schema, {f.name: hints[f.name] if f.default is dataclasses.MISSING
                                else (hints[f.name], f.default) for f in dataclasses.fields(schema)}
-    d = check(section, d, dict)
+    if type(d) is not dict:
+        raise ConfigError(f"{section} must be dict, not {type(d).__name__}")
     unknown = sorted(set(d) - set(schema))
     if unknown:
         raise ConfigError(f"{section}: unknown key {unknown[0]!r}")
     values = {}
     for key, spec in schema.items():
-        if isinstance(spec, tuple) and d.get(key) is None:
-            values[key] = spec[1]
-        else:
-            values[key] = check(f"{section}.{key}", d.get(key),
-                                spec[0] if isinstance(spec, tuple) else spec)
-    return cls(**values)
+        value, optional = d.get(key), isinstance(spec, tuple)
+        if optional:
+            spec, value = spec[0], spec[1] if value is None else value
+        values[key] = None if optional and value is None else check(f"{section}.{key}", value, spec)
+    return at(section, cls, **values)
 
 
 def check(where: str, value, spec):
-    """`value` if it is present and of type `spec` (an int made a float if a float is due)."""
+    """`value` if it is present and of type `spec` (an int made a float if a
+    float is due, a section read by its schema)."""
     if value is None:
         raise ConfigError(f"{where} is missing")
     if isinstance(spec, list) and type(value) is list and len(spec) in (1, len(value)):
         return [check(f"{where}[{i}]", v, spec[i % len(spec)]) for i, v in enumerate(value)]
-    if isinstance(spec, dict) and type(value) is dict:
+    if isinstance(spec, dict) and str in spec and type(value) is dict:
         return {k: check(f"{where}.{k}", v, spec[str]) for k, v in value.items()}
-    if type(value) is spec or spec is float and type(value) is int:
+    if isinstance(spec, Kinds) and type(value) is dict:
+        kind = next(iter(spec)) if value.get("kind") is None else value["kind"]
+        if type(kind) is not str or kind not in spec:
+            raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+        return read(where, dict(value, kind=kind), spec[kind])
+    if isinstance(spec, dict) and str not in spec or dataclasses.is_dataclass(spec):
+        return read(where, value, spec)
+    if spec is Path and value == "":
+        raise ConfigError(f"{where} is an empty path")
+    if type(value) is (str if spec is Path else spec) or spec is float and type(value) is int:
         return float(value) if spec is float else value
     want = (f"list of {len(spec)}" if isinstance(spec, list) and len(spec) > 1
-            else getattr(spec, "__name__", type(spec).__name__))
+            else "path" if spec is Path else getattr(spec, "__name__", type(spec).__name__))
     raise ConfigError(f"{where} must be {want}, not {type(value).__name__}")
+
+
+def at(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with the config path `where` before a ConfigError it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load(config: dict | str | Path, schema: dict, out_dir: str | Path | None = None,

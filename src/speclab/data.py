@@ -23,6 +23,7 @@ from .tokenizer import ByteTokenizer
 from .training import Batch
 
 TAGS = ("text", "code", "instruction")
+MASK_MODES = ("response", "full")  # what `alignment_batches` supervises
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ def alignment_batches(
     supervised positions only (`training.loss_and_grads` picks them), so
     the zeroed pairs at the other positions are never read.
     """
-    if mask_mode not in ("response", "full"):
+    if mask_mode not in MASK_MODES:
         raise ConfigError(f"unknown mask_mode {mask_mode!r}")
     if not samples:
         raise DataError("no alignment samples")

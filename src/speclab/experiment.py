@@ -1,8 +1,8 @@
-"""Pipeline driver: staged training (PT -> CP -> FT), evaluation grids,
-latency measurement, architecture tables and report emission.
+"""Pipeline driver: stages (pre-train, generate with the target, fine-tune),
+evaluation grids, latency measurement, architecture tables and reports.
 
-Configuration is one JSON document (keys in README.md); every run
-writes a manifest with the config hash, seeds and versions so it can be
+Configuration is one JSON document (keys in README.md); every run writes
+a manifest with the config hash, seeds, versions and machine so it can be
 replayed. Apart from measured-latency columns, reports are a pure function
 of (checkpoints, eval seeds).
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -21,17 +22,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .archsearch import arch_table
+from .archsearch import ARCH_SEARCH, arch_table
 from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
-from .config import RUN, check, load, read
-from .data import (MixPart, MixSpec, alignment_batches, chat_prompt,
-                   generate_alignment_set, lm_batches, load_alignment_set,
+from .config import RUN, Kinds, at, load
+from .data import (MASK_MODES, Corpus, Document, MixPart, MixSpec, alignment_batches,
+                   chat_prompt, generate_alignment_set, lm_batches, load_alignment_set,
                    load_corpus, make_completion_tasks, mix, save_alignment_set,
                    save_corpus, teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError, VocabMismatchError
 from .latency import measure_latency
-from .losses import LossSpec
+from .losses import LOSS, LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
                       write_report, write_table)
 from .model import ModelConfig, ModelState, init_model, param_count
@@ -41,20 +42,25 @@ from .tokenizer import ByteTokenizer
 from .training import TrainSchedule, train_stage
 
 # the schema of each pipeline config section (config.py gives the notation)
-PIPELINE = {**RUN, "out_dir": (str, "runs/experiment"), "target_checkpoint": (str, None),
-            "draft_init_checkpoint": (str, None), "draft": (dict, None),
-            "stages": ([dict], []), "eval": (dict, None), "arch_search": (dict, None)}
-STAGE = {"name": str, "kind": (str, "lm"), "schedule": dict, "loss": (dict, {"CE": 1.0}),
-         "seed": (int, None), "corpus": (str, None), "mix": (dict, None), "epochs": (int, 1),
-         "alignment": (str, None), "mask": (str, "response"), "k": (int, 16),
-         "sparse_dataset": (str, None)}
-MIX = {"corpora": {str: str}, "parts": [[str, int]]}
-EVAL = {"benchmarks": ([dict], []), "modes": ([str], ["greedy", "multinomial"]),
-        "gammas": ([int], [3, 5]), "temperature": (float, 0.6), "max_new_tokens": (int, 32),
-        "stop_at_eos": (bool, True), "c_hat_mode": (str, "total"), "latency": (dict, {})}
+MIX = {"corpora": {str: Path}, "parts": [[str, int]]}
+TRAINING = {"name": str, "kind": str, "seed": (int, None), "schedule": TrainSchedule,
+            "loss": (LOSS, {"CE": 1.0})}
+STAGE = Kinds(
+    lm={**TRAINING, "corpus": (Path, None), "mix": (MIX, None), "epochs": (int, 1)},
+    align={**TRAINING, "alignment": Path, "mask": (str, "response"), "k": (int, 16),
+           "sparse_dataset": (Path, None)},
+    generate={"name": str, "kind": str, "seed": (int, None), "seed_instructions": Path,
+              "temperatures": ([float], [0.6, 0.8, 1.0]), "include_greedy": (bool, True),
+              "self_prompt_count": (int, 0), "max_new_tokens": (int, 64)})
 LATENCY = {"warmup": (int, 2), "reps": (int, 5)}
-BENCHMARK = {"name": str, "kind": (str, "completion"), "n_tasks": (int, 8),
-             "min_ctx": (int, 4), "corpus": (str, None), "alignment": (str, None)}
+BENCH = {"name": str, "kind": str, "n_tasks": (int, 8), "min_ctx": (int, 4)}
+BENCHMARK = Kinds(completion={**BENCH, "corpus": Path}, instruction={**BENCH, "alignment": Path})
+EVAL = {"benchmarks": ([BENCHMARK], []), "modes": ([str], ["greedy", "multinomial"]),
+        "gammas": ([int], [3, 5]), "temperature": (float, 0.6), "max_new_tokens": (int, 32),
+        "stop_at_eos": (bool, True), "c_hat_mode": (str, "total"), "latency": (LATENCY, {})}
+PIPELINE = {**RUN, "out_dir": (Path, "runs/experiment"), "target_checkpoint": (Path, None),
+            "draft_init_checkpoint": (Path, None), "draft": (ModelConfig, None),
+            "stages": ([STAGE], []), "eval": (EVAL, None), "arch_search": (ARCH_SEARCH, None)}
 
 
 def derive_seed(base: int, *key: int) -> int:
@@ -66,20 +72,12 @@ def _policy(mode: str, temperature: float) -> SamplingPolicy:
     return SamplingPolicy(mode, temperature=temperature)
 
 
-def evaluate_acceptance(
-    draft: ModelState,
-    target: ModelState,
-    prompts: list[list[int]],
-    policy: SamplingPolicy,
-    gamma: int,
-    max_new_tokens: int,
-    seed: int = 0,
-    eos_id: int | None = None,
-    audit_path: str | Path | None = None,
-) -> DecodeStats:
+def evaluate_acceptance(draft: ModelState, target: ModelState, prompts: list[list[int]],
+                        policy: SamplingPolicy, gamma: int, max_new_tokens: int, seed: int = 0,
+                        eos_id: int | None = None,
+                        audit_path: str | Path | None = None) -> DecodeStats:
     """Pooled decode statistics over a set of prompts."""
-    spec = SpecConfig(gamma=gamma, policy=policy,
-                      max_new_tokens=max_new_tokens, eos_id=eos_id)
+    spec = SpecConfig(gamma=gamma, policy=policy, max_new_tokens=max_new_tokens, eos_id=eos_id)
     blocks = []
     # prompt i draws from child i of SeedSequence(seed)
     for prompt, child in zip(prompts, np.random.SeedSequence(seed).spawn(len(prompts))):
@@ -98,71 +96,61 @@ def write_teacher_logits(path: Path, target: ModelState, sequences: list, k: int
                                 k=k, vocab_size=target.config.vocab_size)
 
 
-def _benchmark_prompts(d: dict, where: str, tokenizer: ByteTokenizer, seed: int,
+def _benchmark_prompts(b: SimpleNamespace, tokenizer: ByteTokenizer, seed: int,
                        base_dir: Path) -> tuple[str, list[list[int]]]:
-    b = read(where, d, BENCHMARK)
     if b.kind == "completion":
-        corpus = load_corpus(base_dir / check(f"{where}.corpus", b.corpus, str))
+        corpus = load_corpus(base_dir / b.corpus)
         contexts = make_completion_tasks(corpus, tokenizer, b.n_tasks, b.min_ctx, seed)
         prompts = [[tokenizer.bos_id] + c for c in contexts]
-    elif b.kind == "instruction":
-        samples = load_alignment_set(
-            base_dir / check(f"{where}.alignment", b.alignment, str), tokenizer)
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(samples))[:b.n_tasks]
-        prompts = [chat_prompt(tokenizer, samples[int(i)].instruction) for i in order]
     else:
-        raise ConfigError(f"unknown benchmark kind {b.kind!r}")
+        samples = load_alignment_set(base_dir / b.alignment, tokenizer)
+        order = np.random.default_rng(seed).permutation(len(samples))[:b.n_tasks]
+        prompts = [chat_prompt(tokenizer, samples[int(i)].instruction) for i in order]
     if not prompts:
         raise DataError(f"benchmark {b.name} produced no prompts")
     return b.name, prompts
 
 
-def _build_stage_batches(stage, where: str, tokenizer: ByteTokenizer, schedule: TrainSchedule,
-                         stage_seed: int, base_dir: Path, out_dir: Path,
-                         target: ModelState | None, loss_spec: LossSpec, vocab_size: int):
+def _build_stage_batches(stage: SimpleNamespace, tokenizer: ByteTokenizer, stage_seed: int,
+                         base_dir: Path, out_dir: Path, target: ModelState | None,
+                         loss_spec: LossSpec, vocab_size: int):
+    schedule = stage.schedule
     if stage.kind == "lm":
         if stage.mix is not None:
-            m = read(f"{where}.mix", stage.mix, MIX)
-            corpora = {cid: load_corpus(base_dir / path) for cid, path in m.corpora.items()}
-            corpus = mix(MixSpec(parts=tuple(MixPart(cid, b) for cid, b in m.parts),
+            corpora = {cid: load_corpus(base_dir / path) for cid, path in stage.mix.corpora.items()}
+            corpus = mix(MixSpec(parts=tuple(MixPart(cid, b) for cid, b in stage.mix.parts),
                                  seed=stage_seed), corpora)
         else:
-            corpus = load_corpus(base_dir / check(f"{where}.corpus", stage.corpus, str))
+            corpus = load_corpus(base_dir / stage.corpus)
         iters = [lm_batches(corpus, tokenizer, schedule.batch_size, schedule.seq_len,
                             seed=stage_seed + e) for e in range(stage.epochs)]
         return itertools.chain(*iters)
-    if stage.kind == "align":
-        samples = load_alignment_set(
-            base_dir / check(f"{where}.alignment", stage.alignment, str), tokenizer)
-        teacher = None
-        if loss_spec.needs_teacher:
-            if target is None:
-                raise ConfigError("distillation stages need a target checkpoint")
-            sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
-            sfkd = out_dir / "distill" / f"{stage.name}.sfkd"
-            if stage.sparse_dataset is not None:
-                sfkd = base_dir / stage.sparse_dataset
-            else:
-                write_teacher_logits(sfkd, target, sequences, stage.k)
-            # the header's vocabulary is the target's on the extraction path
-            _, teacher_vocab, items = read_sparse_dataset(sfkd)
-            if teacher_vocab != vocab_size:
-                raise VocabMismatchError(f"{sfkd} holds logits over {teacher_vocab} "
-                                         f"tokens for a draft of {vocab_size}")
-            if len(items) != len(samples):
-                raise DataError(f"{sfkd} holds {len(items)} sequences for "
-                                f"{len(samples)} alignment samples")
-            # the stored logits are only valid for the tokens they were taken over
-            for i, ((tokens, _), seq) in enumerate(zip(items, sequences)):
-                if tokens[:len(seq)] != seq:
-                    raise DataError(f"{sfkd} sequence {i} does not begin with the "
-                                    f"training sequence of alignment sample {i}")
-            teacher = [pairs for _, pairs in items]
-        return alignment_batches(samples, tokenizer, schedule.batch_size,
-                                 schedule.seq_len, seed=stage_seed, epochs=None,
-                                 teacher=teacher, mask_mode=stage.mask)
-    raise ConfigError(f"unknown stage kind {stage.kind!r}")
+    samples = load_alignment_set(base_dir / stage.alignment, tokenizer)
+    teacher = None
+    if loss_spec.needs_teacher:
+        sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
+        sfkd = out_dir / "distill" / f"{stage.name}.sfkd"
+        if stage.sparse_dataset is not None:
+            sfkd = base_dir / stage.sparse_dataset
+        else:
+            write_teacher_logits(sfkd, target, sequences, stage.k)
+        # the header's vocabulary is the target's on the extraction path
+        _, teacher_vocab, items = read_sparse_dataset(sfkd)
+        if teacher_vocab != vocab_size:
+            raise VocabMismatchError(f"{sfkd} holds logits over {teacher_vocab} "
+                                     f"tokens for a draft of {vocab_size}")
+        if len(items) != len(samples):
+            raise DataError(f"{sfkd} holds {len(items)} sequences for "
+                            f"{len(samples)} alignment samples")
+        # the stored logits are only valid for the tokens they were taken over
+        for i, ((tokens, _), seq) in enumerate(zip(items, sequences)):
+            if tokens[:len(seq)] != seq:
+                raise DataError(f"{sfkd} sequence {i} does not begin with the "
+                                f"training sequence of alignment sample {i}")
+        teacher = [pairs for _, pairs in items]
+    return alignment_batches(samples, tokenizer, schedule.batch_size,
+                             schedule.seq_len, seed=stage_seed, epochs=None,
+                             teacher=teacher, mask_mode=stage.mask)
 
 
 @dataclass
@@ -173,15 +161,21 @@ class ExperimentReport:
 
 
 def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
+    try:  # the BLAS numpy was built with; numpy before 1.25 does not say
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
     manifest = {
         "config_hash": hashlib.sha256(canonical_json(config).encode()).hexdigest(),
         "config": config,
         "seed": seed,
-        "versions": {
-            "speclab": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"speclab": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        # bit-identical reruns need the same BLAS and thread count
+        "machine": {"cpu_count": os.cpu_count(), "blas": blas, "threads": {
+            k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}},
         "created_unix": time.time(),
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -189,16 +183,45 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
 
 @dataclass
 class _Run:
-    """A pipeline config as `config.load` returns it, and its target checkpoint."""
+    """A pipeline config as `config.load` returns it, and its target checkpoint.
+    Building one checks what the config's keys require of each other, so a
+    config fault is reported before any file is written."""
     config: dict
     cfg: SimpleNamespace
     base_dir: Path
 
+    def __post_init__(self) -> None:
+        cfg, ev = self.cfg, self.cfg.eval
+        if (cfg.draft is None) == (cfg.draft_init_checkpoint is None):
+            raise ConfigError("config: give exactly one of draft and draft_init_checkpoint")
+        if cfg.draft is not None and cfg.draft.vocab_size < ByteTokenizer.vocab_size:
+            raise ConfigError("config.draft.vocab_size is smaller than the tokenizer vocabulary")
+        uses_target = ev is not None
+        for i, stage in enumerate(cfg.stages):
+            where = f"config.stages[{i}]"
+            if stage.name in [s.name for s in cfg.stages[:i]]:
+                raise ConfigError(f"{where}.name: an earlier stage is named {stage.name!r}")
+            if stage.kind == "lm" and (stage.corpus is None) == (stage.mix is None):
+                raise ConfigError(f"{where}: an lm stage reads one of corpus and mix")
+            if stage.kind == "align" and stage.mask not in MASK_MODES:
+                raise ConfigError(f"{where}.mask: unknown mask_mode {stage.mask!r}")
+            if stage.kind != "generate":
+                loss = at(f"{where}.loss", LossSpec, stage.loss.CE, stage.loss.KL, stage.loss.TVD)
+            uses_target |= stage.kind == "generate" or stage.kind == "align" and loss.needs_teacher
+        for j, mode in enumerate([] if ev is None else ev.modes):
+            at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
+        if ev is not None and ev.c_hat_mode not in ("total", "excluded"):
+            raise ConfigError(f"config.eval.c_hat_mode: unknown c_hat_mode {ev.c_hat_mode!r}")
+        if cfg.arch_search is not None and ev is None:
+            raise ConfigError("config.eval is missing: arch_search is timed with its settings")
+        if uses_target and cfg.target_checkpoint is None:
+            raise ConfigError("config.target_checkpoint is missing: eval, generate and "
+                              "distillation stages use the target")
+
     @cached_property
     def target(self) -> ModelState | None:
-        if not self.cfg.target_checkpoint:
-            return None
-        return load_checkpoint(self.base_dir / self.cfg.target_checkpoint)
+        path = self.cfg.target_checkpoint
+        return None if path is None else load_checkpoint(self.base_dir / path)
 
     def train(self) -> tuple[ExperimentReport, ModelState]:
         """Run the stages; returns the report and the final draft."""
@@ -207,26 +230,27 @@ class _Run:
         tokenizer = ByteTokenizer()
         report = ExperimentReport(out_dir=cfg.out_dir)
 
-        if cfg.draft_init_checkpoint:
-            state = load_checkpoint(self.base_dir / cfg.draft_init_checkpoint)
-        else:
-            draft_cfg = read("draft", cfg.draft, ModelConfig)
-            if draft_cfg.vocab_size < tokenizer.vocab_size:
-                raise ConfigError("draft vocab_size smaller than the tokenizer vocabulary")
-            state = init_model(draft_cfg, cfg.seed)
+        state = (load_checkpoint(self.base_dir / cfg.draft_init_checkpoint)
+                 if cfg.draft is None else init_model(cfg.draft, cfg.seed))
 
-        for si, d in enumerate(cfg.stages):
-            where = f"stages[{si}]"
-            stage = read(where, d, STAGE)
+        for si, stage in enumerate(cfg.stages):
             name = stage.name
-            schedule = read(f"{where}.schedule", stage.schedule, TrainSchedule)
-            loss_spec = LossSpec.from_dict(stage.loss)
+            stage_seed = derive_seed(cfg.seed, si) if stage.seed is None else stage.seed
+            if stage.kind == "generate":
+                instructions = [tokenizer.encode(d.text) for d in
+                                load_corpus(self.base_dir / stage.seed_instructions).documents]
+                save_alignment_set(generate_alignment_set(
+                    self.target, tokenizer, instructions, stage.temperatures,
+                    stage.include_greedy, stage.self_prompt_count, stage_seed,
+                    stage.max_new_tokens), cfg.out_dir / "data" / f"{name}.jsonl", tokenizer)
+                continue
+            loss_spec = LossSpec(stage.loss.CE, stage.loss.KL, stage.loss.TVD)
             batches = _build_stage_batches(
-                stage, where, tokenizer, schedule,
-                derive_seed(cfg.seed, si) if stage.seed is None else stage.seed,
-                self.base_dir, cfg.out_dir, self.target, loss_spec, state.config.vocab_size)
+                stage, tokenizer, stage_seed, self.base_dir, cfg.out_dir,
+                self.target if loss_spec.needs_teacher else None, loss_spec,
+                state.config.vocab_size)
             try:
-                result = train_stage(state, batches, schedule, loss_spec)
+                result = train_stage(state, batches, stage.schedule, loss_spec)
             except Exception as exc:
                 raise StageError(f"stage {name} failed: {exc}") from exc
             state = result.state
@@ -240,20 +264,16 @@ class _Run:
     def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
         """The benchmark x mode x gamma grid, then the optional arch table,
         which shares the grid's latency settings, target latency and c_hat."""
-        ev, target = read("eval", self.cfg.eval, EVAL), self.target
-        if target is None:
-            raise ConfigError("evaluation requires a target_checkpoint")
+        ev, target = self.cfg.eval, self.target
         tokenizer = ByteTokenizer()
 
         policies = [(mode, _policy(mode, ev.temperature)) for mode in ev.modes]
         eos = tokenizer.eos_id if ev.stop_at_eos else None
 
-        if ev.c_hat_mode not in ("total", "excluded"):
-            raise ConfigError(f"unknown c_hat_mode {ev.c_hat_mode!r}")
         exclude = ev.c_hat_mode == "excluded"
         c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
 
-        lat = dict(vars(read("eval.latency", ev.latency, LATENCY)), seed=self.cfg.seed)
+        lat = dict(vars(ev.latency), seed=self.cfg.seed)
         # AR decoding does not depend on gamma: block-1 latencies serve every row
         l_draft = measure_latency(draft, 1, **lat).median
         l_target_1 = measure_latency(target, 1, **lat).median
@@ -261,8 +281,8 @@ class _Run:
                                           measure_latency(target, gamma, **lat).median)
                     for gamma in ev.gammas}
 
-        benchmarks = [_benchmark_prompts(b, f"eval.benchmarks[{bi}]", tokenizer,
-                                         derive_seed(self.cfg.seed, 100 + bi), self.base_dir)
+        benchmarks = [_benchmark_prompts(b, tokenizer, derive_seed(self.cfg.seed, 100 + bi),
+                                         self.base_dir)
                       for bi, b in enumerate(ev.benchmarks)]
         out = self.cfg.out_dir
         for bi, (bench, prompts) in enumerate(benchmarks):
@@ -278,15 +298,16 @@ class _Run:
 
         write_report(report.rows, out / "metrics.csv", out / "metrics.json")
 
-        if self.cfg.arch_search:
-            write_table(arch_table(self.cfg.arch_search, draft.config, target.config,
+        if self.cfg.arch_search is not None:
+            ac = self.cfg.arch_search
+            write_table(arch_table(ac.hidden_candidates, ac.budget, draft.config, target.config,
                                    l_target_1, exclude, **lat),
                         out / "arch_search.csv", out / "arch_search.json")
 
     def run(self) -> ExperimentReport:
         """Stages, then the evaluation grid and the optional arch table."""
         report, draft = self.train()
-        if self.cfg.eval:
+        if self.cfg.eval is not None:
             self.evaluate(draft, report)
         return report
 
@@ -326,6 +347,8 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
     save_corpus(world.pretrain_corpus(repeats=30, seed=3), out / "pretrain.jsonl")
     save_alignment_set(world.original_samples(ft_topics), out / "original.jsonl", tokenizer)
     save_alignment_set(world.original_samples(eval_topics), out / "held_out.jsonl", tokenizer)
+    save_corpus(Corpus([Document(world.instruction(k), "instruction") for k in ft_topics]),
+                out / "ft_instructions.jsonl")
 
     target_cfg = {"hidden_size": 64, "intermediate_size": 128, "n_layers": 2, "n_heads": 4,
                   "n_kv_heads": 4, "vocab_size": 264, "max_seq_len": 96}
@@ -344,30 +367,26 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
         out / "pretrain", seed=2).checkpoints["pretrain"]
 
     def held_out_ar(run: str, seed: int, stages: list[dict]) -> float:
-        report = run_experiment({
+        return run_experiment({
             "target_checkpoint": str(target), "draft_init_checkpoint": str(draft),
             "stages": stages,
             "eval": {"benchmarks": [{"name": "held_out", "kind": "instruction",
                                      "alignment": str(out / "held_out.jsonl")}],
                      "modes": ["greedy"], "gammas": [3]},
-        }, out / run, seed)
-        return report.rows[0].alpha
+        }, out / run, seed).rows[0].alpha
 
     pt_ar = held_out_ar("pt", 0, [])
-    target_state = load_checkpoint(target)
     ft_target_ar, ft_original_ar = [], []
     for seed in seeds:
-        generated = out / f"generated_{seed}.jsonl"
-        save_alignment_set(generate_alignment_set(
-            target_state, tokenizer, world.seed_instructions(ft_topics),
-            temperatures=[0.6], include_greedy=False,
-            seed=100 + seed, max_new_tokens=48), generated, tokenizer)
-        for name, data, ars in (("generated", generated, ft_target_ar),
-                                ("original", out / "original.jsonl", ft_original_ar)):
-            ars.append(held_out_ar(f"ft_{name}_{seed}", seed, [stage(
-                "ft", "align", 200 + seed, 2e-3, 250, alignment=str(data))]))
-    return AlignmentStudyResult(pt_ar=pt_ar, ft_target_ar=ft_target_ar,
-                                ft_original_ar=ft_original_ar)
+        generate = {"name": "generated", "kind": "generate", "seed": 100 + seed,
+                    "seed_instructions": str(out / "ft_instructions.jsonl"),
+                    "temperatures": [0.6], "include_greedy": False, "max_new_tokens": 48}
+        generated = out / f"ft_generated_{seed}" / "data" / "generated.jsonl"
+        ft_target_ar.append(held_out_ar(f"ft_generated_{seed}", seed, [generate, stage(
+            "ft", "align", 200 + seed, 2e-3, 250, alignment=str(generated))]))
+        ft_original_ar.append(held_out_ar(f"ft_original_{seed}", seed, [stage(
+            "ft", "align", 200 + seed, 2e-3, 250, alignment=str(out / "original.jsonl"))]))
+    return AlignmentStudyResult(pt_ar, ft_target_ar, ft_original_ar)
 
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None,

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read
 from .errors import ConfigError, ContractError
 from .model import row_max
+
+
+LOSS = {"CE": (float, 0.0), "KL": (float, 0.0), "TVD": (float, 0.0)}  # a stage's `loss` (config.py)
 
 
 @dataclass(frozen=True)
@@ -33,17 +35,10 @@ class LossSpec:
             raise ConfigError("loss weights must be nonnegative")
         if not np.isclose(sum(w), 1.0, rtol=0, atol=1e-9):
             raise ConfigError("loss weights must sum to 1")
-        if all(x == 0 for x in w):
-            raise ConfigError("at least one loss weight must be positive")
 
     @property
     def needs_teacher(self) -> bool:
         return self.kl > 0 or self.tvd > 0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossSpec":
-        w = read("loss", d, {"CE": (float, 0.0), "KL": (float, 0.0), "TVD": (float, 0.0)})
-        return cls(w.CE, w.KL, w.TVD)
 
 
 def _log_softmax(logits: np.ndarray, maxes: np.ndarray) -> np.ndarray:

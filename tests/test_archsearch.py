@@ -97,7 +97,7 @@ def test_arch_table_rejects_a_zero_budget():
     """Only a missing or null `budget` takes the base draft's count."""
     base = ModelConfig(hidden_size=16, intermediate_size=32, n_layers=2, n_heads=2,
                        n_kv_heads=2, vocab_size=40, max_seq_len=16)
-    default = arch_table({"hidden_candidates": [16], "budget": None}, base)
+    default = arch_table([16], None, base)
     assert default[0]["n_layers"] == 2 and default[0]["deviation"] == 0
     with pytest.raises(ConfigError, match="budget must be positive"):
-        arch_table({"hidden_candidates": [16], "budget": 0}, base)
+        arch_table([16], 0, base)

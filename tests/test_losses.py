@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from speclab.config import read
 from speclab.distill import SPARSE_DTYPE, top_k
 from speclab.errors import ConfigError, ContractError
-from speclab.losses import LossSpec, ce_loss, combined_loss, kd_loss
+from speclab.losses import LOSS, LossSpec, ce_loss, combined_loss, kd_loss
 
 
 def sparse(ids, logits) -> np.ndarray:
@@ -124,7 +125,8 @@ class TestLossSpec:
         LossSpec(ce=0.5, kl=0.5)
 
     def test_weights_default_to_zero(self):
-        assert LossSpec(kl=1.0) == LossSpec.from_dict({"KL": 1.0})
+        w = read("loss", {"KL": 1.0}, LOSS)
+        assert (w.CE, w.KL, w.TVD) == (0.0, 1.0, 0.0)
         assert LossSpec(kl=1.0).ce == 0.0
 
     def test_mixture_is_exact_weighted_sum(self):

@@ -1,10 +1,10 @@
 """End-to-end smoke test of the JSON-driven pipeline through the CLI.
 
 `speclab train` runs an lm stage, a CE+KL sparse-logit align stage, an
-evaluation grid and the arch-search table; `speclab eval` on the final
-checkpoint and `speclab arch-search` on the same base config must then
-reproduce those rows in every column that does not come from a measured
-latency.
+evaluation grid and the arch-search table; `speclab train` with no stages
+on the final checkpoint and `speclab arch-search` on the same base config
+must then reproduce those rows in every column that does not come from a
+measured latency.
 """
 
 import csv
@@ -80,8 +80,8 @@ def _reject_constant(name):
 
 
 def _agreement_run(tmp_path, c_hat_mode):
-    """`speclab train` with an eval grid and arch table, `speclab eval` on its
-    final draft and `speclab arch-search` on its draft config, writing
+    """`speclab train` with an eval grid and arch table, `speclab train` with
+    no stages on its final draft and `speclab arch-search` on its draft config, writing
     `run/`, `eval/` and `arch/` under tmp_path; returns `run/`."""
     eval_section = dict(EVAL, c_hat_mode=c_hat_mode)
     train_cfg = _write(tmp_path / "train.json", {
@@ -107,7 +107,7 @@ def _agreement_run(tmp_path, c_hat_mode):
         "draft_init_checkpoint": "run/checkpoints/align.sfmd",
         "eval": eval_section,
     })
-    assert main(["eval", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
+    assert main(["train", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
     arch_cfg = _write(tmp_path / "arch.json",
                       {"base_config": DRAFT, "hidden_candidates": HIDDEN})
     assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
@@ -277,7 +277,39 @@ def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files
                 == (tmp_path / "run" / "checkpoints" / f"{name}.sfmd").read_bytes()), name
 
 
-@pytest.mark.parametrize("command", ["align-gen", "distill-data", "bench-latency"])
+def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp_path,
+                                                                             world_files):
+    """A generate stage without `seed` samples with its child seed of the run
+    seed and writes `data/<name>.jsonl` byte for byte as a hand call of
+    `generate_alignment_set` does; a later align stage that names that file
+    trains what `alignment_batches` and train_stage give by hand."""
+    _, target = world_files
+    tok = ByteTokenizer()
+    (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
+                                          encoding="utf-8")
+    generated = tmp_path / "run" / "data" / "gen.jsonl"
+    report = run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT,
+                           "stages": [
+        {"name": "gen", "kind": "generate", "seed_instructions": str(tmp_path / "seeds.jsonl"),
+         "temperatures": [0.6, 0.9], "self_prompt_count": 1, "max_new_tokens": 8},
+        {"name": "ft", "kind": "align", "alignment": str(generated), "seed": 7,
+         "schedule": SCHEDULE}]}, out_dir=tmp_path / "run", seed=3)
+    assert list(report.checkpoints) == ["ft"]
+
+    save_alignment_set(generate_alignment_set(
+        target, tok, [tok.encode("topic one?"), tok.encode("and two?")], [0.6, 0.9],
+        self_prompt_count=1, seed=derive_seed(3, 0), max_new_tokens=8),
+        tmp_path / "gen.jsonl", tok)
+    assert (tmp_path / "gen.jsonl").read_bytes() == generated.read_bytes()
+    state = train_stage(init_model(ModelConfig(**DRAFT), 3), alignment_batches(
+        load_alignment_set(tmp_path / "gen.jsonl", tok), tok, 4, 32, seed=7),
+        TrainSchedule(**SCHEDULE), LossSpec(ce=1.0)).state
+    save_checkpoint(state, tmp_path / "ft.sfmd")
+    assert ((tmp_path / "ft.sfmd").read_bytes()
+            == (tmp_path / "run" / "checkpoints" / "ft.sfmd").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["train", "distill-data", "bench-latency"])
 def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_files, command,
                                                                capsys):
     samples, target = world_files
@@ -285,8 +317,9 @@ def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_f
     (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
                                           encoding="utf-8")
     config = {
-        "align-gen": {"target_checkpoint": "target.sfmd", "seed_instructions": "seeds.jsonl",
-                      "temperatures": [0.6], "max_new_tokens": 8},
+        "train": {"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [
+            {"name": "alignment", "kind": "generate", "seed_instructions": "seeds.jsonl",
+             "temperatures": [0.6], "max_new_tokens": 8}]},
         "distill-data": {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
                          "k": 4, "max_seq_len": 40},
         "bench-latency": {"models": [{"name": "target", "checkpoint": "target.sfmd"},
@@ -296,8 +329,8 @@ def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_f
     out = tmp_path / "out"
     assert main([command, _write(tmp_path / "cmd.json", config), "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    if command == "align-gen":
-        got = load_alignment_set(out / "alignment.jsonl", tok)
+    if command == "train":
+        got = load_alignment_set(out / "data" / "alignment.jsonl", tok)
         assert [(tok.decode_bytes(s.instruction), s.temperature) for s in got] == [
             (b"topic one?", None), (b"topic one?", 0.6), (b"and two?", None), (b"and two?", 0.6)]
         assert {s.source for s in got} == {"target_generated"}
@@ -312,7 +345,11 @@ def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_f
                 for r in rows] == [("target", 1, 1, 5), ("target", 1, 2, 5),
                                    ("draft", 1, 1, 5), ("draft", 1, 2, 5)]
         assert all(r["median_s"] > 0 for r in rows)
-        assert _read(out / "manifest.json")["config"] == config
+        manifest = _read(out / "manifest.json")
+        assert manifest["config"] == config
+        assert set(manifest["machine"]) == {"cpu_count", "threads", "blas"}
+        assert set(manifest["machine"]["threads"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_files, capsys):
@@ -320,7 +357,7 @@ def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_fi
     (tmp_path / "draft.sfmd").write_bytes(blob[:len(blob) // 2])
     config = _write(tmp_path / "eval.json", {
         "target_checkpoint": "target.sfmd", "draft_init_checkpoint": "draft.sfmd", "eval": EVAL})
-    assert main(["eval", config, "--out-dir", str(tmp_path / "eval")]) == 2
+    assert main(["train", config, "--out-dir", str(tmp_path / "eval")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "DataError" and "truncated" in error["message"]
 
@@ -394,9 +431,9 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
     ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, schedule=dict(SCHEDULE, lr=1e-3))]},
      "stages[0].schedule: unknown key 'lr'"),
     ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, loss={"CE": 1.0, "kl": 0.5})]},
-     "loss: unknown key 'kl'"),
+     "stages[0].loss: unknown key 'kl'"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-               "eval": {"modes": ["sample"]}}, "unknown sampling mode 'sample'"),
+               "eval": {"modes": ["sample"]}}, "eval.modes[0]: unknown sampling mode 'sample'"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
                "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
     ("arch-search", {"base_config": dict(DRAFT, hidden=3), "hidden_candidates": [8]},
@@ -415,26 +452,66 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
      "eval: unknown key 'gamma'"),
     ("distill-data", {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
                       "top_k": 4}, "unknown key 'top_k'"),
+    ("train", {"target_checkpoint": "", "draft": DRAFT, "stages": [LM_STAGE]},
+     "config.target_checkpoint is an empty path"),
+    ("train", {"draft_init_checkpoint": "", "draft": DRAFT},
+     "config.draft_init_checkpoint is an empty path"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+               "arch_search": {}}, "config.arch_search.hidden_candidates is missing"),
+    ("train", {"draft": DRAFT, "stages": [LM_STAGE, dict(LM_STAGE, seed=5)]},
+     "config.stages[1].name: an earlier stage is named 'lm'"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
+               "eval": {"benchmarks": [{"name": "b", "kind": "chat"}]}},
+     "config.eval.benchmarks[0].kind: unknown kind 'chat'"),
+    ("train", {"draft": DRAFT, "stages": [{"name": "gen", "kind": "generate",
+                                           "seed_instructions": "seeds.jsonl"}]},
+     "config.target_checkpoint is missing"),
+    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, temperatures=[0.6])]},
+     "config.stages[0]: unknown key 'temperatures'"),
 ], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models",
-        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data"])
+        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data",
+        "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
+        "duplicate_stage_name", "benchmark_kind", "generate_without_target",
+        "key_of_another_kind"])
 def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, command,
                                                 config, message):
+    """Every config fault is found before any work: nothing is written."""
     assert main([command, _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_eval_key_exits_2_before_any_stage_trains(tmp_path, world_files, capsys):
+    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [LM_STAGE],
+              "eval": {"gamma": [2]}}
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ConfigError", "message": "config.eval: unknown key 'gamma'"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_eval_section_runs_the_grid_with_its_defaults(tmp_path, world_files, capsys):
+    """`{}` is a section with every default, not an absent one."""
+    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {}}
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert _read(tmp_path / "out" / "metrics.json") == []
 
 
 def test_a_null_key_trains_as_an_absent_one(tmp_path, world_files):
-    """Null stage `seed`, `sparse_dataset` and `mix` keys, and null sections,
-    train the same bytes as a config without them; null `stages` train none."""
+    """Null stage `seed`, `mix` (lm) and `sparse_dataset` (align) keys, and
+    null sections, train the same bytes as a config without them; null
+    `stages` train none."""
     stages = [dict(LM_STAGE, corpus=str(tmp_path / "pretrain.jsonl")),
               {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
                "k": 8, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]
     config = {"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT}
-    nulls = {"seed": None, "sparse_dataset": None, "mix": None}
+    nulls = [{"seed": None, "mix": None}, {"seed": None, "sparse_dataset": None}]
     run_training(dict(config, stages=stages), out_dir=tmp_path / "absent", seed=3)
-    run_training(dict(config, stages=[dict(s, **nulls) for s in stages], eval=None,
+    run_training(dict(config, stages=[dict(s, **n) for s, n in zip(stages, nulls)], eval=None,
                       arch_search=None), out_dir=tmp_path / "null", seed=3)
     for name in ("lm.sfmd", "align.sfmd"):
         assert ((tmp_path / "absent" / "checkpoints" / name).read_bytes()
