@@ -22,8 +22,8 @@ from .specdec import (BlockResult, SpecConfig, SpecSession, accept_step,
                       generate, speculate_block, start_session)
 from .metrics import (DecodeStats, LatencyProfile, acceptance_rate,
                       block_efficiency, expected_speedup, mbsu, tpot_ar, tpot_sd)
-from .data import (AlignmentSample, Corpus, MixPart, MixSpec,
-                   generate_alignment_set, make_completion_tasks, mix, subsample)
+from .data import (AlignmentSample, Corpus, generate_alignment_set,
+                   make_completion_tasks, mix, subsample)
 from .latency import LatencyRun, build_latency_profile, measure_latency
-from .archsearch import BudgetSearchSpec, budget_search
-from .experiment import evaluate_acceptance, run_experiment
+from .archsearch import budget_search
+from .experiment import evaluate_acceptance, run_training

@@ -8,7 +8,7 @@ dimension fixed, so width candidates stay in the same family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import ConfigError
 from .latency import measure_latency
@@ -18,19 +18,13 @@ from .model import ModelConfig, param_count, param_split
 ARCH_SEARCH = {"hidden_candidates": [int], "budget": (int, None)}
 
 
-@dataclass(frozen=True)
-class BudgetSearchSpec:
-    budget: int                      # excluded-embeddings parameter count
-    hidden_candidates: tuple[int, ...]
-    base_config: ModelConfig
-
-    def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ConfigError("budget must be positive")
-        if not self.hidden_candidates:
-            raise ConfigError("need at least one hidden-size candidate")
-        if any(h <= 0 for h in self.hidden_candidates):
-            raise ConfigError("hidden candidates must be positive")
+def check_search(budget: int | None, hidden_candidates: list[int]) -> None:
+    """Raise ConfigError unless `budget` is None (the base's count) or positive
+    and `hidden_candidates` is a non-empty list of positive sizes."""
+    if budget is not None and budget <= 0:
+        raise ConfigError("budget must be positive")
+    if not hidden_candidates or min(hidden_candidates) <= 0:
+        raise ConfigError("hidden_candidates must be a non-empty list of positive sizes")
 
 
 def derive_config(base: ModelConfig, hidden: int, n_layers: int) -> ModelConfig:
@@ -49,34 +43,35 @@ def derive_config(base: ModelConfig, hidden: int, n_layers: int) -> ModelConfig:
                    intermediate_size=round(hidden * base.intermediate_size / base.hidden_size))
 
 
-def budget_search(spec: BudgetSearchSpec) -> list[dict]:
+def budget_search(budget: int, hidden_candidates: list[int], base: ModelConfig) -> list[dict]:
     """One row per hidden size: the layer count whose excluded-embeddings
-    count lands closest to the budget (at most half a per-layer block away
-    by construction), or feasible=False with the reason. Raises only if no
-    candidate is feasible."""
+    count lands closest to `budget` (at most half a per-layer block away by
+    construction), or feasible=False with the reason. Raises only for a
+    budget or candidate `check_search` rejects, or if no candidate is feasible."""
+    check_search(budget, hidden_candidates)
     rows = []
-    for hidden in spec.hidden_candidates:
+    for hidden in hidden_candidates:
         row = {"hidden_size": hidden, "n_layers": None, "achieved_params_excl": None,
                "deviation": None, "feasible": False, "reason": ""}
         rows.append(row)
         try:
-            fixed, layer = param_split(derive_config(spec.base_config, hidden, 1),
+            fixed, layer = param_split(derive_config(base, hidden, 1),
                                        exclude_embedding_tables=True)
         except ConfigError as exc:
             row["reason"] = str(exc)
             continue
-        if layer > spec.budget:
-            row["reason"] = f"one layer costs {layer} params, over the {spec.budget} budget"
+        if layer > budget:
+            row["reason"] = f"one layer costs {layer} params, over the {budget} budget"
             continue
         # the count is linear in depth: the closest depth is the one below
         # the ideal (fractional) depth or the next, and a tie keeps the shallower
-        n_layers = max(1, (spec.budget - fixed) // layer)
-        if abs(fixed + (n_layers + 1) * layer - spec.budget) < abs(
-                fixed + n_layers * layer - spec.budget):
+        n_layers = max(1, (budget - fixed) // layer)
+        if abs(fixed + (n_layers + 1) * layer - budget) < abs(
+                fixed + n_layers * layer - budget):
             n_layers += 1
         achieved = fixed + n_layers * layer
         row.update(n_layers=n_layers, achieved_params_excl=achieved,
-                   deviation=achieved - spec.budget, feasible=True)
+                   deviation=achieved - budget, feasible=True)
     if not any(r["feasible"] for r in rows):
         raise ConfigError("no feasible layer count for any hidden candidate")
     return rows
@@ -96,7 +91,7 @@ def arch_table(hidden_candidates: list[int], budget: int | None, base: ModelConf
     """
     if budget is None:
         budget = param_count(base, exclude_embedding_tables=True)
-    rows = budget_search(BudgetSearchSpec(budget, tuple(hidden_candidates), base))
+    rows = budget_search(budget, hidden_candidates, base)
     for row in rows:
         cfg = derive_config(base, row["hidden_size"], row["n_layers"]) if row["feasible"] else None
         row["config"] = cfg.to_dict() if cfg else None

@@ -58,7 +58,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                        for d in corpus.documents))
 
 
-def subsample(corpus: Corpus, token_budget: int, seed: int) -> Corpus:
+def subsample(corpus: Corpus, token_budget: int, seed: int | np.random.SeedSequence) -> Corpus:
     """Uniform documents without replacement until the budget is first met
     or exceeded; the last document is kept whole."""
     if token_budget < 0:
@@ -81,33 +81,20 @@ def subsample(corpus: Corpus, token_budget: int, seed: int) -> Corpus:
     return Corpus(documents=picked)
 
 
-@dataclass(frozen=True)
-class MixPart:
-    corpus_id: str
-    token_budget: int
-
-
-@dataclass(frozen=True)
-class MixSpec:
-    parts: tuple[MixPart, ...]
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if sum(p.token_budget for p in self.parts) <= 0:
-            raise ConfigError("mix budgets must sum to a positive number")
-
-
-def mix(spec: MixSpec, corpora: dict[str, Corpus]) -> Corpus:
-    """Subsample each part to its budget, then interleave with a
-    deterministic shuffle; tag ratios match budgets within one document."""
+def mix(corpora: dict[str, Corpus], parts: list[tuple[str, int]], seed: int) -> Corpus:
+    """Subsample each `(corpus id, token budget)` part to its budget, then
+    interleave with a deterministic shuffle; tag ratios match budgets within
+    one document. Part `i` draws from child `i` of `SeedSequence(seed)` and
+    the shuffle from child `len(parts)`."""
+    if sum(budget for _, budget in parts) <= 0:
+        raise ConfigError("mix budgets must sum to a positive number")
+    *children, shuffle = np.random.SeedSequence(seed).spawn(len(parts) + 1)
     docs: list[Document] = []
-    for i, part in enumerate(spec.parts):
-        if part.corpus_id not in corpora:
-            raise DataError(f"unknown corpus id {part.corpus_id!r}")
-        sub = subsample(corpora[part.corpus_id], part.token_budget, seed=spec.seed + i)
-        docs.extend(sub.documents)
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(len(docs))
+    for (corpus_id, budget), child in zip(parts, children):
+        if corpus_id not in corpora:
+            raise DataError(f"unknown corpus id {corpus_id!r}")
+        docs.extend(subsample(corpora[corpus_id], budget, seed=child).documents)
+    order = np.random.default_rng(shuffle).permutation(len(docs))
     return Corpus(documents=[docs[int(i)] for i in order])
 
 
@@ -241,10 +228,10 @@ def generate_alignment_set(
     return samples
 
 
-def lm_token_stream(corpus: Corpus, tokenizer: ByteTokenizer, seed: int) -> np.ndarray:
-    """Shuffle documents and concatenate them, eos-separated, into one
-    id stream for next-token pre-training."""
-    rng = np.random.default_rng(seed)
+def lm_token_stream(corpus: Corpus, tokenizer: ByteTokenizer,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Shuffle documents with `rng` and concatenate them, eos-separated,
+    into one id stream for next-token pre-training."""
     order = rng.permutation(len(corpus.documents))
     ids: list[int] = []
     for i in order:
@@ -254,19 +241,21 @@ def lm_token_stream(corpus: Corpus, tokenizer: ByteTokenizer, seed: int) -> np.n
 
 
 def lm_batches(corpus: Corpus, tokenizer: ByteTokenizer, batch_size: int,
-               seq_len: int, seed: int):
-    """Non-overlapping (batch, seq_len) next-token batches; one epoch."""
-    stream = lm_token_stream(corpus, tokenizer, seed)
+               seq_len: int, seed: int, epochs: int = 1):
+    """Non-overlapping (batch, seq_len) next-token batches over `epochs`
+    shuffles of the corpus, all drawn from one generator seeded by `seed`."""
+    rng = np.random.default_rng(seed)
     step_tokens = batch_size * (seq_len + 1)
-    n_steps = len(stream) // step_tokens
-    for s in range(n_steps):
-        chunk = stream[s * step_tokens:(s + 1) * step_tokens]
-        rows = chunk.reshape(batch_size, seq_len + 1)
-        yield Batch(
-            inputs=rows[:, :-1].copy(),
-            targets=rows[:, 1:].copy(),
-            mask=np.ones((batch_size, seq_len), dtype=bool),
-        )
+    for _ in range(epochs):
+        stream = lm_token_stream(corpus, tokenizer, rng)
+        for s in range(len(stream) // step_tokens):
+            chunk = stream[s * step_tokens:(s + 1) * step_tokens]
+            rows = chunk.reshape(batch_size, seq_len + 1)
+            yield Batch(
+                inputs=rows[:, :-1].copy(),
+                targets=rows[:, 1:].copy(),
+                mask=np.ones((batch_size, seq_len), dtype=bool),
+            )
 
 
 def _pad_rows(rows: list[np.ndarray], pad_id: int, width: int) -> np.ndarray:

@@ -10,7 +10,6 @@ of (checkpoints, eval seeds).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import platform
 import time
@@ -22,13 +21,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .archsearch import ARCH_SEARCH, arch_table
+from .archsearch import ARCH_SEARCH, arch_table, check_search
 from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
 from .config import RUN, Kinds, at, load
-from .data import (MASK_MODES, Corpus, Document, MixPart, MixSpec, alignment_batches,
-                   chat_prompt, generate_alignment_set, lm_batches, load_alignment_set,
-                   load_corpus, make_completion_tasks, mix, save_alignment_set,
-                   save_corpus, teacher_sequences)
+from .data import (MASK_MODES, Corpus, Document, alignment_batches, chat_prompt,
+                   generate_alignment_set, lm_batches, load_alignment_set, load_corpus,
+                   make_completion_tasks, mix, save_alignment_set, save_corpus,
+                   teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError, VocabMismatchError
 from .latency import measure_latency
@@ -118,13 +117,11 @@ def _build_stage_batches(stage: SimpleNamespace, tokenizer: ByteTokenizer, stage
     if stage.kind == "lm":
         if stage.mix is not None:
             corpora = {cid: load_corpus(base_dir / path) for cid, path in stage.mix.corpora.items()}
-            corpus = mix(MixSpec(parts=tuple(MixPart(cid, b) for cid, b in stage.mix.parts),
-                                 seed=stage_seed), corpora)
+            corpus = mix(corpora, stage.mix.parts, stage_seed)
         else:
             corpus = load_corpus(base_dir / stage.corpus)
-        iters = [lm_batches(corpus, tokenizer, schedule.batch_size, schedule.seq_len,
-                            seed=stage_seed + e) for e in range(stage.epochs)]
-        return itertools.chain(*iters)
+        return lm_batches(corpus, tokenizer, schedule.batch_size, schedule.seq_len,
+                          seed=stage_seed, epochs=stage.epochs)
     samples = load_alignment_set(base_dir / stage.alignment, tokenizer)
     teacher = None
     if loss_spec.needs_teacher:
@@ -184,8 +181,9 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
 @dataclass
 class _Run:
     """A pipeline config as `config.load` returns it, and its target checkpoint.
-    Building one checks what the config's keys require of each other, so a
-    config fault is reported before any file is written."""
+    Building one checks what the config's keys require of each other and
+    that every input file exists, so a config fault or a missing file is
+    reported before any file is written."""
     config: dict
     cfg: SimpleNamespace
     base_dir: Path
@@ -212,19 +210,44 @@ class _Run:
             at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
         if ev is not None and ev.c_hat_mode not in ("total", "excluded"):
             raise ConfigError(f"config.eval.c_hat_mode: unknown c_hat_mode {ev.c_hat_mode!r}")
-        if cfg.arch_search is not None and ev is None:
-            raise ConfigError("config.eval is missing: arch_search is timed with its settings")
+        if cfg.arch_search is not None:
+            if ev is None:
+                raise ConfigError("config.eval is missing: arch_search is timed with its settings")
+            at("config.arch_search", check_search, cfg.arch_search.budget,
+               cfg.arch_search.hidden_candidates)
         if uses_target and cfg.target_checkpoint is None:
             raise ConfigError("config.target_checkpoint is missing: eval, generate and "
                               "distillation stages use the target")
+        # an input is a file, or the data/<name>.jsonl a generate stage before it writes
+        written: set[Path] = set()
+
+        def check(where: str, path: Path | None) -> None:
+            if path is None:
+                return
+            full = self.base_dir / path
+            if full.resolve() not in written and not full.is_file():
+                raise FileNotFoundError(f"{where}: no such file {full}")
+
+        check("config.target_checkpoint", cfg.target_checkpoint)
+        check("config.draft_init_checkpoint", cfg.draft_init_checkpoint)
+        for i, stage in enumerate(cfg.stages):
+            for key in ("corpus", "alignment", "sparse_dataset", "seed_instructions"):
+                check(f"config.stages[{i}].{key}", getattr(stage, key, None))
+            for cid, path in (stage.mix.corpora if getattr(stage, "mix", None) else {}).items():
+                check(f"config.stages[{i}].mix.corpora.{cid}", path)
+            if stage.kind == "generate":
+                written.add((cfg.out_dir / "data" / f"{stage.name}.jsonl").resolve())
+        for i, b in enumerate([] if ev is None else ev.benchmarks):
+            key = "corpus" if b.kind == "completion" else "alignment"
+            check(f"config.eval.benchmarks[{i}].{key}", getattr(b, key))
 
     @cached_property
     def target(self) -> ModelState | None:
         path = self.cfg.target_checkpoint
         return None if path is None else load_checkpoint(self.base_dir / path)
 
-    def train(self) -> tuple[ExperimentReport, ModelState]:
-        """Run the stages; returns the report and the final draft."""
+    def run(self) -> ExperimentReport:
+        """The stages, then the evaluation grid and the optional arch table."""
         cfg = self.cfg
         write_manifest(cfg.out_dir, self.config, cfg.seed)
         tokenizer = ByteTokenizer()
@@ -259,7 +282,9 @@ class _Run:
             report.checkpoints[name] = ckpt
             write_json(cfg.out_dir / "losses" / f"{name}.json",
                        {"stage": name, "losses": result.losses, "steps_run": result.steps_run})
-        return report, state
+        if cfg.eval is not None:
+            self.evaluate(state, report)
+        return report
 
     def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
         """The benchmark x mode x gamma grid, then the optional arch table,
@@ -304,18 +329,11 @@ class _Run:
                                    l_target_1, exclude, **lat),
                         out / "arch_search.csv", out / "arch_search.json")
 
-    def run(self) -> ExperimentReport:
-        """Stages, then the evaluation grid and the optional arch table."""
-        report, draft = self.train()
-        if self.cfg.eval is not None:
-            self.evaluate(draft, report)
-        return report
-
 
 def run_training(config: dict | str | Path, out_dir: str | Path | None = None,
                  seed: int | None = None) -> ExperimentReport:
-    """Execute the declared stages, writing one checkpoint per stage."""
-    return _Run(*load(config, PIPELINE, out_dir, seed)).train()[0]
+    """Run a pipeline config: its stages, then its evaluation grid and arch table."""
+    return _Run(*load(config, PIPELINE, out_dir, seed)).run()
 
 
 @dataclass
@@ -367,7 +385,7 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
         out / "pretrain", seed=2).checkpoints["pretrain"]
 
     def held_out_ar(run: str, seed: int, stages: list[dict]) -> float:
-        return run_experiment({
+        return run_training({
             "target_checkpoint": str(target), "draft_init_checkpoint": str(draft),
             "stages": stages,
             "eval": {"benchmarks": [{"name": "held_out", "kind": "instruction",
@@ -387,9 +405,3 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
         ft_original_ar.append(held_out_ar(f"ft_original_{seed}", seed, [stage(
             "ft", "align", 200 + seed, 2e-3, 250, alignment=str(out / "original.jsonl"))]))
     return AlignmentStudyResult(pt_ar, ft_target_ar, ft_original_ar)
-
-
-def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None,
-                   seed: int | None = None) -> ExperimentReport:
-    """Stages, then the evaluation grid, then the optional architecture table."""
-    return _Run(*load(config, PIPELINE, out_dir, seed)).run()

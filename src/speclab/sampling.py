@@ -14,14 +14,13 @@ from .model import KVCache, ModelState, forward
 class SamplingPolicy:
     """How tokens are drawn from logits.
 
-    Greedy ignores the temperature entirely and is seed independent.
-    Multinomial draws from softmax(logits / temperature) using the session
-    rng, so identical (policy, state, context, rng state) produce identical
-    samples.
+    Greedy ignores the temperature entirely and draws no random numbers.
+    Multinomial draws from softmax(logits / temperature) with a generator
+    the caller passes, so identical (policy, state, context, rng state)
+    produce identical samples.
     """
     mode: str = "greedy"
     temperature: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("greedy", "multinomial"):
@@ -29,8 +28,10 @@ class SamplingPolicy:
         if self.mode == "multinomial" and self.temperature <= 0:
             raise ConfigError("temperature must be positive")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+    def check_rng(self, rng: np.random.Generator | None) -> None:
+        """Raise ConfigError if the policy samples and `rng` is None."""
+        if rng is None and self.mode == "multinomial":
+            raise ConfigError("multinomial sampling needs an rng")
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -74,9 +75,9 @@ def autoregressive_decode(
     rng: np.random.Generator | None = None,
     eos_id: int | None = None,
 ) -> list[int]:
-    """Plain one-token-per-forward generation; the target-only baseline."""
-    if rng is None:
-        rng = policy.rng()
+    """Plain one-token-per-forward generation, the target-only baseline;
+    a multinomial `policy` needs the `rng` it draws from."""
+    policy.check_rng(rng)
     cache = KVCache(state.config, dtype=state.dtype)
     out: list[int] = []
     pending = list(prompt)

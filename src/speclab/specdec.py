@@ -58,7 +58,7 @@ class SpecSession:
     draft: ModelState
     target: ModelState
     committed: list[int]
-    rng: np.random.Generator
+    rng: np.random.Generator | None
     draft_cache: KVCache
     target_cache: KVCache
     blocks: list[BlockResult] = field(default_factory=list)
@@ -71,15 +71,16 @@ def start_session(
     policy: SamplingPolicy | None = None,
     rng: np.random.Generator | None = None,
 ) -> SpecSession:
-    """Create a decode session over a shared-vocabulary draft/target pair."""
+    """Create a decode session over a shared-vocabulary draft/target pair;
+    a multinomial `policy` needs the `rng` its blocks draw from."""
     if draft.config.vocab_size != target.config.vocab_size:
         raise VocabMismatchError(
             f"draft vocab {draft.config.vocab_size} != target vocab {target.config.vocab_size}")
     prompt = [int(t) for t in prompt]
     if not prompt:
         raise LengthError("prompt must contain at least one token")
-    if rng is None:
-        rng = (policy or SamplingPolicy()).rng()
+    if policy is not None:
+        policy.check_rng(rng)
     return SpecSession(
         draft=draft,
         target=target,
@@ -153,6 +154,7 @@ def speculate_block(
     if gamma < 0:
         raise ConfigError("proposal length must be nonnegative")
     policy = spec.policy
+    policy.check_rng(session.rng)
     greedy = policy.mode == "greedy"
     m = len(session.committed)
     for st, label in ((session.draft, "draft"), (session.target, "target")):

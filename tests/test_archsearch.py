@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speclab import model
-from speclab.archsearch import BudgetSearchSpec, arch_table, budget_search, derive_config
+from speclab.archsearch import arch_table, budget_search, derive_config
 from speclab.errors import ConfigError
 from speclab.model import ModelConfig, param_count, param_split
 
@@ -35,8 +35,7 @@ def search_specs(draw):
     narrowest = head_dim * kv_ratio
     layer = per_layer(base, narrowest)
     widths = draw(st.lists(st.integers(1, 12 * head_dim), max_size=5))
-    return BudgetSearchSpec(budget=draw(st.integers(layer, 40 * layer)),
-                            hidden_candidates=(narrowest, *widths), base_config=base)
+    return draw(st.integers(layer, 40 * layer)), [narrowest, *widths], base
 
 
 def closest_depth(base: ModelConfig, hidden: int, budget: int) -> int:
@@ -53,16 +52,16 @@ def closest_depth(base: ModelConfig, hidden: int, budget: int) -> int:
 @settings(deadline=None)
 @given(spec=search_specs())
 def test_feasible_rows_land_within_half_a_layer_of_the_budget(spec):
-    for row in budget_search(spec):
+    budget, _, base = spec
+    for row in budget_search(*spec):
         if row["feasible"]:
-            layer = per_layer(spec.base_config, row["hidden_size"])
+            layer = per_layer(base, row["hidden_size"])
             assert abs(row["deviation"]) <= layer / 2
-            n_layers = closest_depth(spec.base_config, row["hidden_size"], spec.budget)
-            achieved = tensor_walk_count(
-                derive_config(spec.base_config, row["hidden_size"], n_layers), True)
+            n_layers = closest_depth(base, row["hidden_size"], budget)
+            achieved = tensor_walk_count(derive_config(base, row["hidden_size"], n_layers), True)
             assert row == {"hidden_size": row["hidden_size"], "n_layers": n_layers,
                            "achieved_params_excl": achieved,
-                           "deviation": achieved - spec.budget, "feasible": True,
+                           "deviation": achieved - budget, "feasible": True,
                            "reason": ""}
 
 
@@ -72,7 +71,7 @@ def test_a_tie_keeps_the_shallower_depth():
     base = ModelConfig(hidden_size=2, intermediate_size=4, n_layers=1, n_heads=1,
                        n_kv_heads=1, vocab_size=264, max_seq_len=32)
     for k in (6, 7, 8, 15):
-        row, = budget_search(BudgetSearchSpec(2 + 44 * k + 22, (2,), base))
+        row, = budget_search(2 + 44 * k + 22, [2], base)
         assert (row["n_layers"], row["deviation"]) == (k, -22)
 
 
@@ -88,7 +87,7 @@ def test_pricing_builds_the_tensor_list_of_one_layer_only(monkeypatch):
     base = ModelConfig(hidden_size=2, intermediate_size=4, n_layers=3, n_heads=1,
                        n_kv_heads=1, vocab_size=264, max_seq_len=32)
     assert param_count(base) == 2 * 264 * 2 + 2 + 3 * 44
-    rows = budget_search(BudgetSearchSpec(2_000_000, (2, 4), base))
+    rows = budget_search(2_000_000, [2, 4], base)
     assert [(r["n_layers"], r["deviation"]) for r in rows] == [(45454, -22), (11905, 44)]
     assert set(depths) == {1}
 

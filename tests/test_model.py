@@ -293,14 +293,15 @@ class TestSampling:
             assert sample(logits, cold, rng) == sample(logits, greedy, rng)
 
     def test_seeded_determinism(self):
-        policy = SamplingPolicy("multinomial", temperature=1.0, seed=5)
+        policy = SamplingPolicy("multinomial", temperature=1.0)
         logits = np.linspace(-1, 1, 20)
-        a = [sample(logits, policy, policy.rng()) for _ in range(3)]
-        b = [sample(logits, policy, policy.rng()) for _ in range(3)]
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        a = [sample(logits, policy, rng_a) for _ in range(3)]
+        b = [sample(logits, policy, rng_b) for _ in range(3)]
         assert a == b
 
     def test_greedy_seed_independent(self):
         logits = np.linspace(-1, 1, 20)
-        outs = {sample(logits, SamplingPolicy("greedy", seed=s),
-                       np.random.default_rng(s)) for s in range(10)}
+        outs = {sample(logits, SamplingPolicy("greedy"), np.random.default_rng(s))
+                for s in range(10)}
         assert len(outs) == 1

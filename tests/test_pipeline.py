@@ -8,7 +8,6 @@ measured latency.
 """
 
 import csv
-import itertools
 import json
 
 import numpy as np
@@ -17,9 +16,9 @@ import pytest
 from speclab import (LossSpec, ModelConfig, ModelState, TrainSchedule, init_model,
                      save_checkpoint, train_stage)
 from speclab.cli import main
-from speclab.data import (MixPart, MixSpec, alignment_batches, generate_alignment_set,
-                          lm_batches, load_alignment_set, load_corpus, mix,
-                          save_alignment_set, save_corpus, teacher_sequences)
+from speclab.data import (alignment_batches, generate_alignment_set, lm_batches,
+                          load_alignment_set, load_corpus, mix, save_alignment_set,
+                          save_corpus, teacher_sequences)
 from speclab.distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from speclab.errors import ConfigError, DataError, VocabMismatchError
 from speclab.experiment import derive_seed, run_training
@@ -263,12 +262,11 @@ def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files
     ]}, out_dir=tmp_path / "run", seed=3)
 
     mix_seed = derive_seed(3, 2)
-    mixed = mix(MixSpec(tuple(MixPart(cid, b) for cid, b in parts), seed=mix_seed), corpora)
+    mixed = mix(corpora, parts, mix_seed)
     state = init_model(ModelConfig(**DRAFT), 3)
     for name, batches in (
             ("target", alignment_batches(samples, tok, 4, 32, seed=11, mask_mode="full")),
-            ("pretrain", itertools.chain(lm_batches(corpus, tok, 4, 32, seed=4),
-                                         lm_batches(corpus, tok, 4, 32, seed=5))),
+            ("pretrain", lm_batches(corpus, tok, 4, 32, seed=4, epochs=2)),
             ("mix", lm_batches(mixed, tok, 4, 32, seed=mix_seed))):
         state = train_stage(state, batches, TrainSchedule(**schedules[name]),
                             LossSpec(ce=1.0)).state
@@ -468,11 +466,20 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
      "config.target_checkpoint is missing"),
     ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, temperatures=[0.6])]},
      "config.stages[0]: unknown key 'temperatures'"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+               "arch_search": {"hidden_candidates": [8], "budget": 0}},
+     "config.arch_search: budget must be positive"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+               "arch_search": {"hidden_candidates": []}},
+     "config.arch_search: hidden_candidates must be a non-empty list of positive sizes"),
+    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+               "arch_search": {"hidden_candidates": [0]}},
+     "config.arch_search: hidden_candidates must be a non-empty list of positive sizes"),
 ], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models",
         "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
-        "key_of_another_kind"])
+        "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate"])
 def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, command,
                                                 config, message):
     """Every config fault is found before any work: nothing is written."""
@@ -490,6 +497,33 @@ def test_a_bad_eval_key_exits_2_before_any_stage_trains(tmp_path, world_files, c
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error == {"error": "ConfigError", "message": "config.eval: unknown key 'gamma'"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, where", [
+    ({"draft": DRAFT, "stages": [LM_STAGE, dict(LM_STAGE, name="lm2", corpus="pretrian.jsonl")]},
+     "config.stages[1].corpus"),
+    ({"draft": DRAFT, "stages": [dict(LM_STAGE, corpus=None, mix={
+        "corpora": {"a": "pretrain.jsonl", "b": "pretrian.jsonl"}, "parts": [["a", 10]]})]},
+     "config.stages[0].mix.corpora.b"),
+    ({"draft_init_checkpoint": "draft.sfmd"}, "config.draft_init_checkpoint"),
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [
+        {"name": "ft", "kind": "align", "alignment": "out/data/gen.jsonl", "schedule": SCHEDULE},
+        {"name": "gen", "kind": "generate", "seed_instructions": "align.jsonl"}]},
+     "config.stages[0].alignment"),
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"benchmarks": [
+        {"name": "text", "kind": "completion", "corpus": "pretrian.jsonl"}]}},
+     "config.eval.benchmarks[0].corpus"),
+], ids=["later_stage_corpus", "mix_corpus", "draft_init_checkpoint",
+        "alignment_of_a_later_generate_stage", "benchmark_corpus"])
+def test_a_missing_input_file_exits_3_before_any_stage_trains(tmp_path, world_files, capsys,
+                                                              config, where):
+    """Every input file is looked for before any work; only the file that an
+    earlier generate stage writes may be missing."""
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "FileNotFoundError" and error["message"].startswith(where)
     assert not (tmp_path / "out").exists()
 
 

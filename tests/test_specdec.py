@@ -11,7 +11,7 @@ import pytest
 from conftest import make_pair
 from speclab import specdec
 from speclab.cli import main
-from speclab.errors import ContractError, VocabMismatchError
+from speclab.errors import ConfigError, ContractError, VocabMismatchError
 from speclab.metrics import DecodeStats, acceptance_rate, block_efficiency
 from speclab.model import forward
 from speclab.sampling import SamplingPolicy, autoregressive_decode, distribution
@@ -56,6 +56,18 @@ def test_start_session_rejects_a_pair_of_different_vocabularies():
     _, target = make_pair(vocab=65)
     with pytest.raises(VocabMismatchError, match="64 != target vocab 65"):
         start_session(draft, target, PROMPT)
+
+
+def test_multinomial_decoding_needs_an_rng(pair):
+    """Sampling draws only from a generator the caller passes; greedy needs none."""
+    draft, target = pair
+    with pytest.raises(ConfigError, match="needs an rng"):
+        start_session(draft, target, PROMPT, policy=SAMPLED)
+    with pytest.raises(ConfigError, match="needs an rng"):
+        autoregressive_decode(target, PROMPT, SAMPLED, 4)
+    session = start_session(draft, target, PROMPT, policy=GREEDY)
+    with pytest.raises(ConfigError, match="needs an rng"):
+        generate(session, SpecConfig(gamma=2, policy=SAMPLED, max_new_tokens=4))
 
 
 def test_accept_step_is_lossless():

@@ -214,3 +214,18 @@ def test_lm_batches_are_next_token_shifted():
     batch = next(lm_batches(corpus, tok, 2, 16, seed=1))
     assert batch.inputs.shape == (2, 16)
     assert np.array_equal(batch.inputs[:, 1:], batch.targets[:, :-1])
+
+
+def test_lm_epochs_draw_from_one_generator():
+    """The first epoch is the one-epoch stream of the seed, and epoch 1 of a
+    stage seeded 4 is not epoch 0 of a stage seeded 5."""
+    tok = ByteTokenizer()
+    corpus = word_sentence_corpus(n_docs=50, seed=0)
+
+    def tokens(batches):
+        return np.concatenate([b.inputs.ravel() for b in batches])
+
+    one = tokens(lm_batches(corpus, tok, 2, 16, seed=4))
+    two = tokens(lm_batches(corpus, tok, 2, 16, seed=4, epochs=2))
+    assert len(two) == 2 * len(one) and np.array_equal(two[:len(one)], one)
+    assert not np.array_equal(two[len(one):], tokens(lm_batches(corpus, tok, 2, 16, seed=5)))
