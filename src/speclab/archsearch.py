@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .latency import measure_latency
-from .model import ModelConfig, param_count, param_split
+from .model import ModelConfig, init_model, param_count, param_split
 
 # the `arch_search` config section (notation in config.py)
 ARCH_SEARCH = {"hidden_candidates": [int], "budget": (int, None)}
@@ -85,9 +85,10 @@ def arch_table(hidden_candidates: list[int], budget: int | None, base: ModelConf
 
     The budget defaults to `base`'s excluded-embeddings count. With a target
     config and its measured block-1 latency `l_target_1`, feasible rows add
-    their single-token latency (`measure_latency` with `latency`), c, and
-    c_hat (embedding tables `exclude`d or not). A row holds only its own
-    candidate's numbers: no acceptance has been measured for it.
+    their single-token latency (`measure_latency` with `latency`, whose seed
+    also draws the weights), c, and c_hat (embedding tables `exclude`d or
+    not). A row holds only its own candidate's numbers: no acceptance has
+    been measured for it.
     """
     if budget is None:
         budget = param_count(base, exclude_embedding_tables=True)
@@ -97,7 +98,8 @@ def arch_table(hidden_candidates: list[int], budget: int | None, base: ModelConf
         row["config"] = cfg.to_dict() if cfg else None
         if cfg is None or target is None:
             continue
-        row["latency_1tok"] = lat = measure_latency(cfg, 1, **latency).median
+        state = init_model(cfg, latency["seed"])
+        row["latency_1tok"] = lat = measure_latency(state, 1, **latency).median
         row["c"] = lat / l_target_1
         row["c_hat"] = param_count(cfg, exclude) / param_count(target, exclude)
     return rows

@@ -106,43 +106,49 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             f.write(arr.tobytes())
 
 
-def load_checkpoint(path: str | Path) -> ModelState:
-    """Read a checkpoint back; a truncated or damaged file raises DataError."""
-    buf = Path(path).read_bytes()
-    off = 0
+def _read_header(path: str | Path, f):
+    """The open checkpoint `f`'s config and `take(n)`, its next n bytes or DataError."""
+    size = os.fstat(f.fileno()).st_size
 
     def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(buf):
+        if f.tell() + n > size:
             raise DataError(f"{path}: truncated checkpoint")
-        off += n
-        return buf[off - n:off]
-
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
+        return f.read(n)
 
     if take(4) != MAGIC:
         raise ConfigError(f"{path}: not a model checkpoint")
-    version = u32()
+    version = struct.unpack("<I", take(4))[0]
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    cfg_blob = take(u32())
+    cfg_blob = take(struct.unpack("<I", take(4))[0])
     try:
-        config = ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8")))
+        return ModelConfig.from_dict(json.loads(cfg_blob.decode("utf-8"))), take
     except ValueError as exc:  # bad utf-8 or JSON, or a config the reader rejects
         raise DataError(f"{path}: damaged config block ({exc})") from exc
-    expected = tensor_shapes(config)
-    if u32() != len(expected):
-        raise DataError(f"{path}: tensor count mismatch")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in expected:
-        name = take(struct.unpack("<H", take(2))[0]).decode("utf-8", errors="replace")
-        ndim = take(1)[0]
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if expected.get(name) != shape or name in tensors:
-            raise DataError(f"{path}: unexpected tensor {name} with shape {shape}")
-        data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4")
-        tensors[name] = data.reshape(shape).astype(np.float32)
-    if off != len(buf):
-        raise DataError(f"{path}: trailing bytes after the last tensor")
+
+
+def checkpoint_config(path: str | Path) -> ModelConfig:
+    """A checkpoint's model config, read from its header without its tensors."""
+    with open(path, "rb") as f:
+        return _read_header(path, f)[0]
+
+
+def load_checkpoint(path: str | Path) -> ModelState:
+    """Read a checkpoint back; a truncated or damaged file raises DataError."""
+    with open(path, "rb") as f:
+        config, take = _read_header(path, f)
+        expected = tensor_shapes(config)
+        if struct.unpack("<I", take(4))[0] != len(expected):
+            raise DataError(f"{path}: tensor count mismatch")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in expected:
+            name = take(struct.unpack("<H", take(2))[0]).decode("utf-8", errors="replace")
+            ndim = take(1)[0]
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            if expected.get(name) != shape or name in tensors:
+                raise DataError(f"{path}: unexpected tensor {name} with shape {shape}")
+            data = np.frombuffer(take(4 * int(np.prod(shape))), dtype="<f4")
+            tensors[name] = data.reshape(shape).astype(np.float32)
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after the last tensor")
     return ModelState(config=config, tensors=tensors)

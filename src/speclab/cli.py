@@ -3,8 +3,8 @@
 Every subcommand takes one JSON config file plus optional --seed and
 --out-dir overrides; failures exit nonzero with a machine-readable error
 JSON on stderr. `speclab train` runs the whole pipeline a config declares:
-its stages (generate, lm, align), then its evaluation, so a config with
-no stages evaluates a draft checkpoint.
+its stages (generate, lm, align), its evaluation and its arch table, so
+a config with no stages evaluates a draft checkpoint.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-from .archsearch import ARCH_SEARCH, arch_table
 from .checkpoint import load_checkpoint, write_json
 from .config import RUN, load
 from .data import load_alignment_set, teacher_sequences
 from .errors import ConfigError, SpecLabError
 from .experiment import PIPELINE, STAGE, _Run, write_manifest, write_teacher_logits
 from .latency import measure_latency
-from .metrics import DecodeStats, metrics_row, write_report, write_table
-from .model import ModelConfig
-from .specdec import read_audit_log
+from .metrics import metrics_row, write_report
+from .model import ModelConfig, init_model
+from .specdec import decode_stats, read_audit_log
 from .tokenizer import ByteTokenizer
 
 # the config schema of each command but `train`, which reads the
@@ -33,7 +32,6 @@ DISTILL_DATA = {**RUN, "teacher_checkpoint": Path, "alignment": Path, "k": STAGE
 LATENCY_MODEL = {"name": (str, "model"), "checkpoint": (Path, None), "config": (ModelConfig, None)}
 BENCH_LATENCY = {**RUN, "models": [LATENCY_MODEL], "block_sizes": ([int], [1]),
                  "warmup": (int, 3), "reps": (int, 10), "out_name": (Path, "latency.json")}
-ARCH = {**RUN, **ARCH_SEARCH, "base_config": ModelConfig, "out_name": (Path, "arch_search.json")}
 REPORT_RUN = {"audit": Path, "gamma": int, "c_hat": float, "benchmark": (str, "replay"),
               "sampling_mode": (str, "greedy"), "temperature": (float, 0.0)}
 REPORT = {**RUN, "runs": [REPORT_RUN]}
@@ -61,12 +59,13 @@ def cmd_bench_latency(given: dict, cfg, base: Path) -> None:
     for i, m in enumerate(cfg.models):
         if m.checkpoint is None and m.config is None:
             raise ConfigError(f"config.models[{i}].config is missing, and so is its checkpoint")
-        model = m.config if m.checkpoint is None else load_checkpoint(base / m.checkpoint)
+        model = (init_model(m.config, cfg.seed) if m.checkpoint is None
+                 else load_checkpoint(base / m.checkpoint))
         for block in cfg.block_sizes:
             run = measure_latency(model, block, warmup=cfg.warmup, reps=cfg.reps,
                                   seed=cfg.seed)
-            results.append({"name": m.name, "hidden_size": run.config.hidden_size,
-                            "n_layers": run.config.n_layers, "block_size": block,
+            results.append({"name": m.name, "hidden_size": model.config.hidden_size,
+                            "n_layers": model.config.n_layers, "block_size": block,
                             "median_s": run.median, "samples_s": run.samples,
                             "flagged": run.flagged})
     out = cfg.out_dir / cfg.out_name
@@ -75,25 +74,11 @@ def cmd_bench_latency(given: dict, cfg, base: Path) -> None:
     print(f"wrote {len(results)} measurements to {out}")
 
 
-def cmd_arch_search(given: dict, cfg, base: Path) -> None:
-    rows = arch_table(cfg.hidden_candidates, cfg.budget, cfg.base_config)
-    out = cfg.out_dir / cfg.out_name
-    write_table(rows, out.with_suffix(".csv"), out)
-    write_manifest(cfg.out_dir, given, cfg.seed)
-    for r in rows:
-        status = (f"layers={r['n_layers']} deviation={r['deviation']}" if r["feasible"]
-                  else r["reason"])
-        print(f"hidden={r['hidden_size']}: {status}")
-
-
 def cmd_report(given: dict, cfg, base: Path) -> None:
     """Recompute a metrics table from recorded audit logs."""
     rows = []
     for run in cfg.runs:
-        blocks = read_audit_log(base / run.audit)
-        stats = DecodeStats(gamma=run.gamma,
-                            blocks=[int(b["accepted_count"]) for b in blocks],
-                            proposal_lens=[len(b["proposed"]) for b in blocks])
+        stats = decode_stats(run.gamma, read_audit_log(base / run.audit))
         rows.append(metrics_row(run.benchmark, run.sampling_mode, run.temperature, stats,
                                 run.c_hat))
     write_report(rows, cfg.out_dir / "metrics.csv", cfg.out_dir / "metrics.json")
@@ -101,8 +86,7 @@ def cmd_report(given: dict, cfg, base: Path) -> None:
 
 
 COMMANDS = {"train": (cmd_train, PIPELINE), "distill-data": (cmd_distill_data, DISTILL_DATA),
-            "bench-latency": (cmd_bench_latency, BENCH_LATENCY),
-            "arch-search": (cmd_arch_search, ARCH), "report": (cmd_report, REPORT)}
+            "bench-latency": (cmd_bench_latency, BENCH_LATENCY), "report": (cmd_report, REPORT)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,18 +81,27 @@ def subsample(corpus: Corpus, token_budget: int, seed: int | np.random.SeedSeque
     return Corpus(documents=picked)
 
 
+def check_parts(parts: list[tuple[str, int]], corpus_ids) -> None:
+    """Raise ConfigError unless every part names one of `corpus_ids` with a
+    nonnegative budget and the budgets sum to a positive number."""
+    for i, (corpus_id, budget) in enumerate(parts):
+        if corpus_id not in corpus_ids:
+            raise ConfigError(f"parts[{i}] names an unknown corpus id {corpus_id!r}")
+        if budget < 0:
+            raise ConfigError(f"parts[{i}] has a negative token budget")
+    if sum(budget for _, budget in parts) <= 0:
+        raise ConfigError("mix budgets must sum to a positive number")
+
+
 def mix(corpora: dict[str, Corpus], parts: list[tuple[str, int]], seed: int) -> Corpus:
     """Subsample each `(corpus id, token budget)` part to its budget, then
     interleave with a deterministic shuffle; tag ratios match budgets within
     one document. Part `i` draws from child `i` of `SeedSequence(seed)` and
     the shuffle from child `len(parts)`."""
-    if sum(budget for _, budget in parts) <= 0:
-        raise ConfigError("mix budgets must sum to a positive number")
+    check_parts(parts, corpora)
     *children, shuffle = np.random.SeedSequence(seed).spawn(len(parts) + 1)
     docs: list[Document] = []
     for (corpus_id, budget), child in zip(parts, children):
-        if corpus_id not in corpora:
-            raise DataError(f"unknown corpus id {corpus_id!r}")
         docs.extend(subsample(corpora[corpus_id], budget, seed=child).documents)
     order = np.random.default_rng(shuffle).permutation(len(docs))
     return Corpus(documents=[docs[int(i)] for i in order])
@@ -190,7 +199,8 @@ def generate_alignment_set(
     temperatures: list[float],
     include_greedy: bool = True,
     self_prompt_count: int = 0,
-    seed: int = 0,
+    *,
+    seed: int,
     max_new_tokens: int = 64,
 ) -> list[AlignmentSample]:
     """Solicit responses from the target for every seed instruction under

@@ -22,21 +22,22 @@ import numpy as np
 
 from . import __version__
 from .archsearch import ARCH_SEARCH, arch_table, check_search
-from .checkpoint import canonical_json, load_checkpoint, save_checkpoint, write_json
+from .checkpoint import (canonical_json, checkpoint_config, load_checkpoint, save_checkpoint,
+                         write_json)
 from .config import RUN, Kinds, at, load
-from .data import (MASK_MODES, Corpus, Document, alignment_batches, chat_prompt,
+from .data import (MASK_MODES, Corpus, Document, alignment_batches, chat_prompt, check_parts,
                    generate_alignment_set, lm_batches, load_alignment_set, load_corpus,
                    make_completion_tasks, mix, save_alignment_set, save_corpus,
                    teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError, VocabMismatchError
-from .latency import measure_latency
+from .latency import MIN_REPS, measure_latency
 from .losses import LOSS, LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
                       write_report, write_table)
 from .model import ModelConfig, ModelState, init_model, param_count
 from .sampling import SamplingPolicy
-from .specdec import SpecConfig, generate, start_session, write_audit_log
+from .specdec import SpecConfig, decode_stats, generate, start_session, write_audit_log
 from .tokenizer import ByteTokenizer
 from .training import TrainSchedule, train_stage
 
@@ -62,6 +63,11 @@ PIPELINE = {**RUN, "out_dir": (Path, "runs/experiment"), "target_checkpoint": (P
             "stages": ([STAGE], []), "eval": (EVAL, None), "arch_search": (ARCH_SEARCH, None)}
 
 
+# `derive_seed` keys: stage i's is (i,); every other family's has two or
+# more words, led by its own tag, so no two streams of a run share a key
+KEY_PROMPTS, KEY_CELLS, KEY_LATENCY = 1, 2, 3
+
+
 def derive_seed(base: int, *key: int) -> int:
     """Child seed of a run seed: the first word of SeedSequence(base, key)."""
     return int(np.random.SeedSequence(entropy=base, spawn_key=key).generate_state(1)[0])
@@ -71,22 +77,28 @@ def _policy(mode: str, temperature: float) -> SamplingPolicy:
     return SamplingPolicy(mode, temperature=temperature)
 
 
-def evaluate_acceptance(draft: ModelState, target: ModelState, prompts: list[list[int]],
-                        policy: SamplingPolicy, gamma: int, max_new_tokens: int, seed: int = 0,
-                        eos_id: int | None = None,
-                        audit_path: str | Path | None = None) -> DecodeStats:
-    """Pooled decode statistics over a set of prompts."""
-    spec = SpecConfig(gamma=gamma, policy=policy, max_new_tokens=max_new_tokens, eos_id=eos_id)
+def decode_prompts(draft: ModelState, target: ModelState, prompts: list[list[int]],
+                   spec: SpecConfig, seed: int,
+                   audit_path: str | Path | None = None) -> DecodeStats:
+    """Pooled decode statistics over a set of prompts; prompt i draws from
+    child i of SeedSequence(seed)."""
     blocks = []
-    # prompt i draws from child i of SeedSequence(seed)
     for prompt, child in zip(prompts, np.random.SeedSequence(seed).spawn(len(prompts))):
-        session = start_session(draft, target, prompt, policy=policy,
+        session = start_session(draft, target, prompt, policy=spec.policy,
                                 rng=np.random.default_rng(child))
         blocks.extend(generate(session, spec).blocks)
     if audit_path is not None:
         write_audit_log(audit_path, blocks)
-    return DecodeStats(gamma=gamma, blocks=[b.accepted_count for b in blocks],
-                       proposal_lens=[len(b.proposed) for b in blocks])
+    return decode_stats(spec.gamma, blocks)
+
+
+def evaluate_acceptance(draft: ModelState, target: ModelState, prompts: list[list[int]],
+                        policy: SamplingPolicy, gamma: int, max_new_tokens: int, seed: int,
+                        eos_id: int | None = None,
+                        audit_path: str | Path | None = None) -> DecodeStats:
+    """`decode_prompts` under the SpecConfig of these settings."""
+    return decode_prompts(draft, target, prompts,
+                          SpecConfig(gamma, policy, max_new_tokens, eos_id), seed, audit_path)
 
 
 def write_teacher_logits(path: Path, target: ModelState, sequences: list, k: int) -> int:
@@ -180,13 +192,17 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
 
 @dataclass
 class _Run:
-    """A pipeline config as `config.load` returns it, and its target checkpoint.
-    Building one checks what the config's keys require of each other and
-    that every input file exists, so a config fault or a missing file is
+    """A pipeline config as `config.load` returns it, its target checkpoint,
+    and what the config builds once: each training stage's LossSpec by
+    name, and each eval cell's (mode index, mode, SpecConfig). Building one
+    checks every value and what the keys require of each other, then that
+    every input file exists, so a config fault or a missing file is
     reported before any file is written."""
     config: dict
     cfg: SimpleNamespace
     base_dir: Path
+    losses: dict[str, LossSpec] = field(init=False, default_factory=dict)
+    specs: list[tuple[int, str, SpecConfig]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         cfg, ev = self.cfg, self.cfg.eval
@@ -199,20 +215,51 @@ class _Run:
             where = f"config.stages[{i}]"
             if stage.name in [s.name for s in cfg.stages[:i]]:
                 raise ConfigError(f"{where}.name: an earlier stage is named {stage.name!r}")
-            if stage.kind == "lm" and (stage.corpus is None) == (stage.mix is None):
-                raise ConfigError(f"{where}: an lm stage reads one of corpus and mix")
-            if stage.kind == "align" and stage.mask not in MASK_MODES:
+            if stage.kind == "generate":
+                uses_target = True
+                for j, temperature in enumerate(stage.temperatures):
+                    at(f"{where}.temperatures[{j}]", _policy, "multinomial", temperature)
+                if not stage.temperatures and not stage.include_greedy:
+                    raise ConfigError(f"{where}: need at least one sampling configuration")
+                if stage.max_new_tokens < 1:
+                    raise ConfigError(f"{where}.max_new_tokens must be >= 1")
+                if stage.self_prompt_count < 0:
+                    raise ConfigError(f"{where}.self_prompt_count must be nonnegative")
+                continue
+            loss = self.losses[stage.name] = at(f"{where}.loss", LossSpec, stage.loss.CE,
+                                                stage.loss.KL, stage.loss.TVD)
+            if stage.kind == "lm":
+                if (stage.corpus is None) == (stage.mix is None):
+                    raise ConfigError(f"{where}: an lm stage reads one of corpus and mix")
+                if stage.mix is not None:
+                    at(f"{where}.mix", check_parts, stage.mix.parts, stage.mix.corpora)
+                if stage.epochs < 1:
+                    raise ConfigError(f"{where}.epochs must be positive")
+                continue
+            if stage.mask not in MASK_MODES:
                 raise ConfigError(f"{where}.mask: unknown mask_mode {stage.mask!r}")
-            if stage.kind != "generate":
-                loss = at(f"{where}.loss", LossSpec, stage.loss.CE, stage.loss.KL, stage.loss.TVD)
-            uses_target |= stage.kind == "generate" or stage.kind == "align" and loss.needs_teacher
-        for j, mode in enumerate([] if ev is None else ev.modes):
-            at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
-        if ev is not None and ev.c_hat_mode not in ("total", "excluded"):
-            raise ConfigError(f"config.eval.c_hat_mode: unknown c_hat_mode {ev.c_hat_mode!r}")
+            if stage.k < 1:
+                raise ConfigError(f"{where}.k must be positive")
+            uses_target |= loss.needs_teacher
+        if ev is not None:
+            eos = ByteTokenizer.eos_id if ev.stop_at_eos else None
+            for j, mode in enumerate(ev.modes):
+                policy = at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
+                self.specs += [(j, mode, at("config.eval", SpecConfig, gamma, policy,
+                                            ev.max_new_tokens, eos)) for gamma in ev.gammas]
+            if ev.c_hat_mode not in ("total", "excluded"):
+                raise ConfigError(f"config.eval.c_hat_mode: unknown c_hat_mode {ev.c_hat_mode!r}")
+            if ev.latency.reps < MIN_REPS:
+                raise ConfigError(f"config.eval.latency.reps: need at least {MIN_REPS} "
+                                  "repetitions")
+            if ev.latency.warmup < 0:
+                raise ConfigError("config.eval.latency.warmup must be nonnegative")
+            for i, b in enumerate(ev.benchmarks):
+                if b.n_tasks < 1:
+                    raise ConfigError(f"config.eval.benchmarks[{i}].n_tasks must be positive")
+                if b.min_ctx < 0:
+                    raise ConfigError(f"config.eval.benchmarks[{i}].min_ctx must be nonnegative")
         if cfg.arch_search is not None:
-            if ev is None:
-                raise ConfigError("config.eval is missing: arch_search is timed with its settings")
             at("config.arch_search", check_search, cfg.arch_search.budget,
                cfg.arch_search.hidden_candidates)
         if uses_target and cfg.target_checkpoint is None:
@@ -247,14 +294,16 @@ class _Run:
         return None if path is None else load_checkpoint(self.base_dir / path)
 
     def run(self) -> ExperimentReport:
-        """The stages, then the evaluation grid and the optional arch table."""
+        """The stages, then the evaluation grid, then the arch table."""
         cfg = self.cfg
         write_manifest(cfg.out_dir, self.config, cfg.seed)
         tokenizer = ByteTokenizer()
         report = ExperimentReport(out_dir=cfg.out_dir)
 
-        state = (load_checkpoint(self.base_dir / cfg.draft_init_checkpoint)
-                 if cfg.draft is None else init_model(cfg.draft, cfg.seed))
+        # only a training stage or eval needs the draft's weights
+        if self.losses or cfg.eval is not None:
+            state = (load_checkpoint(self.base_dir / cfg.draft_init_checkpoint)
+                     if cfg.draft is None else init_model(cfg.draft, cfg.seed))
 
         for si, stage in enumerate(cfg.stages):
             name = stage.name
@@ -264,10 +313,11 @@ class _Run:
                                 load_corpus(self.base_dir / stage.seed_instructions).documents]
                 save_alignment_set(generate_alignment_set(
                     self.target, tokenizer, instructions, stage.temperatures,
-                    stage.include_greedy, stage.self_prompt_count, stage_seed,
-                    stage.max_new_tokens), cfg.out_dir / "data" / f"{name}.jsonl", tokenizer)
+                    stage.include_greedy, stage.self_prompt_count, seed=stage_seed,
+                    max_new_tokens=stage.max_new_tokens),
+                    cfg.out_dir / "data" / f"{name}.jsonl", tokenizer)
                 continue
-            loss_spec = LossSpec(stage.loss.CE, stage.loss.KL, stage.loss.TVD)
+            loss_spec = self.losses[name]
             batches = _build_stage_batches(
                 stage, tokenizer, stage_seed, self.base_dir, cfg.out_dir,
                 self.target if loss_spec.needs_teacher else None, loss_spec,
@@ -282,52 +332,49 @@ class _Run:
             report.checkpoints[name] = ckpt
             write_json(cfg.out_dir / "losses" / f"{name}.json",
                        {"stage": name, "losses": result.losses, "steps_run": result.steps_run})
-        if cfg.eval is not None:
-            self.evaluate(state, report)
+
+        timing = {} if cfg.eval is None else self.evaluate(state, report)
+        if cfg.arch_search is not None:
+            base = (checkpoint_config(self.base_dir / cfg.draft_init_checkpoint)
+                    if cfg.draft is None else cfg.draft)
+            write_table(arch_table(cfg.arch_search.hidden_candidates, cfg.arch_search.budget,
+                                   base, **timing),
+                        cfg.out_dir / "arch_search.csv", cfg.out_dir / "arch_search.json")
         return report
 
-    def evaluate(self, draft: ModelState, report: ExperimentReport) -> None:
-        """The benchmark x mode x gamma grid, then the optional arch table,
-        which shares the grid's latency settings, target latency and c_hat."""
-        ev, target = self.cfg.eval, self.target
+    def evaluate(self, draft: ModelState, report: ExperimentReport) -> dict:
+        """The benchmark x mode x gamma grid; returns the `arch_table` keywords
+        that time its candidates as the grid is timed."""
+        ev, target, seed = self.cfg.eval, self.target, self.cfg.seed
         tokenizer = ByteTokenizer()
-
-        policies = [(mode, _policy(mode, ev.temperature)) for mode in ev.modes]
-        eos = tokenizer.eos_id if ev.stop_at_eos else None
 
         exclude = ev.c_hat_mode == "excluded"
         c_hat = (param_count(draft.config, exclude) / param_count(target.config, exclude))
 
-        lat = dict(vars(ev.latency), seed=self.cfg.seed)
+        lat = dict(vars(ev.latency), seed=derive_seed(seed, KEY_LATENCY, 0))
         # AR decoding does not depend on gamma: block-1 latencies serve every row
         l_draft = measure_latency(draft, 1, **lat).median
         l_target_1 = measure_latency(target, 1, **lat).median
+        # a grid without modes decodes nothing, so it times no block
         profiles = {gamma: LatencyProfile(l_draft, l_target_1,
                                           measure_latency(target, gamma, **lat).median)
-                    for gamma in ev.gammas}
+                    for gamma in (ev.gammas if self.specs else [])}
 
-        benchmarks = [_benchmark_prompts(b, tokenizer, derive_seed(self.cfg.seed, 100 + bi),
+        benchmarks = [_benchmark_prompts(b, tokenizer, derive_seed(seed, KEY_PROMPTS, bi),
                                          self.base_dir)
                       for bi, b in enumerate(ev.benchmarks)]
         out = self.cfg.out_dir
         for bi, (bench, prompts) in enumerate(benchmarks):
-            for mi, (mode, policy) in enumerate(policies):
-                for gamma in ev.gammas:
-                    stats = evaluate_acceptance(
-                        draft, target, prompts, policy, gamma, ev.max_new_tokens,
-                        seed=derive_seed(self.cfg.seed, 200 + bi, mi, gamma), eos_id=eos,
-                        audit_path=out / "audit" / f"{bench}_{mode}_g{gamma}.jsonl")
-                    report.rows.append(metrics_row(
-                        bench, mode, ev.temperature if mode == "multinomial" else 0.0,
-                        stats, c_hat, profiles[gamma]))
+            for mi, mode, spec in self.specs:
+                stats = decode_prompts(
+                    draft, target, prompts, spec, derive_seed(seed, KEY_CELLS, bi, mi, spec.gamma),
+                    out / "audit" / f"{bench}_{mode}_g{spec.gamma}.jsonl")
+                report.rows.append(metrics_row(
+                    bench, mode, ev.temperature if mode == "multinomial" else 0.0,
+                    stats, c_hat, profiles[spec.gamma]))
 
         write_report(report.rows, out / "metrics.csv", out / "metrics.json")
-
-        if self.cfg.arch_search is not None:
-            ac = self.cfg.arch_search
-            write_table(arch_table(ac.hidden_candidates, ac.budget, draft.config, target.config,
-                                   l_target_1, exclude, **lat),
-                        out / "arch_search.csv", out / "arch_search.json")
+        return dict(target=target.config, l_target_1=l_target_1, exclude=exclude, **lat)
 
 
 def run_training(config: dict | str | Path, out_dir: str | Path | None = None,

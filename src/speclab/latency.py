@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import LatencyProfile
-from .model import KVCache, ModelConfig, ModelState, forward, init_model
+from .model import KVCache, ModelState, forward
 
 MIN_REPS = 5
 MIN_TICKS = 10
@@ -22,7 +22,6 @@ MIN_TICKS = 10
 
 @dataclass
 class LatencyRun:
-    config: ModelConfig
     samples: list[float] = field(default_factory=list)
     flagged: bool = False  # a sample under MIN_TICKS ticks of the clock
 
@@ -32,25 +31,26 @@ class LatencyRun:
 
 
 def measure_latency(
-    model: ModelState | ModelConfig,
+    state: ModelState,
     block_size: int,
     warmup: int = 3,
     reps: int = 10,
     prefill: int = 16,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> LatencyRun:
     """Median wall-clock seconds of one forward over `block_size` tokens.
 
     The model sees `prefill` cached context tokens first, mirroring decode
-    conditions. Accepts a config (instantiated with `seed`) or a live state.
-    The samples and the resolution that judges them come from one clock,
-    `time.perf_counter`.
+    conditions; `seed` draws the context and block tokens. The samples and
+    the resolution that judges them come from one clock, `time.perf_counter`.
     """
     if reps < MIN_REPS:
         raise ConfigError(f"need at least {MIN_REPS} repetitions")
+    if warmup < 0:
+        raise ConfigError("warmup must be nonnegative")
     if block_size < 1:
         raise ConfigError("block_size must be >= 1")
-    state = model if isinstance(model, ModelState) else init_model(model, seed)
     cfg = state.config
     if prefill + block_size > cfg.max_seq_len:
         raise ConfigError("prefill plus block exceeds max_seq_len")
@@ -59,7 +59,7 @@ def measure_latency(
     block = rng.integers(0, cfg.vocab_size, size=block_size).tolist()
 
     resolution = time.get_clock_info("perf_counter").resolution
-    run = LatencyRun(config=cfg)
+    run = LatencyRun()
     for i in range(warmup + reps):
         cache = KVCache(cfg, dtype=state.dtype)
         forward(state, context, cache)
@@ -73,8 +73,8 @@ def measure_latency(
 
 
 def build_latency_profile(
-    draft: ModelState | ModelConfig,
-    target: ModelState | ModelConfig,
+    draft: ModelState,
+    target: ModelState,
     gamma: int,
     warmup: int = 3,
     reps: int = 10,

@@ -203,6 +203,12 @@ def speculate_block(
     return block
 
 
+def decode_stats(gamma: int, blocks: list[BlockResult]) -> DecodeStats:
+    """The accepted counts and proposal lengths of `blocks` at nominal block size `gamma`."""
+    return DecodeStats(gamma=gamma, blocks=[b.accepted_count for b in blocks],
+                       proposal_lens=[len(b.proposed) for b in blocks])
+
+
 @dataclass
 class GenerateResult:
     tokens: list[int]
@@ -240,9 +246,7 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
         _rollback(session)
 
     blocks = session.blocks[first_block:]
-    stats = DecodeStats(gamma=spec.gamma, blocks=[b.accepted_count for b in blocks],
-                        proposal_lens=[len(b.proposed) for b in blocks])
-    return GenerateResult(tokens=new_tokens, stats=stats, blocks=blocks)
+    return GenerateResult(tokens=new_tokens, stats=decode_stats(spec.gamma, blocks), blocks=blocks)
 
 
 def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
@@ -251,7 +255,8 @@ def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
                         "emitted": b.emitted, "u": b.u_values} for b in blocks))
 
 
-def read_audit_log(path: str | Path) -> list[dict]:
-    """The block records of an audit log; damage raises DataError."""
-    return read_jsonl(path, {"proposed": list, "accepted_count": int,
-                             "emitted": list, "u": list})
+def read_audit_log(path: str | Path) -> list[BlockResult]:
+    """The blocks `write_audit_log` wrote; damage raises DataError."""
+    return [BlockResult(r["proposed"], r["accepted_count"], r["emitted"], r["u"])
+            for r in read_jsonl(path, {"proposed": list, "accepted_count": int,
+                                       "emitted": list, "u": list})]

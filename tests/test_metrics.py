@@ -52,48 +52,47 @@ def fake_clock(monkeypatch, durations, resolution=None):
 
 
 @pytest.fixture
-def tiny_latency_config():
-    return ModelConfig(hidden_size=8, intermediate_size=16, n_layers=1, n_heads=2,
-                       n_kv_heads=1, vocab_size=30, max_seq_len=24)
+def tiny_latency_state():
+    return init_model(ModelConfig(hidden_size=8, intermediate_size=16, n_layers=1, n_heads=2,
+                                  n_kv_heads=1, vocab_size=30, max_seq_len=24), seed=0)
 
 
-def test_measure_latency_discards_warmup_and_takes_median(tiny_latency_config, monkeypatch):
+def test_measure_latency_discards_warmup_and_takes_median(tiny_latency_state, monkeypatch):
     fake_clock(monkeypatch, [100.0, 200.0, 0.5, 0.1, 0.4, 0.2, 0.3])
-    run = measure_latency(tiny_latency_config, 2, warmup=2, reps=5)
+    run = measure_latency(tiny_latency_state, 2, warmup=2, reps=5, seed=0)
     assert run.samples == [0.5, 0.1, 0.4, 0.2, 0.3]
     assert run.median == 0.3
     assert not run.flagged
-    state = init_model(tiny_latency_config, seed=0)
     fake_clock(monkeypatch, [1, 2, 3, 4, 5, 6])
-    live = measure_latency(state, 1, warmup=0, reps=6)
-    assert live.median == 3.5 and live.config == tiny_latency_config
+    assert measure_latency(tiny_latency_state, 1, warmup=0, reps=6, seed=0).median == 3.5
 
 
-def test_measure_latency_flags_coarse_timings(tiny_latency_config, monkeypatch):
+def test_measure_latency_flags_coarse_timings(tiny_latency_state, monkeypatch):
     floor = MIN_TICKS * time.get_clock_info("perf_counter").resolution
     fake_clock(monkeypatch, [floor / 2] + [1.0] * 4)
-    assert measure_latency(tiny_latency_config, 1, warmup=0, reps=5).flagged
+    assert measure_latency(tiny_latency_state, 1, warmup=0, reps=5, seed=0).flagged
     fake_clock(monkeypatch, [floor * 2] + [1.0] * 4)
-    assert not measure_latency(tiny_latency_config, 1, warmup=0, reps=5).flagged
+    assert not measure_latency(tiny_latency_state, 1, warmup=0, reps=5, seed=0).flagged
 
 
-def test_measure_latency_judges_samples_by_the_clock_that_took_them(tiny_latency_config,
+def test_measure_latency_judges_samples_by_the_clock_that_took_them(tiny_latency_state,
                                                                      monkeypatch):
     """5 ms forwards read off a clock that ticks every 1 ms are 5 ticks long,
     under MIN_TICKS."""
     fake_clock(monkeypatch, [0.005] * 5, resolution=0.001)
-    run = measure_latency(tiny_latency_config, 1, warmup=0, reps=5)
+    run = measure_latency(tiny_latency_state, 1, warmup=0, reps=5, seed=0)
     assert run.samples == [0.005] * 5
     assert run.flagged
 
 
 @pytest.mark.parametrize("kwargs,match", [
     ({"block_size": 1, "reps": 4}, "repetitions"),
+    ({"block_size": 1, "warmup": -1}, "warmup"),
     ({"block_size": 0}, "block_size"),
     ({"block_size": 9, "prefill": 16}, "max_seq_len"),
-], ids=["reps", "block", "prefill"])
-def test_measure_latency_rejects_bad_settings(tiny_latency_config, monkeypatch, kwargs, match):
+], ids=["reps", "warmup", "block", "prefill"])
+def test_measure_latency_rejects_bad_settings(tiny_latency_state, monkeypatch, kwargs, match):
     fake_clock(monkeypatch, [])
     with pytest.raises(ConfigError, match=match):
-        measure_latency(tiny_latency_config, **kwargs)
+        measure_latency(tiny_latency_state, **kwargs, seed=0)
 

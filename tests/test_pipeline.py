@@ -2,9 +2,9 @@
 
 `speclab train` runs an lm stage, a CE+KL sparse-logit align stage, an
 evaluation grid and the arch-search table; `speclab train` with no stages
-on the final checkpoint and `speclab arch-search` on the same base config
-must then reproduce those rows in every column that does not come from a
-measured latency.
+on the final checkpoint, and `speclab train` with only `draft` and
+`arch_search`, must then reproduce those rows in every column that does
+not come from a measured latency.
 """
 
 import csv
@@ -21,6 +21,8 @@ from speclab.data import (alignment_batches, generate_alignment_set, lm_batches,
                           save_corpus, teacher_sequences)
 from speclab.distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from speclab.errors import ConfigError, DataError, VocabMismatchError
+from speclab import experiment
+from speclab.archsearch import arch_table
 from speclab.experiment import derive_seed, run_training
 from speclab.specdec import BlockResult, read_audit_log, write_audit_log
 from speclab.synthetic import TopicWorld
@@ -80,8 +82,9 @@ def _reject_constant(name):
 
 def _agreement_run(tmp_path, c_hat_mode):
     """`speclab train` with an eval grid and arch table, `speclab train` with
-    no stages on its final draft and `speclab arch-search` on its draft config, writing
-    `run/`, `eval/` and `arch/` under tmp_path; returns `run/`."""
+    no stages on its final draft and `speclab train` with only its draft
+    config and arch table, writing `run/`, `eval/` and `arch/` under
+    tmp_path; returns `run/`."""
     eval_section = dict(EVAL, c_hat_mode=c_hat_mode)
     train_cfg = _write(tmp_path / "train.json", {
         "seed": 3,
@@ -108,8 +111,8 @@ def _agreement_run(tmp_path, c_hat_mode):
     })
     assert main(["train", eval_cfg, "--out-dir", str(tmp_path / "eval")]) == 0
     arch_cfg = _write(tmp_path / "arch.json",
-                      {"base_config": DRAFT, "hidden_candidates": HIDDEN})
-    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
+                      {"draft": DRAFT, "arch_search": {"hidden_candidates": HIDDEN}})
+    assert main(["train", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
     return run
 
 
@@ -162,14 +165,15 @@ def test_pipeline_and_report_write_strict_json(tmp_path, world_files):
 
 
 def test_arch_search_csv_reads_back_the_configs_of_its_json_twin(tmp_path, world_files):
-    """Both the pipeline and `speclab arch-search` write the table as twins."""
+    """The pipeline writes the table as twins with and without `eval`."""
     train_cfg = _write(tmp_path / "train.json", {
         "target_checkpoint": "target.sfmd", "draft": DRAFT,
         "eval": {"gammas": [2], "latency": {"warmup": 1, "reps": 5}},
         "arch_search": {"hidden_candidates": HIDDEN}})
     assert main(["train", train_cfg, "--out-dir", str(tmp_path / "run")]) == 0
-    arch_cfg = _write(tmp_path / "arch.json", {"base_config": DRAFT, "hidden_candidates": HIDDEN})
-    assert main(["arch-search", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
+    arch_cfg = _write(tmp_path / "arch.json",
+                      {"draft": DRAFT, "arch_search": {"hidden_candidates": HIDDEN}})
+    assert main(["train", arch_cfg, "--out-dir", str(tmp_path / "arch")]) == 0
     for out in (tmp_path / "run", tmp_path / "arch"):
         with open(out / "arch_search.csv", newline="", encoding="utf-8") as f:
             cells = [row["config"] for row in csv.DictReader(f)]
@@ -362,7 +366,9 @@ def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_fi
 
 @pytest.mark.parametrize("name", ["pretrain.jsonl", "align.jsonl", "audit.jsonl"])
 def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
-    write_audit_log(tmp_path / "audit.jsonl", [BlockResult([5, 6], 1, [5, 7], [0.1, 0.9])])
+    blocks = [BlockResult([5, 6], 1, [5, 7], [0.1, 0.9])]
+    write_audit_log(tmp_path / "audit.jsonl", blocks)
+    assert read_audit_log(tmp_path / "audit.jsonl") == blocks
     read = {"pretrain.jsonl": load_corpus, "audit.jsonl": read_audit_log,
             "align.jsonl": lambda path: load_alignment_set(path, ByteTokenizer())}[name]
     path = tmp_path / name
@@ -434,13 +440,11 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
                "eval": {"modes": ["sample"]}}, "eval.modes[0]: unknown sampling mode 'sample'"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
                "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
-    ("arch-search", {"base_config": dict(DRAFT, hidden=3), "hidden_candidates": [8]},
-     "base_config: unknown key 'hidden'"),
     ("bench-latency", {"models": [{"config": {k: v for k, v in DRAFT.items()
                                               if k != "n_heads"}}]},
      "models[0].config.n_heads is missing"),
-    ("arch-search", {"base_config": DRAFT, "hidden_candidates": ["x"]},
-     "hidden_candidates[0] must be int, not str"),
+    ("train", {"draft": DRAFT, "arch_search": {"hidden_candidates": ["x"]}},
+     "config.arch_search.hidden_candidates[0] must be int, not str"),
     ("train", {"draft": dict(DRAFT, hidden_size="x")},
      "draft.hidden_size must be int, not str"),
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
@@ -475,7 +479,7 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
     ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
                "arch_search": {"hidden_candidates": [0]}},
      "config.arch_search: hidden_candidates must be a non-empty list of positive sizes"),
-], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "base_config", "models",
+], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "models",
         "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
@@ -488,6 +492,83 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"eval": {"gammas": [0]}}, "config.eval: gamma must be >= 1"),
+    ({"eval": {"max_new_tokens": 0}}, "config.eval: max_new_tokens must be >= 1"),
+    ({"eval": {"latency": {"reps": 2}}},
+     "config.eval.latency.reps: need at least 5 repetitions"),
+    ({"eval": {"latency": {"warmup": -3}}}, "config.eval.latency.warmup must be nonnegative"),
+    ({"eval": {"benchmarks": [{"name": "text", "kind": "completion",
+                               "corpus": "pretrain.jsonl", "n_tasks": 0}]}},
+     "config.eval.benchmarks[0].n_tasks must be positive"),
+    ({"eval": {"benchmarks": [{"name": "chat", "kind": "instruction",
+                               "alignment": "align.jsonl", "n_tasks": -1}]}},
+     "config.eval.benchmarks[0].n_tasks must be positive"),
+    ({"eval": {"benchmarks": [{"name": "text", "kind": "completion",
+                               "corpus": "pretrain.jsonl", "min_ctx": -1}]}},
+     "config.eval.benchmarks[0].min_ctx must be nonnegative"),
+    ({"stages": [dict(LM_STAGE, name="lm2", epochs=0)]},
+     "config.stages[1].epochs must be positive"),
+    ({"stages": [dict(LM_STAGE, corpus=None, name="mix", mix={
+        "corpora": {"x": "pretrain.jsonl"}, "parts": [["x", 10], ["y", 10]]})]},
+     "config.stages[1].mix: parts[1] names an unknown corpus id 'y'"),
+    ({"stages": [dict(LM_STAGE, corpus=None, name="mix", mix={
+        "corpora": {"x": "pretrain.jsonl"}, "parts": [["x", 10], ["x", -5]]})]},
+     "config.stages[1].mix: parts[1] has a negative token budget"),
+    ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
+                  "temperatures": [0.0]}]},
+     "config.stages[1].temperatures[0]: temperature must be positive"),
+    ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
+                  "max_new_tokens": 0}]}, "config.stages[1].max_new_tokens must be >= 1"),
+    ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
+                  "temperatures": [], "include_greedy": False}]},
+     "config.stages[1]: need at least one sampling configuration"),
+    ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
+                  "self_prompt_count": -1}]},
+     "config.stages[1].self_prompt_count must be nonnegative"),
+    ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 0,
+                  "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]},
+     "config.stages[1].k must be positive"),
+], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
+        "n_tasks_negative", "min_ctx", "lm_epochs", "mix_unknown_corpus", "mix_negative_budget",
+        "generate_temperature", "generate_max_new_tokens", "generate_no_sampling",
+        "generate_self_prompt_count", "align_k"])
+def test_a_bad_value_exits_2_before_any_stage_trains(tmp_path, world_files, capsys, keys,
+                                                     message):
+    """A value that a later stage or the eval would reject is found before
+    the lm stage in front of it trains: nothing is written."""
+    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT,
+              "stages": [LM_STAGE] + keys.get("stages", []), "eval": keys.get("eval")}
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("draft_key", ["draft", "draft_init_checkpoint"])
+def test_an_arch_only_run_builds_no_model(tmp_path, world_files, monkeypatch, draft_key):
+    """With neither stages nor eval, the table's base is the `draft` config
+    or the checkpoint's header: no weights are built or read, and only the
+    columns that need no target are written."""
+    save_checkpoint(init_model(ModelConfig(**DRAFT), 0), tmp_path / "draft.sfmd")
+
+    def no_weights(*args, **kwargs):
+        raise AssertionError("an arch-only run built a model")
+
+    monkeypatch.setattr(experiment, "init_model", no_weights)
+    monkeypatch.setattr(experiment, "load_checkpoint", no_weights)
+    config = {draft_key: DRAFT if draft_key == "draft" else "draft.sfmd",
+              "arch_search": {"hidden_candidates": HIDDEN}}
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    rows = _read(tmp_path / "out" / "arch_search.json")
+    assert rows == json.loads(json.dumps(arch_table(HIDDEN, None, ModelConfig(**DRAFT))))
+    assert {k for r in rows for k in r} == ARCH_COLUMNS
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "arch_search.csv", "arch_search.json", "manifest.json"]
 
 
 def test_a_bad_eval_key_exits_2_before_any_stage_trains(tmp_path, world_files, capsys):
@@ -533,6 +614,14 @@ def test_an_empty_eval_section_runs_the_grid_with_its_defaults(tmp_path, world_f
     assert main(["train", _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert _read(tmp_path / "out" / "metrics.json") == []
+
+
+def test_an_eval_without_modes_reads_no_gamma(tmp_path, world_files):
+    """A grid without modes decodes nothing and times no block, so its
+    `gammas` are checked and used by nothing."""
+    report = run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT,
+                           "eval": {"modes": [], "gammas": [0]}}, out_dir=tmp_path / "out")
+    assert report.rows == [] and _read(tmp_path / "out" / "metrics.json") == []
 
 
 def test_a_null_key_trains_as_an_absent_one(tmp_path, world_files):
