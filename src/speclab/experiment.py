@@ -31,7 +31,7 @@ from .data import (MASK_MODES, Corpus, Document, alignment_batches, chat_prompt,
                    teacher_sequences)
 from .distill import extract_sparse_logits, read_sparse_dataset, write_sparse_dataset
 from .errors import ConfigError, DataError, StageError, VocabMismatchError
-from .latency import MIN_REPS, measure_latency
+from .latency import MIN_REPS, check_block, measure_latency
 from .losses import LOSS, LossSpec
 from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
                       write_report, write_table)
@@ -47,8 +47,7 @@ TRAINING = {"name": str, "kind": str, "seed": (int, None), "schedule": TrainSche
             "loss": (LOSS, {"CE": 1.0})}
 STAGE = Kinds(
     lm={**TRAINING, "corpus": (Path, None), "mix": (MIX, None), "epochs": (int, 1)},
-    align={**TRAINING, "alignment": Path, "mask": (str, "response"), "k": (int, 16),
-           "sparse_dataset": (Path, None)},
+    align={**TRAINING, "alignment": Path, "mask": (str, "response"), "k": (int, 16)},
     generate={"name": str, "kind": str, "seed": (int, None), "seed_instructions": Path,
               "temperatures": ([float], [0.6, 0.8, 1.0]), "include_greedy": (bool, True),
               "self_prompt_count": (int, 0), "max_new_tokens": (int, 64)})
@@ -101,12 +100,6 @@ def evaluate_acceptance(draft: ModelState, target: ModelState, prompts: list[lis
                           SpecConfig(gamma, policy, max_new_tokens, eos_id), seed, audit_path)
 
 
-def write_teacher_logits(path: Path, target: ModelState, sequences: list, k: int) -> int:
-    """Write the target's top-`k` logits over `sequences` to a `.sfkd` file."""
-    return write_sparse_dataset(path, extract_sparse_logits(target, sequences, k),
-                                k=k, vocab_size=target.config.vocab_size)
-
-
 def _benchmark_prompts(b: SimpleNamespace, tokenizer: ByteTokenizer, seed: int,
                        base_dir: Path) -> tuple[str, list[list[int]]]:
     if b.kind == "completion":
@@ -123,8 +116,10 @@ def _benchmark_prompts(b: SimpleNamespace, tokenizer: ByteTokenizer, seed: int,
 
 
 def _build_stage_batches(stage: SimpleNamespace, tokenizer: ByteTokenizer, stage_seed: int,
-                         base_dir: Path, out_dir: Path, target: ModelState | None,
-                         loss_spec: LossSpec, vocab_size: int):
+                         base_dir: Path, out_dir: Path, target: ModelState | None):
+    """A training stage's batches; an align stage given its `target` writes
+    the target's top-`k` logits to `distill/<name>.sfkd` and trains on what
+    that file holds."""
     schedule = stage.schedule
     if stage.kind == "lm":
         if stage.mix is not None:
@@ -136,27 +131,12 @@ def _build_stage_batches(stage: SimpleNamespace, tokenizer: ByteTokenizer, stage
                           seed=stage_seed, epochs=stage.epochs)
     samples = load_alignment_set(base_dir / stage.alignment, tokenizer)
     teacher = None
-    if loss_spec.needs_teacher:
-        sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
+    if target is not None:
         sfkd = out_dir / "distill" / f"{stage.name}.sfkd"
-        if stage.sparse_dataset is not None:
-            sfkd = base_dir / stage.sparse_dataset
-        else:
-            write_teacher_logits(sfkd, target, sequences, stage.k)
-        # the header's vocabulary is the target's on the extraction path
-        _, teacher_vocab, items = read_sparse_dataset(sfkd)
-        if teacher_vocab != vocab_size:
-            raise VocabMismatchError(f"{sfkd} holds logits over {teacher_vocab} "
-                                     f"tokens for a draft of {vocab_size}")
-        if len(items) != len(samples):
-            raise DataError(f"{sfkd} holds {len(items)} sequences for "
-                            f"{len(samples)} alignment samples")
-        # the stored logits are only valid for the tokens they were taken over
-        for i, ((tokens, _), seq) in enumerate(zip(items, sequences)):
-            if tokens[:len(seq)] != seq:
-                raise DataError(f"{sfkd} sequence {i} does not begin with the "
-                                f"training sequence of alignment sample {i}")
-        teacher = [pairs for _, pairs in items]
+        sequences = teacher_sequences(tokenizer, samples, schedule.seq_len + 1)
+        write_sparse_dataset(sfkd, extract_sparse_logits(target, sequences, stage.k),
+                             k=stage.k, vocab_size=target.config.vocab_size)
+        teacher = [pairs for _, pairs in read_sparse_dataset(sfkd)[2]]
     return alignment_batches(samples, tokenizer, schedule.batch_size,
                              schedule.seq_len, seed=stage_seed, epochs=None,
                              teacher=teacher, mask_mode=stage.mask)
@@ -193,14 +173,18 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
 @dataclass
 class _Run:
     """A pipeline config as `config.load` returns it, its target checkpoint,
-    and what the config builds once: each training stage's LossSpec by
-    name, and each eval cell's (mode index, mode, SpecConfig). Building one
-    checks every value and what the keys require of each other, then that
-    every input file exists, so a config fault or a missing file is
-    reported before any file is written."""
+    and what the config builds once: the draft's config (`base`, read from
+    the checkpoint header when the draft is one), each training stage's
+    LossSpec by name, and each eval cell's (mode index, mode, SpecConfig).
+    Building one checks every value and what the keys require of each
+    other, then that every input file exists, then what only the
+    checkpoints' headers can judge, so a config fault, a missing file or a
+    draft that does not fit its target is reported before any file is
+    written."""
     config: dict
     cfg: SimpleNamespace
     base_dir: Path
+    base: ModelConfig = field(init=False)
     losses: dict[str, LossSpec] = field(init=False, default_factory=dict)
     specs: list[tuple[int, str, SpecConfig]] = field(init=False, default_factory=list)
 
@@ -210,13 +194,13 @@ class _Run:
             raise ConfigError("config: give exactly one of draft and draft_init_checkpoint")
         if cfg.draft is not None and cfg.draft.vocab_size < ByteTokenizer.vocab_size:
             raise ConfigError("config.draft.vocab_size is smaller than the tokenizer vocabulary")
-        uses_target = ev is not None
+        generates, teacher_ks = False, []  # teacher_ks: (where, k) of each distilling stage
         for i, stage in enumerate(cfg.stages):
             where = f"config.stages[{i}]"
             if stage.name in [s.name for s in cfg.stages[:i]]:
                 raise ConfigError(f"{where}.name: an earlier stage is named {stage.name!r}")
             if stage.kind == "generate":
-                uses_target = True
+                generates = True
                 for j, temperature in enumerate(stage.temperatures):
                     at(f"{where}.temperatures[{j}]", _policy, "multinomial", temperature)
                 if not stage.temperatures and not stage.include_greedy:
@@ -240,7 +224,8 @@ class _Run:
                 raise ConfigError(f"{where}.mask: unknown mask_mode {stage.mask!r}")
             if stage.k < 1:
                 raise ConfigError(f"{where}.k must be positive")
-            uses_target |= loss.needs_teacher
+            if loss.needs_teacher:
+                teacher_ks.append((where, stage.k))
         if ev is not None:
             eos = ByteTokenizer.eos_id if ev.stop_at_eos else None
             for j, mode in enumerate(ev.modes):
@@ -262,7 +247,8 @@ class _Run:
         if cfg.arch_search is not None:
             at("config.arch_search", check_search, cfg.arch_search.budget,
                cfg.arch_search.hidden_candidates)
-        if uses_target and cfg.target_checkpoint is None:
+        meets_draft = ev is not None or bool(teacher_ks)  # the draft meets the target
+        if (meets_draft or generates) and cfg.target_checkpoint is None:
             raise ConfigError("config.target_checkpoint is missing: eval, generate and "
                               "distillation stages use the target")
         # an input is a file, or the data/<name>.jsonl a generate stage before it writes
@@ -278,7 +264,7 @@ class _Run:
         check("config.target_checkpoint", cfg.target_checkpoint)
         check("config.draft_init_checkpoint", cfg.draft_init_checkpoint)
         for i, stage in enumerate(cfg.stages):
-            for key in ("corpus", "alignment", "sparse_dataset", "seed_instructions"):
+            for key in ("corpus", "alignment", "seed_instructions"):
                 check(f"config.stages[{i}].{key}", getattr(stage, key, None))
             for cid, path in (stage.mix.corpora if getattr(stage, "mix", None) else {}).items():
                 check(f"config.stages[{i}].mix.corpora.{cid}", path)
@@ -287,6 +273,28 @@ class _Run:
         for i, b in enumerate([] if ev is None else ev.benchmarks):
             key = "corpus" if b.kind == "completion" else "alignment"
             check(f"config.eval.benchmarks[{i}].{key}", getattr(b, key))
+
+        self.base = (cfg.draft if cfg.draft is not None
+                     else checkpoint_config(self.base_dir / cfg.draft_init_checkpoint))
+        if meets_draft:
+            target = checkpoint_config(self.base_dir / cfg.target_checkpoint)
+            if target.vocab_size != self.base.vocab_size:
+                raise VocabMismatchError(
+                    f"config.target_checkpoint: the target's logits are over "
+                    f"{target.vocab_size} tokens for a draft of {self.base.vocab_size}")
+            for where, k in teacher_ks:
+                if k > target.vocab_size:
+                    raise ConfigError(f"{where}.k exceeds the target's vocabulary of "
+                                      f"{target.vocab_size}")
+            if ev is not None:  # the eval's latency blocks; a grid without modes times no gamma
+                at("config.draft" if cfg.draft is not None else "config.draft_init_checkpoint",
+                   check_block, self.base, 1)
+                at("config.target_checkpoint", check_block, target, 1)
+                for j, gamma in enumerate(ev.gammas if self.specs else []):
+                    at(f"config.eval.gammas[{j}]", check_block, target, gamma)
+        if cfg.arch_search is not None:
+            at("config.arch_search", arch_table, cfg.arch_search.hidden_candidates,
+               cfg.arch_search.budget, self.base)
 
     @cached_property
     def target(self) -> ModelState | None:
@@ -320,8 +328,7 @@ class _Run:
             loss_spec = self.losses[name]
             batches = _build_stage_batches(
                 stage, tokenizer, stage_seed, self.base_dir, cfg.out_dir,
-                self.target if loss_spec.needs_teacher else None, loss_spec,
-                state.config.vocab_size)
+                self.target if loss_spec.needs_teacher else None)
             try:
                 result = train_stage(state, batches, stage.schedule, loss_spec)
             except Exception as exc:
@@ -335,10 +342,8 @@ class _Run:
 
         timing = {} if cfg.eval is None else self.evaluate(state, report)
         if cfg.arch_search is not None:
-            base = (checkpoint_config(self.base_dir / cfg.draft_init_checkpoint)
-                    if cfg.draft is None else cfg.draft)
             write_table(arch_table(cfg.arch_search.hidden_candidates, cfg.arch_search.budget,
-                                   base, **timing),
+                                   self.base, **timing),
                         cfg.out_dir / "arch_search.csv", cfg.out_dir / "arch_search.json")
         return report
 

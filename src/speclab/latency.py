@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import LatencyProfile
-from .model import KVCache, ModelState, forward
+from .model import KVCache, ModelConfig, ModelState, forward
 
 MIN_REPS = 5
 MIN_TICKS = 10
+PREFILL = 16
 
 
 @dataclass
@@ -30,12 +31,22 @@ class LatencyRun:
         return float(np.median(self.samples))
 
 
+def check_block(config: ModelConfig, block_size: int, prefill: int = PREFILL) -> None:
+    """Raise ConfigError unless a model of `config` can time a block of
+    `block_size` tokens after `prefill` cached ones."""
+    if block_size < 1:
+        raise ConfigError("block_size must be >= 1")
+    if prefill + block_size > config.max_seq_len:
+        raise ConfigError(f"prefill plus block exceeds max_seq_len: {prefill} + {block_size} "
+                          f"> {config.max_seq_len}")
+
+
 def measure_latency(
     state: ModelState,
     block_size: int,
     warmup: int = 3,
     reps: int = 10,
-    prefill: int = 16,
+    prefill: int = PREFILL,
     *,
     seed: int,
 ) -> LatencyRun:
@@ -49,11 +60,8 @@ def measure_latency(
         raise ConfigError(f"need at least {MIN_REPS} repetitions")
     if warmup < 0:
         raise ConfigError("warmup must be nonnegative")
-    if block_size < 1:
-        raise ConfigError("block_size must be >= 1")
     cfg = state.config
-    if prefill + block_size > cfg.max_seq_len:
-        raise ConfigError("prefill plus block exceeds max_seq_len")
+    check_block(cfg, block_size, prefill)
     rng = np.random.default_rng(seed)
     context = rng.integers(0, cfg.vocab_size, size=prefill).tolist()
     block = rng.integers(0, cfg.vocab_size, size=block_size).tolist()

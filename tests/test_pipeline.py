@@ -183,52 +183,34 @@ def test_arch_search_csv_reads_back_the_configs_of_its_json_twin(tmp_path, world
         assert [c is not None for c in configs] == [True, False, True, False]
 
 
-@pytest.mark.parametrize("case, match", [
-    ("fewer", "7 sequences for 8"),
-    ("other", "sequence 0 does not begin with the training sequence of alignment sample 0"),
-    ("short", "sequence 0 does not begin with the training sequence of alignment sample 0"),
-], ids=["fewer", "other", "short"])
-def test_align_stage_rejects_a_sparse_dataset_of_another_length(tmp_path, world_files,
-                                                                 case, match):
-    samples, target = world_files
-    tok = ByteTokenizer()
-    sequences = {
-        "fewer": teacher_sequences(tok, samples[:-1], 33),
-        "other": teacher_sequences(
-            tok, TopicWorld(n_topics=8, seed=0).original_samples(list(range(8))), 33),
-        "short": teacher_sequences(tok, samples, 8),
-    }[case]
-    write_sparse_dataset(tmp_path / "teacher.sfkd", extract_sparse_logits(target, sequences, 8),
-                         k=8, vocab_size=target.config.vocab_size)
-    config = {
-        "target_checkpoint": str(tmp_path / "target.sfmd"),
-        "draft": DRAFT,
-        "stages": [{"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
-                    "sparse_dataset": str(tmp_path / "teacher.sfkd"),
-                    "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}],
-    }
-    with pytest.raises(DataError, match=match):
-        run_training(config, out_dir=tmp_path / "run")
-
-
-@pytest.mark.parametrize("sparse_dataset", [False, True], ids=["extracted", "sparse_dataset"])
-def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_files,
-                                                             sparse_dataset):
-    """The teacher's vocabulary is the target's when the stage extracts the
-    logits and the `.sfkd` header's when it reads them; either must be the
-    draft's."""
-    samples, target = world_files
+@pytest.mark.parametrize("teacher", ["extracted"])
+def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_files, teacher):
+    """The teacher's vocabulary, the target's, must be the draft's; the
+    target's header is read before any work, so nothing is written."""
     stage = {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
              "k": 8, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}
-    draft, match = dict(DRAFT, vocab_size=300), "over 264 tokens for a draft of 300"
-    if sparse_dataset:
-        write_sparse_dataset(tmp_path / "teacher.sfkd", extract_sparse_logits(
-            target, teacher_sequences(ByteTokenizer(), samples, 33), 8), k=8, vocab_size=300)
-        stage["sparse_dataset"] = str(tmp_path / "teacher.sfkd")
-        draft, match = DRAFT, "over 300 tokens for a draft of 264"
-    with pytest.raises(VocabMismatchError, match=match):
-        run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": draft,
-                      "stages": [stage]}, out_dir=tmp_path / "run")
+    with pytest.raises(VocabMismatchError, match="over 264 tokens for a draft of 300"):
+        run_training({"target_checkpoint": str(tmp_path / "target.sfmd"),
+                      "draft": dict(DRAFT, vocab_size=300), "stages": [stage]},
+                     out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("draft_key", ["draft", "draft_init_checkpoint"])
+def test_an_eval_of_a_draft_of_another_vocabulary_exits_2_before_any_stage_trains(
+        tmp_path, world_files, capsys, draft_key):
+    """The eval's draft is the `draft` config or the checkpoint's header; a
+    vocabulary other than the target's is found before the lm stage trains."""
+    draft = dict(DRAFT, vocab_size=300)
+    save_checkpoint(init_model(ModelConfig(**draft), 0), tmp_path / "draft.sfmd")
+    config = {"target_checkpoint": "target.sfmd", "stages": [LM_STAGE], "eval": {"gammas": [2]},
+              draft_key: draft if draft_key == "draft" else "draft.sfmd"}
+    assert main(["train", _write(tmp_path / "cmd.json", config),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "VocabMismatchError", "message": "config.target_checkpoint: the target's "
+        "logits are over 264 tokens for a draft of 300"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_align_stage_rejects_k_zero(tmp_path, world_files):
@@ -283,8 +265,10 @@ def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp
                                                                              world_files):
     """A generate stage without `seed` samples with its child seed of the run
     seed and writes `data/<name>.jsonl` byte for byte as a hand call of
-    `generate_alignment_set` does; a later align stage that names that file
-    trains what `alignment_batches` and train_stage give by hand."""
+    `generate_alignment_set` does; a later CE+KL align stage that names that
+    file writes the `.sfkd` that a hand call of `extract_sparse_logits` and
+    `write_sparse_dataset` gives, and trains what `alignment_batches` with
+    that teacher and train_stage give by hand."""
     _, target = world_files
     tok = ByteTokenizer()
     (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
@@ -295,7 +279,7 @@ def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp
         {"name": "gen", "kind": "generate", "seed_instructions": str(tmp_path / "seeds.jsonl"),
          "temperatures": [0.6, 0.9], "self_prompt_count": 1, "max_new_tokens": 8},
         {"name": "ft", "kind": "align", "alignment": str(generated), "seed": 7,
-         "schedule": SCHEDULE}]}, out_dir=tmp_path / "run", seed=3)
+         "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]}, out_dir=tmp_path / "run", seed=3)
     assert list(report.checkpoints) == ["ft"]
 
     save_alignment_set(generate_alignment_set(
@@ -303,55 +287,43 @@ def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp
         self_prompt_count=1, seed=derive_seed(3, 0), max_new_tokens=8),
         tmp_path / "gen.jsonl", tok)
     assert (tmp_path / "gen.jsonl").read_bytes() == generated.read_bytes()
+    samples = load_alignment_set(tmp_path / "gen.jsonl", tok)
+    write_sparse_dataset(tmp_path / "ft.sfkd", extract_sparse_logits(
+        target, teacher_sequences(tok, samples, 33), 16), k=16, vocab_size=264)
+    assert ((tmp_path / "ft.sfkd").read_bytes()
+            == (tmp_path / "run" / "distill" / "ft.sfkd").read_bytes())
+    teacher = [pairs for _, pairs in read_sparse_dataset(tmp_path / "ft.sfkd")[2]]
     state = train_stage(init_model(ModelConfig(**DRAFT), 3), alignment_batches(
-        load_alignment_set(tmp_path / "gen.jsonl", tok), tok, 4, 32, seed=7),
-        TrainSchedule(**SCHEDULE), LossSpec(ce=1.0)).state
+        samples, tok, 4, 32, seed=7, teacher=teacher),
+        TrainSchedule(**SCHEDULE), LossSpec(ce=0.5, kl=0.5)).state
     save_checkpoint(state, tmp_path / "ft.sfmd")
     assert ((tmp_path / "ft.sfmd").read_bytes()
             == (tmp_path / "run" / "checkpoints" / "ft.sfmd").read_bytes())
 
 
-@pytest.mark.parametrize("command", ["train", "distill-data", "bench-latency"])
+@pytest.mark.parametrize("command", ["train"])
 def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_files, command,
                                                                capsys):
-    samples, target = world_files
+    """`speclab train` with a generate stage writes the alignment set that
+    `load_alignment_set` reads, and a manifest of the machine."""
     tok = ByteTokenizer()
     (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
                                           encoding="utf-8")
-    config = {
-        "train": {"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [
-            {"name": "alignment", "kind": "generate", "seed_instructions": "seeds.jsonl",
-             "temperatures": [0.6], "max_new_tokens": 8}]},
-        "distill-data": {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
-                         "k": 4, "max_seq_len": 40},
-        "bench-latency": {"models": [{"name": "target", "checkpoint": "target.sfmd"},
-                                     {"name": "draft", "config": DRAFT}],
-                          "block_sizes": [1, 2], "warmup": 1, "reps": 5},
-    }[command]
+    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [
+        {"name": "alignment", "kind": "generate", "seed_instructions": "seeds.jsonl",
+         "temperatures": [0.6], "max_new_tokens": 8}]}
     out = tmp_path / "out"
     assert main([command, _write(tmp_path / "cmd.json", config), "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    if command == "train":
-        got = load_alignment_set(out / "data" / "alignment.jsonl", tok)
-        assert [(tok.decode_bytes(s.instruction), s.temperature) for s in got] == [
-            (b"topic one?", None), (b"topic one?", 0.6), (b"and two?", None), (b"and two?", 0.6)]
-        assert {s.source for s in got} == {"target_generated"}
-    elif command == "distill-data":
-        k, vocab, items = read_sparse_dataset(out / "teacher.sfkd")
-        assert (k, vocab) == (4, target.config.vocab_size)
-        assert [tokens for tokens, _ in items] == teacher_sequences(tok, samples, 40)
-        assert all(pairs.shape == (len(tokens) - 1, 4) for tokens, pairs in items)
-    else:
-        rows = _read(out / "latency.json")
-        assert [(r["name"], r["n_layers"], r["block_size"], len(r["samples_s"]))
-                for r in rows] == [("target", 1, 1, 5), ("target", 1, 2, 5),
-                                   ("draft", 1, 1, 5), ("draft", 1, 2, 5)]
-        assert all(r["median_s"] > 0 for r in rows)
-        manifest = _read(out / "manifest.json")
-        assert manifest["config"] == config
-        assert set(manifest["machine"]) == {"cpu_count", "threads", "blas"}
-        assert set(manifest["machine"]["threads"]) == {
-            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+    got = load_alignment_set(out / "data" / "alignment.jsonl", tok)
+    assert [(tok.decode_bytes(s.instruction), s.temperature) for s in got] == [
+        (b"topic one?", None), (b"topic one?", 0.6), (b"and two?", None), (b"and two?", 0.6)]
+    assert {s.source for s in got} == {"target_generated"}
+    manifest = _read(out / "manifest.json")
+    assert manifest["config"] == config
+    assert set(manifest["machine"]) == {"cpu_count", "threads", "blas"}
+    assert set(manifest["machine"]["threads"]) == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_files, capsys):
@@ -413,81 +385,68 @@ def test_config_not_utf8_exits_3_with_json_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
 
 
-def test_distill_data_takes_the_defaults_for_null_k_and_max_seq_len(tmp_path, world_files,
-                                                                    capsys):
-    samples, target = world_files
-    config = _write(tmp_path / "cmd.json", {"teacher_checkpoint": "target.sfmd",
-                                            "alignment": "align.jsonl",
-                                            "k": None, "max_seq_len": None})
-    assert main(["distill-data", config, "--out-dir", str(tmp_path / "out")]) == 0
-    k, _, items = read_sparse_dataset(tmp_path / "out" / "teacher.sfkd")
-    assert k == 16
-    assert [tokens for tokens, _ in items] == teacher_sequences(
-        ByteTokenizer(), samples, target.config.max_seq_len)
-
-
 LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": SCHEDULE}
 
 
-@pytest.mark.parametrize("command, config, message", [
-    ("train", {"draft": dict(DRAFT, hidden=3)}, "draft: unknown key 'hidden'"),
-    ("train", {"draft": dict(DRAFT, hidden_size=None)}, "draft.hidden_size is missing"),
-    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, schedule=dict(SCHEDULE, lr=1e-3))]},
+@pytest.mark.parametrize("config, message", [
+    ({"draft": dict(DRAFT, hidden=3)}, "draft: unknown key 'hidden'"),
+    ({"draft": dict(DRAFT, hidden_size=None)}, "draft.hidden_size is missing"),
+    ({"draft": DRAFT, "stages": [dict(LM_STAGE, schedule=dict(SCHEDULE, lr=1e-3))]},
      "stages[0].schedule: unknown key 'lr'"),
-    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, loss={"CE": 1.0, "kl": 0.5})]},
+    ({"draft": DRAFT, "stages": [dict(LM_STAGE, loss={"CE": 1.0, "kl": 0.5})]},
      "stages[0].loss: unknown key 'kl'"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-               "eval": {"modes": ["sample"]}}, "eval.modes[0]: unknown sampling mode 'sample'"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-               "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
-    ("bench-latency", {"models": [{"config": {k: v for k, v in DRAFT.items()
-                                              if k != "n_heads"}}]},
-     "models[0].config.n_heads is missing"),
-    ("train", {"draft": DRAFT, "arch_search": {"hidden_candidates": ["x"]}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT,
+      "eval": {"modes": ["sample"]}}, "eval.modes[0]: unknown sampling mode 'sample'"),
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT,
+      "eval": {"c_hat_mode": "embeddings"}}, "unknown c_hat_mode 'embeddings'"),
+    ({"draft": DRAFT, "arch_search": {"hidden_candidates": ["x"]}},
      "config.arch_search.hidden_candidates[0] must be int, not str"),
-    ("train", {"draft": dict(DRAFT, hidden_size="x")},
+    ({"draft": dict(DRAFT, hidden_size="x")},
      "draft.hidden_size must be int, not str"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-               "eval": {"temperature": "hot"}}, "eval.temperature must be float, not str"),
-    ("train", {"draft": DRAFT, "stages": [None]}, "stages[0] is missing"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gamma": [2]}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT,
+      "eval": {"temperature": "hot"}}, "eval.temperature must be float, not str"),
+    ({"draft": DRAFT, "stages": [None]}, "stages[0] is missing"),
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gamma": [2]}},
      "eval: unknown key 'gamma'"),
-    ("distill-data", {"teacher_checkpoint": "target.sfmd", "alignment": "align.jsonl",
-                      "top_k": 4}, "unknown key 'top_k'"),
-    ("train", {"target_checkpoint": "", "draft": DRAFT, "stages": [LM_STAGE]},
+    ({"target_checkpoint": "", "draft": DRAFT, "stages": [LM_STAGE]},
      "config.target_checkpoint is an empty path"),
-    ("train", {"draft_init_checkpoint": "", "draft": DRAFT},
+    ({"draft_init_checkpoint": "", "draft": DRAFT},
      "config.draft_init_checkpoint is an empty path"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
-               "arch_search": {}}, "config.arch_search.hidden_candidates is missing"),
-    ("train", {"draft": DRAFT, "stages": [LM_STAGE, dict(LM_STAGE, seed=5)]},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+      "arch_search": {}}, "config.arch_search.hidden_candidates is missing"),
+    ({"draft": DRAFT, "stages": [LM_STAGE, dict(LM_STAGE, seed=5)]},
      "config.stages[1].name: an earlier stage is named 'lm'"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-               "eval": {"benchmarks": [{"name": "b", "kind": "chat"}]}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT,
+      "eval": {"benchmarks": [{"name": "b", "kind": "chat"}]}},
      "config.eval.benchmarks[0].kind: unknown kind 'chat'"),
-    ("train", {"draft": DRAFT, "stages": [{"name": "gen", "kind": "generate",
-                                           "seed_instructions": "seeds.jsonl"}]},
+    ({"draft": DRAFT, "stages": [{"name": "gen", "kind": "generate",
+                                  "seed_instructions": "seeds.jsonl"}]},
      "config.target_checkpoint is missing"),
-    ("train", {"draft": DRAFT, "stages": [dict(LM_STAGE, temperatures=[0.6])]},
+    ({"draft": DRAFT, "stages": [dict(LM_STAGE, temperatures=[0.6])]},
      "config.stages[0]: unknown key 'temperatures'"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
-               "arch_search": {"hidden_candidates": [8], "budget": 0}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+      "arch_search": {"hidden_candidates": [8], "budget": 0}},
      "config.arch_search: budget must be positive"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
-               "arch_search": {"hidden_candidates": []}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+      "arch_search": {"hidden_candidates": []}},
      "config.arch_search: hidden_candidates must be a non-empty list of positive sizes"),
-    ("train", {"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
-               "arch_search": {"hidden_candidates": [0]}},
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gammas": [2]},
+      "arch_search": {"hidden_candidates": [0]}},
      "config.arch_search: hidden_candidates must be a non-empty list of positive sizes"),
-], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode", "models",
-        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "distill_data",
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [
+        {"name": "align", "kind": "align", "alignment": "align.jsonl",
+         "sparse_dataset": "teacher.sfkd", "schedule": SCHEDULE}]},
+     "config.stages[0]: unknown key 'sparse_dataset'"),
+], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode",
+        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
-        "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate"])
-def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, command,
-                                                config, message):
+        "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate",
+        "sparse_dataset"])
+def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, config,
+                                                message):
     """Every config fault is found before any work: nothing is written."""
-    assert main([command, _write(tmp_path / "cmd.json", config),
+    assert main(["train", _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
@@ -531,16 +490,30 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
     ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 0,
                   "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]},
      "config.stages[1].k must be positive"),
+    ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 265,
+                  "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]},
+     "config.stages[1].k exceeds the target's vocabulary of 264"),
+    ({"eval": {"gammas": [80, 81]}},
+     "config.eval.gammas[1]: prefill plus block exceeds max_seq_len: 16 + 81 > 96"),
+    ({"draft": dict(DRAFT, max_seq_len=16), "eval": {"gammas": [2]},
+      "lm": dict(LM_STAGE, schedule=dict(SCHEDULE, seq_len=8))},
+     "config.draft: prefill plus block exceeds max_seq_len: 16 + 1 > 16"),
+    ({"arch_search": {"hidden_candidates": [12]}},
+     "config.arch_search: no feasible layer count for any hidden candidate"),
 ], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
         "n_tasks_negative", "min_ctx", "lm_epochs", "mix_unknown_corpus", "mix_negative_budget",
         "generate_temperature", "generate_max_new_tokens", "generate_no_sampling",
-        "generate_self_prompt_count", "align_k"])
+        "generate_self_prompt_count", "align_k", "align_k_over_target_vocabulary",
+        "eval_gamma_over_target_context", "eval_draft_context", "arch_none_feasible"])
 def test_a_bad_value_exits_2_before_any_stage_trains(tmp_path, world_files, capsys, keys,
                                                      message):
-    """A value that a later stage or the eval would reject is found before
-    the lm stage in front of it trains: nothing is written."""
-    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT,
-              "stages": [LM_STAGE] + keys.get("stages", []), "eval": keys.get("eval")}
+    """A value that a later stage, the eval or the arch table would reject,
+    judged by the config or the checkpoints' headers, is found before the lm
+    stage in front of it trains: nothing is written."""
+    config = {"target_checkpoint": "target.sfmd", "draft": keys.get("draft", DRAFT),
+              "stages": [keys.get("lm", LM_STAGE)] + keys.get("stages", []),
+              "eval": keys.get("eval"),
+              "arch_search": keys.get("arch_search")}
     assert main(["train", _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
@@ -625,14 +598,13 @@ def test_an_eval_without_modes_reads_no_gamma(tmp_path, world_files):
 
 
 def test_a_null_key_trains_as_an_absent_one(tmp_path, world_files):
-    """Null stage `seed`, `mix` (lm) and `sparse_dataset` (align) keys, and
-    null sections, train the same bytes as a config without them; null
-    `stages` train none."""
+    """Null stage `seed` and `mix` (lm) keys, and null sections, train the
+    same bytes as a config without them; null `stages` train none."""
     stages = [dict(LM_STAGE, corpus=str(tmp_path / "pretrain.jsonl")),
               {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
                "k": 8, "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]
     config = {"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT}
-    nulls = [{"seed": None, "mix": None}, {"seed": None, "sparse_dataset": None}]
+    nulls = [{"seed": None, "mix": None}, {"seed": None}]
     run_training(dict(config, stages=stages), out_dir=tmp_path / "absent", seed=3)
     run_training(dict(config, stages=[dict(s, **n) for s, n in zip(stages, nulls)], eval=None,
                       arch_search=None), out_dir=tmp_path / "null", seed=3)
