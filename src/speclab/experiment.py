@@ -155,6 +155,8 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
+    libc_name, libc_version = platform.libc_ver()  # training's allocator policy needs glibc
+    libc = {"name": libc_name, "version": libc_version} if libc_name else None
     manifest = {
         "config_hash": hashlib.sha256(canonical_json(config).encode()).hexdigest(),
         "config": config,
@@ -162,7 +164,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int) -> None:
         "versions": {"speclab": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         # bit-identical reruns need the same BLAS and thread count
-        "machine": {"cpu_count": os.cpu_count(), "blas": blas, "threads": {
+        "machine": {"cpu_count": os.cpu_count(), "blas": blas, "libc": libc, "threads": {
             k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                            "MKL_NUM_THREADS")}},
         "created_unix": time.time(),
@@ -194,7 +196,7 @@ class _Run:
             raise ConfigError("config: give exactly one of draft and draft_init_checkpoint")
         if cfg.draft is not None and cfg.draft.vocab_size < ByteTokenizer.vocab_size:
             raise ConfigError("config.draft.vocab_size is smaller than the tokenizer vocabulary")
-        generates, teacher_ks = False, []  # teacher_ks: (where, k) of each distilling stage
+        generates, distills = False, []  # distills: (where, stage) of each distilling stage
         for i, stage in enumerate(cfg.stages):
             where = f"config.stages[{i}]"
             if stage.name in [s.name for s in cfg.stages[:i]]:
@@ -225,7 +227,7 @@ class _Run:
             if stage.k < 1:
                 raise ConfigError(f"{where}.k must be positive")
             if loss.needs_teacher:
-                teacher_ks.append((where, stage.k))
+                distills.append((where, stage))
         if ev is not None:
             eos = ByteTokenizer.eos_id if ev.stop_at_eos else None
             for j, mode in enumerate(ev.modes):
@@ -247,7 +249,7 @@ class _Run:
         if cfg.arch_search is not None:
             at("config.arch_search", check_search, cfg.arch_search.budget,
                cfg.arch_search.hidden_candidates)
-        meets_draft = ev is not None or bool(teacher_ks)  # the draft meets the target
+        meets_draft = ev is not None or bool(distills)  # the draft meets the target
         if (meets_draft or generates) and cfg.target_checkpoint is None:
             raise ConfigError("config.target_checkpoint is missing: eval, generate and "
                               "distillation stages use the target")
@@ -276,16 +278,24 @@ class _Run:
 
         self.base = (cfg.draft if cfg.draft is not None
                      else checkpoint_config(self.base_dir / cfg.draft_init_checkpoint))
+        for i, stage in enumerate(cfg.stages):  # a training batch is one draft forward
+            if stage.kind != "generate" and stage.schedule.seq_len > self.base.max_seq_len:
+                raise ConfigError(f"config.stages[{i}].schedule.seq_len {stage.schedule.seq_len} "
+                                  f"exceeds the draft's max_seq_len {self.base.max_seq_len}")
         if meets_draft:
             target = checkpoint_config(self.base_dir / cfg.target_checkpoint)
             if target.vocab_size != self.base.vocab_size:
                 raise VocabMismatchError(
                     f"config.target_checkpoint: the target's logits are over "
                     f"{target.vocab_size} tokens for a draft of {self.base.vocab_size}")
-            for where, k in teacher_ks:
-                if k > target.vocab_size:
+            for where, stage in distills:  # the teacher scores seq_len + 1 tokens at once
+                if stage.k > target.vocab_size:
                     raise ConfigError(f"{where}.k exceeds the target's vocabulary of "
                                       f"{target.vocab_size}")
+                if stage.schedule.seq_len + 1 > target.max_seq_len:
+                    raise ConfigError(f"{where}.schedule.seq_len {stage.schedule.seq_len} plus "
+                                      f"one exceeds the target's max_seq_len "
+                                      f"{target.max_seq_len}")
             if ev is not None:  # the eval's latency blocks; a grid without modes times no gamma
                 at("config.draft" if cfg.draft is not None else "config.draft_init_checkpoint",
                    check_block, self.base, 1)

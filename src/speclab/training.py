@@ -1,10 +1,18 @@
 """Gradient training: warmup/decay schedule, Adam with decoupled weight
 decay, and the stage runner used for pre-training, continued pre-training
 and fine-tuning. Runs are deterministic for a fixed seed, so chained
-stages and reruns reproduce bitwise on the same BLAS thread count."""
+stages and reruns reproduce bitwise on the same BLAS thread count.
+
+Under glibc, a stage first sets the process's allocator policy so that
+the megabytes each step frees stay mapped for the next step, instead of
+going back to the kernel and being faulted in again page by page; the
+policy is process-wide and changes no float operation."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 import warnings
 from dataclasses import dataclass, field
 
@@ -15,6 +23,10 @@ from .losses import LossSpec, combined_loss
 from .model import ModelState, backward, forward_train
 
 ADAM_EPS = 1e-8
+
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,26 @@ def loss_and_grads(state: ModelState, batch: Batch, loss_spec: LossSpec):
     return loss, grads, parts
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep the heap memory this process frees mapped, for reuse (glibc only).
+
+    A training step frees megabytes of transient arrays, such as the
+    (B, H, S, S) attention and (B, S, V) logits buffers. Under glibc's
+    defaults each is mmapped or trimmed off the heap top when freed, so the
+    next step faults it back in page by page. Serving every request below
+    glibc's ceiling of 32 MiB (64-bit) from the heap and never trimming the
+    heap keeps those pages mapped. The policy is process-wide: it holds for
+    every later allocation of the process, and it is set once."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
 @dataclass
 class TrainResult:
     state: ModelState
@@ -143,8 +175,10 @@ def train_stage(
 
     The input state is not mutated; the returned state is a trained copy that
     can seed the next stage directly. Exhausting `batches` before
-    `schedule.total_steps` truncates the stage with a warning.
+    `schedule.total_steps` truncates the stage with a warning. Under glibc
+    the first call sets the allocator policy of `_keep_freed_memory`.
     """
+    _keep_freed_memory()
     state = ModelState(
         config=state.config,
         tensors={k: v.copy() for k, v in state.tensors.items()},

@@ -321,7 +321,7 @@ def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_f
     assert {s.source for s in got} == {"target_generated"}
     manifest = _read(out / "manifest.json")
     assert manifest["config"] == config
-    assert set(manifest["machine"]) == {"cpu_count", "threads", "blas"}
+    assert set(manifest["machine"]) == {"cpu_count", "threads", "blas", "libc"}
     assert set(manifest["machine"]["threads"]) == {
         "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
 
@@ -500,11 +500,17 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
      "config.draft: prefill plus block exceeds max_seq_len: 16 + 1 > 16"),
     ({"arch_search": {"hidden_candidates": [12]}},
      "config.arch_search: no feasible layer count for any hidden candidate"),
+    ({"stages": [dict(LM_STAGE, name="lm2", schedule=dict(SCHEDULE, seq_len=100))]},
+     "config.stages[1].schedule.seq_len 100 exceeds the draft's max_seq_len 96"),
+    ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl",
+                  "loss": {"CE": 0.5, "KL": 0.5}, "schedule": dict(SCHEDULE, seq_len=96)}]},
+     "config.stages[1].schedule.seq_len 96 plus one exceeds the target's max_seq_len 96"),
 ], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
         "n_tasks_negative", "min_ctx", "lm_epochs", "mix_unknown_corpus", "mix_negative_budget",
         "generate_temperature", "generate_max_new_tokens", "generate_no_sampling",
         "generate_self_prompt_count", "align_k", "align_k_over_target_vocabulary",
-        "eval_gamma_over_target_context", "eval_draft_context", "arch_none_feasible"])
+        "eval_gamma_over_target_context", "eval_draft_context", "arch_none_feasible",
+        "stage_seq_len_over_draft_context", "teacher_seq_len_over_target_context"])
 def test_a_bad_value_exits_2_before_any_stage_trains(tmp_path, world_files, capsys, keys,
                                                      message):
     """A value that a later stage, the eval or the arch table would reject,

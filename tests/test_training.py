@@ -1,3 +1,5 @@
+import platform
+import resource
 import warnings
 
 import numpy as np
@@ -229,3 +231,19 @@ def test_lm_epochs_draw_from_one_generator():
     two = tokens(lm_batches(corpus, tok, 2, 16, seed=4, epochs=2))
     assert len(two) == 2 * len(one) and np.array_equal(two[:len(one)], one)
     assert not np.array_equal(two[len(one):], tokens(lm_batches(corpus, tok, 2, 16, seed=5)))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set under glibc only")
+def test_a_training_step_reuses_the_memory_the_last_step_freed():
+    """Once a stage has run, the next stage of the same shapes takes its
+    transient buffers from the heap the process kept, not from new pages."""
+    cfg = ModelConfig(hidden_size=32, intermediate_size=64, n_layers=2, n_heads=4,
+                      n_kv_heads=4, vocab_size=264, max_seq_len=64)
+    state = init_model(cfg, seed=0)
+    batch = _tiny_batch(vocab=264, batch=16, seq=64)
+    sched = TrainSchedule(peak_lr=1e-3, total_steps=10, batch_size=16, seq_len=64)
+    train_stage(state, [batch] * 10, sched, LossSpec(ce=1.0))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_stage(state, [batch] * 10, sched, LossSpec(ce=1.0))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
