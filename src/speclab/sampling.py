@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 from .model import KVCache, ModelState, forward
 
 
@@ -35,25 +35,44 @@ class SamplingPolicy:
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Normalized distribution in float64, stable for any finite logits."""
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """softmax(logits / temperature) over the last axis, in float64 and
+    stable for any finite logits.
+
+    Each row is normalized on its own, with the same float operations as
+    on a lone 1-D row, so a `(rows, V)` block gives, bit for bit, the rows
+    that one call per row gives.
+    """
+    z = np.divide(logits, temperature, dtype=np.float64)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def distribution(logits: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
-    """The multinomial verification distribution over one logits row: the
-    temperature-scaled softmax. Greedy decoding compares argmax ids and
-    never builds a distribution."""
+    """The multinomial verification distribution of each logits row (the
+    last axis): the temperature-scaled softmax. A `(rows, V)` block gives
+    the rows that one call per row gives. Greedy decoding compares argmax
+    ids and never builds a distribution."""
     return softmax(logits, policy.temperature)
 
 
 def sample_from_dist(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; never returns a zero-probability token."""
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
+    """Inverse-CDF draw from the 1-D distribution `p`: the first index whose
+    cumulative mass exceeds one uniform draw u. That index always carries
+    mass; only when u lands at or past the total mass (rounding) is the
+    draw the last index that carries mass, so no zero-probability token is
+    ever returned. Raises ContractError for a `p` that is not 1-D or that
+    has no positive entry.
+    """
+    if p.ndim != 1:
+        raise ContractError(f"sample_from_dist needs a 1-D distribution, got shape {p.shape}")
+    idx = int(np.add.accumulate(p).searchsorted(rng.random(), side="right"))
+    if idx < p.size and p[idx] > 0:
+        return idx
     support = np.flatnonzero(p > 0)
+    if support.size == 0:
+        raise ContractError("distribution has no positive entry to sample")
     return int(min(idx, support[-1]))
 
 

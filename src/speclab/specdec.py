@@ -92,10 +92,11 @@ def start_session(
 
 
 def _check_normalized(p: np.ndarray, name: str) -> None:
-    s = float(np.sum(p))
-    if abs(s - 1.0) > DIST_SUM_TOL:
+    s = float(np.add.reduce(p))
+    # written so that a NaN sum, from a NaN entry, fails the check too
+    if not abs(s - 1.0) <= DIST_SUM_TOL:
         raise ContractError(f"{name} distribution sums to {s}, not 1")
-    if np.any(p < 0):
+    if np.minimum.reduce(p) < 0:
         raise ContractError(f"{name} distribution has negative entries")
 
 
@@ -104,13 +105,17 @@ def accept_step(p_target: np.ndarray, q_draft: np.ndarray, x: int,
     """The ratio rule for one proposed token x.
 
     Returns None when u <= min(1, p(x)/q(x)) accepts x, and otherwise the
-    renormalized residual max(0, p - q) to resample from.
+    renormalized residual max(0, p - q) to resample from. Raises
+    ContractError for a distribution that is not normalized, negative or
+    NaN, and for an x outside the vocabulary or of zero draft probability.
     """
     p = np.asarray(p_target, dtype=np.float64)
     q = np.asarray(q_draft, dtype=np.float64)
     _check_normalized(p, "target")
     _check_normalized(q, "draft")
     x = int(x)
+    if not 0 <= x < q.size:
+        raise ContractError(f"proposed token {x} is outside the vocabulary [0, {q.size})")
     if q[x] <= 0:
         raise ContractError("proposed token has zero draft probability")
     if u <= min(1.0, p[x] / q[x]):
@@ -148,7 +153,10 @@ def speculate_block(
     """One propose/verify round; emits accepted prefix plus one more token.
 
     `proposal_len` shrinks the block for a partial final budget; the block
-    records how many tokens it proposed.
+    records how many tokens it proposed. Multinomial verification builds
+    the target's gamma + 1 distributions with one `distribution` call over
+    the block's logits rows; each u and each draw comes from the session's
+    rng in decision order.
     """
     gamma = spec.gamma if proposal_len is None else proposal_len
     if gamma < 0:
@@ -181,7 +189,7 @@ def speculate_block(
         accepted = next((j for j, tok in enumerate(proposed) if tok != best[j]), gamma)
         emitted = proposed[:accepted] + [int(best[accepted])]
     else:
-        p_dists = [distribution(row, policy) for row in t_logits]
+        p_dists = distribution(t_logits, policy)
         emitted = []
         for j, tok in enumerate(proposed):
             u_values.append(float(session.rng.random()))

@@ -32,6 +32,20 @@ def tensor_walk_count(config: ModelConfig, exclude_embedding_tables: bool = Fals
                if not (exclude_embedding_tables and name in ("embed", "head")))
 
 
+def reference_softmax(row: np.ndarray, temperature: float) -> np.ndarray:
+    """The one-row softmax, spelled out: scale, subtract the max, exp, normalize."""
+    z = np.asarray(row, dtype=np.float64) / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def reference_draw(p: np.ndarray, u: float) -> int:
+    """The inverse-CDF rule: the first index whose cumulative mass exceeds u,
+    but never past the last index with mass."""
+    return int(min(np.searchsorted(np.cumsum(p), u, side="right"), np.flatnonzero(p > 0)[-1]))
+
+
 def make_pair(vocab=64, hidden=8, layers=1, seed=0, max_seq=64, sharpen=3.0):
     """A random draft/target pair with peaked output distributions."""
     cfg = ModelConfig(hidden_size=hidden, intermediate_size=2 * hidden,

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_pair
+from conftest import make_pair, reference_draw, reference_softmax
 from speclab import specdec
 from speclab.cli import main
 from speclab.errors import ConfigError, ContractError, VocabMismatchError
@@ -114,6 +114,67 @@ def test_accept_step_rejects_unnormalized_or_impossible_proposals():
         accept_step(p, np.array([0.5, 0.6, 0.0]), 0, 0.1)
     with pytest.raises(ContractError):
         accept_step(p, np.array([0.5, 0.5, 0.0]), 2, 0.1)
+    # a NaN entry makes the sum NaN, which no tolerance accepts
+    with pytest.raises(ContractError):
+        accept_step(np.array([np.nan, 0.5, 0.5]), np.array([0.5, 0.5, 0.0]), 1, 0.3)
+    # an id outside [0, V) is not read from the end of the array
+    with pytest.raises(ContractError):
+        accept_step(p, np.array([0.5, 0.0, 0.5]), -1, 0.1)
+
+
+def _replay_sampled(logits, temperature, gamma, max_new, seed):
+    """Per-row reference for sampled `generate`, given the logits each of its
+    forwards returned (in call order, tagged draft or target): each block
+    proposes from one draft row per token, verifies against the target's
+    rows one distribution each, and draws its u values and tokens from one
+    generator in decision order."""
+    rng = np.random.default_rng(seed)
+    calls = iter(logits)
+    tokens, blocks = [], []
+    while len(tokens) < max_new:
+        g = min(gamma, max_new - len(tokens) - 1)
+        proposed, q = [], []
+        for _ in range(g):
+            role, rows = next(calls)
+            assert role == "draft"
+            q.append(reference_softmax(rows[-1], temperature))
+            proposed.append(reference_draw(q[-1], rng.random()))
+        role, rows = next(calls)
+        assert role == "target"
+        p = [reference_softmax(row, temperature) for row in rows[-(g + 1):]]
+        emitted, us = [], []
+        for j, x in enumerate(proposed):
+            us.append(float(rng.random()))
+            if us[-1] > min(1.0, p[j][x] / q[j][x]):
+                residual = np.maximum(p[j] - q[j], 0.0)
+                emitted.append(reference_draw(residual / residual.sum(), rng.random()))
+                break
+            emitted.append(x)
+        else:
+            emitted.append(reference_draw(p[g], rng.random()))
+        tokens += emitted
+        blocks.append((len(emitted) - 1, us))
+    assert next(calls, None) is None
+    return tokens, blocks
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+def test_sampled_generate_equals_a_per_row_replay(monkeypatch, pair, gamma):
+    draft, target = pair
+    logits = []
+
+    def recorded_forward(state, *args, **kwargs):
+        out = forward(state, *args, **kwargs)
+        logits.append(("draft" if state is draft else "target", out[0]))
+        return out
+
+    monkeypatch.setattr(specdec, "forward", recorded_forward)
+    for seed in range(4):
+        logits.clear()
+        result = _sd(draft, target, PROMPT, SAMPLED, gamma, 17, seed=seed)
+        tokens, blocks = _replay_sampled(logits, SAMPLED.temperature, gamma, 17, seed)
+        assert result.tokens == tokens
+        assert [(b.accepted_count, b.u_values) for b in result.blocks] == blocks
 
 
 def _traced_blocks(monkeypatch, draft, target, policy, gamma, max_new):
