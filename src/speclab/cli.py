@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RUN, load
+from .config import RUN, Min, load
 from .errors import SpecLabError
 from .experiment import PIPELINE, _Run
 from .metrics import metrics_row, write_report
@@ -24,7 +24,7 @@ from .specdec import decode_stats, read_audit_log
 
 # the config schema of `report`; `train` reads the pipeline's (notation
 # in config.py)
-REPORT_RUN = {"audit": Path, "gamma": int, "c_hat": float, "benchmark": (str, "replay"),
+REPORT_RUN = {"audit": Path, "gamma": Min(1), "c_hat": float, "benchmark": (str, "replay"),
               "sampling_mode": (str, "greedy"), "temperature": (float, 0.0)}
 REPORT = {**RUN, "runs": [REPORT_RUN]}
 

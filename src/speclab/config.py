@@ -1,16 +1,17 @@
 """The one reader of JSON configs.
 
 A schema maps each key of a config section to its type, when the key is
-required, or to a `(type, default)` pair. A type is `int`, `float`,
-`bool`, `str`, `Path` (a non-empty string), a schema or a config
-dataclass (an object, read as a section of its own), `Kinds` (a section
-read by the schema of its `kind`), `[t]` (a list of `t`), `[t1, t2]` (a
-pair) or `{str: t}` (an object of `t` values). A null is the key's
-absence, and a non-null default is read as if it were given. An unknown
-or missing key, an empty path, a value of another JSON type (`bool` is
-not an `int`; an `int` is taken where a `float` is due) or a config
-dataclass that rejects its fields is a ConfigError that names the key's
-full path.
+required, or to a `(type, default)` pair. A type is `int`, `Min(n)` (an
+int of at least n), `float`, `bool`, `str`, a `frozenset` (a str in it),
+`Path` (a non-empty string), a schema or a config dataclass (an object,
+read as a section of its own), `Kinds` (a section read by the schema of
+its `kind`), `[t]` (a list of `t`), `[t1, t2]` (a pair) or `{str: t}`
+(an object of `t` values). A null is the key's absence, and a non-null
+default is read as if it were given. An unknown or missing key, an empty
+path, a value of another JSON type (`bool` is not an `int`; an `int` is
+taken where a `float` is due) or out of its bound (`must be positive`,
+`nonnegative`, `at least n`, `unknown <key> 'v'`), or a config dataclass
+rejecting its fields is a ConfigError that names the key's full path.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ _type_hints = functools.cache(typing.get_type_hints)  # of a config dataclass's 
 
 class Kinds(dict):
     """Schemas by the section's `kind` key, which is the first kind when absent."""
+
+
+class Min(int):
+    """An int of at least this value."""
 
 
 def read(section: str, d, schema):
@@ -55,8 +60,8 @@ def read(section: str, d, schema):
 
 
 def check(where: str, value, spec):
-    """`value` if it is present and of type `spec` (an int made a float if a
-    float is due, a section read by its schema)."""
+    """`value` if it is present, of type `spec` and within its bound (an int
+    made a float if a float is due, a section read by its schema)."""
     if value is None:
         raise ConfigError(f"{where} is missing")
     if isinstance(spec, list) and type(value) is list and len(spec) in (1, len(value)):
@@ -65,17 +70,22 @@ def check(where: str, value, spec):
         return {k: check(f"{where}.{k}", v, spec[str]) for k, v in value.items()}
     if isinstance(spec, Kinds) and type(value) is dict:
         kind = next(iter(spec)) if value.get("kind") is None else value["kind"]
-        if type(kind) is not str or kind not in spec:
-            raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+        kind = check(f"{where}.kind", kind, frozenset(spec))
         return read(where, dict(value, kind=kind), spec[kind])
     if isinstance(spec, dict) and str not in spec or dataclasses.is_dataclass(spec):
         return read(where, value, spec)
     if spec is Path and value == "":
         raise ConfigError(f"{where} is an empty path")
-    if type(value) is (str if spec is Path else spec) or spec is float and type(value) is int:
-        return float(value) if spec is float else value
+    want = {Min: int, frozenset: str}.get(type(spec), str if spec is Path else spec)
+    if type(value) is want or want is float and type(value) is int:
+        if isinstance(spec, Min) and value < spec:
+            bound = {0: "nonnegative", 1: "positive"}.get(spec, f"at least {spec}")
+            raise ConfigError(f"{where} must be {bound}")
+        if isinstance(spec, frozenset) and value not in spec:
+            raise ConfigError(f"{where}: unknown {where.split('.')[-1].split('[')[0]} {value!r}")
+        return float(value) if want is float else value
     want = (f"list of {len(spec)}" if isinstance(spec, list) and len(spec) > 1
-            else "path" if spec is Path else getattr(spec, "__name__", type(spec).__name__))
+            else "path" if spec is Path else getattr(want, "__name__", type(want).__name__))
     raise ConfigError(f"{where} must be {want}, not {type(value).__name__}")
 
 

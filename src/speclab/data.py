@@ -23,7 +23,7 @@ from .tokenizer import ByteTokenizer
 from .training import Batch
 
 TAGS = ("text", "code", "instruction")
-MASK_MODES = ("response", "full")  # what `alignment_batches` supervises
+MASK_MODES = frozenset({"response", "full"})  # what `alignment_batches` supervises
 
 
 @dataclass(frozen=True)

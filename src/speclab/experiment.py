@@ -24,7 +24,7 @@ from . import __version__
 from .archsearch import ARCH_SEARCH, arch_table, check_search
 from .checkpoint import (canonical_json, checkpoint_config, load_checkpoint, save_checkpoint,
                          write_json)
-from .config import RUN, Kinds, at, load
+from .config import RUN, Kinds, Min, at, load
 from .data import (MASK_MODES, Corpus, Document, alignment_batches, chat_prompt, check_parts,
                    generate_alignment_set, lm_batches, load_alignment_set, load_corpus,
                    make_completion_tasks, mix, save_alignment_set, save_corpus,
@@ -46,17 +46,18 @@ MIX = {"corpora": {str: Path}, "parts": [[str, int]]}
 TRAINING = {"name": str, "kind": str, "seed": (int, None), "schedule": TrainSchedule,
             "loss": (LOSS, {"CE": 1.0})}
 STAGE = Kinds(
-    lm={**TRAINING, "corpus": (Path, None), "mix": (MIX, None), "epochs": (int, 1)},
-    align={**TRAINING, "alignment": Path, "mask": (str, "response"), "k": (int, 16)},
+    lm={**TRAINING, "corpus": (Path, None), "mix": (MIX, None), "epochs": (Min(1), 1)},
+    align={**TRAINING, "alignment": Path, "mask": (MASK_MODES, "response"), "k": (Min(1), 16)},
     generate={"name": str, "kind": str, "seed": (int, None), "seed_instructions": Path,
               "temperatures": ([float], [0.6, 0.8, 1.0]), "include_greedy": (bool, True),
-              "self_prompt_count": (int, 0), "max_new_tokens": (int, 64)})
-LATENCY = {"warmup": (int, 2), "reps": (int, 5)}
-BENCH = {"name": str, "kind": str, "n_tasks": (int, 8), "min_ctx": (int, 4)}
+              "self_prompt_count": (Min(0), 0), "max_new_tokens": (Min(1), 64)})
+LATENCY = {"warmup": (Min(0), 2), "reps": (Min(MIN_REPS), 5)}
+BENCH = {"name": str, "kind": str, "n_tasks": (Min(1), 8), "min_ctx": (Min(0), 4)}
 BENCHMARK = Kinds(completion={**BENCH, "corpus": Path}, instruction={**BENCH, "alignment": Path})
 EVAL = {"benchmarks": ([BENCHMARK], []), "modes": ([str], ["greedy", "multinomial"]),
         "gammas": ([int], [3, 5]), "temperature": (float, 0.6), "max_new_tokens": (int, 32),
-        "stop_at_eos": (bool, True), "c_hat_mode": (str, "total"), "latency": (LATENCY, {})}
+        "stop_at_eos": (bool, True), "c_hat_mode": (frozenset({"total", "excluded"}), "total"),
+        "latency": (LATENCY, {})}
 PIPELINE = {**RUN, "out_dir": (Path, "runs/experiment"), "target_checkpoint": (Path, None),
             "draft_init_checkpoint": (Path, None), "draft": (ModelConfig, None),
             "stages": ([STAGE], []), "eval": (EVAL, None), "arch_search": (ARCH_SEARCH, None)}
@@ -74,6 +75,13 @@ def derive_seed(base: int, *key: int) -> int:
 
 def _policy(mode: str, temperature: float) -> SamplingPolicy:
     return SamplingPolicy(mode, temperature=temperature)
+
+
+def _unique(where: str, values: list, earlier: str) -> None:
+    """Raise ConfigError at `where.format(i)` for the first values[i] equal to an earlier one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{where.format(i)}: an earlier {earlier} {value!r}")
 
 
 def decode_prompts(draft: ModelState, target: ModelState, prompts: list[list[int]],
@@ -178,11 +186,11 @@ class _Run:
     and what the config builds once: the draft's config (`base`, read from
     the checkpoint header when the draft is one), each training stage's
     LossSpec by name, and each eval cell's (mode index, mode, SpecConfig).
-    Building one checks every value and what the keys require of each
-    other, then that every input file exists, then what only the
-    checkpoints' headers can judge, so a config fault, a missing file or a
-    draft that does not fit its target is reported before any file is
-    written."""
+    `config.load` has checked each key on its own; building a _Run checks
+    what the keys require of each other, then that every input file
+    exists, then what only the checkpoints' headers can judge, so a config
+    fault, a missing file or a draft that does not fit its target is
+    reported before any file is written."""
     config: dict
     cfg: SimpleNamespace
     base_dir: Path
@@ -194,23 +202,16 @@ class _Run:
         cfg, ev = self.cfg, self.cfg.eval
         if (cfg.draft is None) == (cfg.draft_init_checkpoint is None):
             raise ConfigError("config: give exactly one of draft and draft_init_checkpoint")
-        if cfg.draft is not None and cfg.draft.vocab_size < ByteTokenizer.vocab_size:
-            raise ConfigError("config.draft.vocab_size is smaller than the tokenizer vocabulary")
+        _unique("config.stages[{}].name", [s.name for s in cfg.stages], "stage is named")
         generates, distills = False, []  # distills: (where, stage) of each distilling stage
         for i, stage in enumerate(cfg.stages):
             where = f"config.stages[{i}]"
-            if stage.name in [s.name for s in cfg.stages[:i]]:
-                raise ConfigError(f"{where}.name: an earlier stage is named {stage.name!r}")
             if stage.kind == "generate":
                 generates = True
                 for j, temperature in enumerate(stage.temperatures):
                     at(f"{where}.temperatures[{j}]", _policy, "multinomial", temperature)
                 if not stage.temperatures and not stage.include_greedy:
                     raise ConfigError(f"{where}: need at least one sampling configuration")
-                if stage.max_new_tokens < 1:
-                    raise ConfigError(f"{where}.max_new_tokens must be >= 1")
-                if stage.self_prompt_count < 0:
-                    raise ConfigError(f"{where}.self_prompt_count must be nonnegative")
                 continue
             loss = self.losses[stage.name] = at(f"{where}.loss", LossSpec, stage.loss.CE,
                                                 stage.loss.KL, stage.loss.TVD)
@@ -219,33 +220,19 @@ class _Run:
                     raise ConfigError(f"{where}: an lm stage reads one of corpus and mix")
                 if stage.mix is not None:
                     at(f"{where}.mix", check_parts, stage.mix.parts, stage.mix.corpora)
-                if stage.epochs < 1:
-                    raise ConfigError(f"{where}.epochs must be positive")
                 continue
-            if stage.mask not in MASK_MODES:
-                raise ConfigError(f"{where}.mask: unknown mask_mode {stage.mask!r}")
-            if stage.k < 1:
-                raise ConfigError(f"{where}.k must be positive")
             if loss.needs_teacher:
                 distills.append((where, stage))
-        if ev is not None:
+        if ev is not None:  # two cells of one grid would write one audit log
+            _unique("config.eval.benchmarks[{}].name", [b.name for b in ev.benchmarks],
+                    "benchmark is named")
+            _unique("config.eval.modes[{}]", ev.modes, "mode is")
+            _unique("config.eval.gammas[{}]", ev.gammas, "gamma is")
             eos = ByteTokenizer.eos_id if ev.stop_at_eos else None
             for j, mode in enumerate(ev.modes):
                 policy = at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
                 self.specs += [(j, mode, at("config.eval", SpecConfig, gamma, policy,
                                             ev.max_new_tokens, eos)) for gamma in ev.gammas]
-            if ev.c_hat_mode not in ("total", "excluded"):
-                raise ConfigError(f"config.eval.c_hat_mode: unknown c_hat_mode {ev.c_hat_mode!r}")
-            if ev.latency.reps < MIN_REPS:
-                raise ConfigError(f"config.eval.latency.reps: need at least {MIN_REPS} "
-                                  "repetitions")
-            if ev.latency.warmup < 0:
-                raise ConfigError("config.eval.latency.warmup must be nonnegative")
-            for i, b in enumerate(ev.benchmarks):
-                if b.n_tasks < 1:
-                    raise ConfigError(f"config.eval.benchmarks[{i}].n_tasks must be positive")
-                if b.min_ctx < 0:
-                    raise ConfigError(f"config.eval.benchmarks[{i}].min_ctx must be nonnegative")
         if cfg.arch_search is not None:
             at("config.arch_search", check_search, cfg.arch_search.budget,
                cfg.arch_search.hidden_candidates)
@@ -276,8 +263,11 @@ class _Run:
             key = "corpus" if b.kind == "completion" else "alignment"
             check(f"config.eval.benchmarks[{i}].{key}", getattr(b, key))
 
-        self.base = (cfg.draft if cfg.draft is not None
-                     else checkpoint_config(self.base_dir / cfg.draft_init_checkpoint))
+        draft = "config.draft" if cfg.draft is not None else "config.draft_init_checkpoint"
+        self.base = cfg.draft or checkpoint_config(self.base_dir / cfg.draft_init_checkpoint)
+        if self.base.vocab_size < ByteTokenizer.vocab_size:  # every stage encodes with it
+            raise ConfigError(f"{draft}: the draft's vocabulary of {self.base.vocab_size} is "
+                              f"smaller than the tokenizer's {ByteTokenizer.vocab_size}")
         for i, stage in enumerate(cfg.stages):  # a training batch is one draft forward
             if stage.kind != "generate" and stage.schedule.seq_len > self.base.max_seq_len:
                 raise ConfigError(f"config.stages[{i}].schedule.seq_len {stage.schedule.seq_len} "
@@ -297,8 +287,7 @@ class _Run:
                                       f"one exceeds the target's max_seq_len "
                                       f"{target.max_seq_len}")
             if ev is not None:  # the eval's latency blocks; a grid without modes times no gamma
-                at("config.draft" if cfg.draft is not None else "config.draft_init_checkpoint",
-                   check_block, self.base, 1)
+                at(draft, check_block, self.base, 1)
                 at("config.target_checkpoint", check_block, target, 1)
                 for j, gamma in enumerate(ev.gammas if self.specs else []):
                     at(f"config.eval.gammas[{j}]", check_block, target, gamma)

@@ -437,16 +437,20 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
         {"name": "align", "kind": "align", "alignment": "align.jsonl",
          "sparse_dataset": "teacher.sfkd", "schedule": SCHEDULE}]},
      "config.stages[0]: unknown key 'sparse_dataset'"),
+    ({"runs": [{"audit": "missing.jsonl", "gamma": 0, "c_hat": 0.5}]},
+     "config.runs[0].gamma must be positive"),
 ], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode",
         "hidden_candidates", "hidden_size", "temperature", "stages", "gamma",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
         "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate",
-        "sparse_dataset"])
+        "sparse_dataset", "report_gamma"])
 def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, config,
                                                 message):
-    """Every config fault is found before any work: nothing is written."""
-    assert main(["train", _write(tmp_path / "cmd.json", config),
+    """Every config fault is found before any work: nothing is written. A
+    config with `runs` is a `speclab report` config."""
+    command = "report" if "runs" in config else "train"
+    assert main([command, _write(tmp_path / "cmd.json", config),
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
@@ -456,8 +460,7 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
 @pytest.mark.parametrize("keys, message", [
     ({"eval": {"gammas": [0]}}, "config.eval: gamma must be >= 1"),
     ({"eval": {"max_new_tokens": 0}}, "config.eval: max_new_tokens must be >= 1"),
-    ({"eval": {"latency": {"reps": 2}}},
-     "config.eval.latency.reps: need at least 5 repetitions"),
+    ({"eval": {"latency": {"reps": 2}}}, "config.eval.latency.reps must be at least 5"),
     ({"eval": {"latency": {"warmup": -3}}}, "config.eval.latency.warmup must be nonnegative"),
     ({"eval": {"benchmarks": [{"name": "text", "kind": "completion",
                                "corpus": "pretrain.jsonl", "n_tasks": 0}]}},
@@ -470,6 +473,8 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
      "config.eval.benchmarks[0].min_ctx must be nonnegative"),
     ({"stages": [dict(LM_STAGE, name="lm2", epochs=0)]},
      "config.stages[1].epochs must be positive"),
+    ({"stages": [dict(LM_STAGE, name="lm2", epochs=True)]},
+     "config.stages[1].epochs must be int, not bool"),
     ({"stages": [dict(LM_STAGE, corpus=None, name="mix", mix={
         "corpora": {"x": "pretrain.jsonl"}, "parts": [["x", 10], ["y", 10]]})]},
      "config.stages[1].mix: parts[1] names an unknown corpus id 'y'"),
@@ -480,7 +485,7 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
                   "temperatures": [0.0]}]},
      "config.stages[1].temperatures[0]: temperature must be positive"),
     ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
-                  "max_new_tokens": 0}]}, "config.stages[1].max_new_tokens must be >= 1"),
+                  "max_new_tokens": 0}]}, "config.stages[1].max_new_tokens must be positive"),
     ({"stages": [{"name": "gen", "kind": "generate", "seed_instructions": "pretrain.jsonl",
                   "temperatures": [], "include_greedy": False}]},
      "config.stages[1]: need at least one sampling configuration"),
@@ -490,6 +495,9 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
     ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 0,
                   "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]},
      "config.stages[1].k must be positive"),
+    ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "mask": "all",
+                  "schedule": SCHEDULE}]},
+     "config.stages[1].mask: unknown mask 'all'"),
     ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl", "k": 265,
                   "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]},
      "config.stages[1].k exceeds the target's vocabulary of 264"),
@@ -505,12 +513,21 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
     ({"stages": [{"name": "align", "kind": "align", "alignment": "align.jsonl",
                   "loss": {"CE": 0.5, "KL": 0.5}, "schedule": dict(SCHEDULE, seq_len=96)}]},
      "config.stages[1].schedule.seq_len 96 plus one exceeds the target's max_seq_len 96"),
+    ({"eval": {"benchmarks": [EVAL["benchmarks"][0]] * 2}},
+     "config.eval.benchmarks[1].name: an earlier benchmark is named 'chat'"),
+    ({"eval": {"modes": ["multinomial", "multinomial"]}},
+     "config.eval.modes[1]: an earlier mode is 'multinomial'"),
+    ({"eval": {"gammas": [2, 2]}}, "config.eval.gammas[1]: an earlier gamma is 2"),
+    ({"draft": dict(DRAFT, vocab_size=200)},
+     "config.draft: the draft's vocabulary of 200 is smaller than the tokenizer's 264"),
 ], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
-        "n_tasks_negative", "min_ctx", "lm_epochs", "mix_unknown_corpus", "mix_negative_budget",
-        "generate_temperature", "generate_max_new_tokens", "generate_no_sampling",
-        "generate_self_prompt_count", "align_k", "align_k_over_target_vocabulary",
-        "eval_gamma_over_target_context", "eval_draft_context", "arch_none_feasible",
-        "stage_seq_len_over_draft_context", "teacher_seq_len_over_target_context"])
+        "n_tasks_negative", "min_ctx", "lm_epochs", "lm_epochs_bool", "mix_unknown_corpus",
+        "mix_negative_budget", "generate_temperature", "generate_max_new_tokens",
+        "generate_no_sampling", "generate_self_prompt_count", "align_k", "align_mask",
+        "align_k_over_target_vocabulary", "eval_gamma_over_target_context",
+        "eval_draft_context", "arch_none_feasible", "stage_seq_len_over_draft_context",
+        "teacher_seq_len_over_target_context", "repeated_benchmark_name", "repeated_mode",
+        "repeated_gamma", "draft_vocabulary_under_tokenizer"])
 def test_a_bad_value_exits_2_before_any_stage_trains(tmp_path, world_files, capsys, keys,
                                                      message):
     """A value that a later stage, the eval or the arch table would reject,
