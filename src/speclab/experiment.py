@@ -272,12 +272,17 @@ class _Run:
             if stage.kind != "generate" and stage.schedule.seq_len > self.base.max_seq_len:
                 raise ConfigError(f"config.stages[{i}].schedule.seq_len {stage.schedule.seq_len} "
                                   f"exceeds the draft's max_seq_len {self.base.max_seq_len}")
-        if meets_draft:
+        if meets_draft or generates:
             target = checkpoint_config(self.base_dir / cfg.target_checkpoint)
-            if target.vocab_size != self.base.vocab_size:
+            if meets_draft and target.vocab_size != self.base.vocab_size:
                 raise VocabMismatchError(
                     f"config.target_checkpoint: the target's logits are over "
                     f"{target.vocab_size} tokens for a draft of {self.base.vocab_size}")
+            if target.vocab_size < ByteTokenizer.vocab_size:  # it reads and writes its ids
+                raise ConfigError(f"config.target_checkpoint: the target's vocabulary of "
+                                  f"{target.vocab_size} is smaller than the tokenizer's "
+                                  f"{ByteTokenizer.vocab_size}")
+        if meets_draft:
             for where, stage in distills:  # the teacher scores seq_len + 1 tokens at once
                 if stage.k > target.vocab_size:
                     raise ConfigError(f"{where}.k exceeds the target's vocabulary of "

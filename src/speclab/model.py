@@ -29,6 +29,13 @@ output) with the same float operations in the same order as the
 out-of-place expressions they replace. A buffer on the tape is never
 written after it is recorded. The rope tables and the causal mask are
 computed once per config and dtype, read-only, and sliced per forward.
+
+`forward` with a cache and exactly one token (an AR token, a draft
+proposal, a generated token) runs `_step`, the same computation on 1-D
+rows: (hidden,) activations, (heads, d) heads and no mask, with the same
+float operations in the same order, so the logits and cache rows are
+bit-identical to `_forward_batch`'s. Prefill, verify blocks, multi-token
+catch-ups, training and teacher extraction run `_forward_batch`.
 """
 
 from __future__ import annotations
@@ -364,6 +371,73 @@ def _forward_batch(
     return logits, tape
 
 
+def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
+    """The cached forward of one token, on 1-D rows: `_forward_batch` of a
+    (1, 1) batch with the same float operations in the same order, so the
+    (vocab,) logits and the cache rows it writes are bit-identical.
+
+    Activations are (hidden,) and heads (heads, d). A lone query attends
+    every cached key, so there is no mask. Attention stays one (1, d) x
+    (d, T) product per query head, as in the batched layout: one (G, d) x
+    (d, T) product per key/value head would run another BLAS kernel and
+    change the bits. Each inverse RMS is a numpy scalar of the state's
+    dtype where the batched path holds a one-element array per row: the
+    same operations, dispatched far more cheaply, and constants of the
+    dtype keep them in it under numpy's older promotion rules too.
+    """
+    cfg = state.config
+    t = state.tensors
+    start = cache.filled_len
+    if start + 1 > cfg.max_seq_len:
+        raise LengthError(f"context of {start + 1} tokens exceeds max_seq_len {cfg.max_seq_len}")
+    if not 0 <= token < cfg.vocab_size:
+        raise ConfigError("token id out of vocabulary range")
+
+    cos, sin, _ = _position_tables(cfg, state.dtype)
+    cos, sin = cos[start], sin[start]
+    H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
+    G = H // KV
+    scale = 1.0 / math.sqrt(d)
+    one, width, eps = (state.dtype.type(c) for c in (1, cfg.hidden_size, RMS_EPS))
+
+    def rms_inv(x: np.ndarray) -> np.generic:  # `_rms_inv` of a row
+        return one / np.sqrt(np.add.reduce(np.square(x)) / width + eps)
+
+    x = t["embed"][token]  # a view of the table: never written
+    for l in range(cfg.n_layers):
+        p = f"layers.{l}."
+        y1 = x * rms_inv(x)
+        y1 *= t[p + "attn_norm"]
+
+        q = _rotate((y1 @ t[p + "wq"]).reshape(H, d), cos, sin)
+        cache.keys[l, start] = _rotate((y1 @ t[p + "wk"]).reshape(KV, d), cos[:KV], sin[:KV])
+        cache.values[l, start] = (y1 @ t[p + "wv"]).reshape(KV, d)
+        k, v = cache.keys[l, :start + 1], cache.values[l, :start + 1]  # (T, KV, d)
+
+        # (KV, G, 1, d) x (KV, 1, d, T) -> (KV, G, 1, T)
+        probs = q.reshape(KV, G, 1, d) @ k.transpose(1, 2, 0)[:, None]
+        probs *= scale
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+
+        x2 = (probs @ v.transpose(1, 0, 2)[:, None]).reshape(H * d) @ t[p + "wo"]
+        x2 += x
+
+        y2 = x2 * rms_inv(x2)
+        y2 *= t[p + "mlp_norm"]
+        act = y2 @ t[p + "w_gate"]
+        up = y2 @ t[p + "w_up"]
+        act *= _sigmoid(act)  # silu
+        act *= up
+        x = act @ t[p + "w_down"]
+        x += x2
+
+    y = x * rms_inv(x)
+    y *= t["final_norm"]
+    return y @ state.head_weight()
+
+
 def forward(
     state: ModelState,
     tokens,
@@ -373,15 +447,19 @@ def forward(
 
     With a cache, evaluation is incremental: previously cached positions are
     reused and the new keys/values are appended. The returned logits match a
-    full recompute of the whole sequence to float32 accuracy.
+    full recompute of the whole sequence to float32 accuracy. One token with
+    a cache runs `_step`, which gives the bits `_forward_batch` gives.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1:
         raise ConfigError("forward expects a flat token sequence")
     if tokens.size == 0:
         raise ConfigError("forward expects at least one token")
-    logits, _ = _forward_batch(state, tokens[None, :], cache=cache, record=False)
-    logits = logits[0]
+    if cache is not None and tokens.size == 1:
+        logits = _step(state, int(tokens[0]), cache)[None]
+    else:
+        logits, _ = _forward_batch(state, tokens[None, :], cache=cache, record=False)
+        logits = logits[0]
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in forward pass")
     if cache is not None:

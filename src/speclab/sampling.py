@@ -77,10 +77,16 @@ def sample_from_dist(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def sample(logits: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator) -> int:
-    """Draw one token from a logits row under the policy."""
+    """Draw one token from a logits row under the policy; raises
+    NumericError if the row is not finite."""
     logits = np.asarray(logits)
     if not np.isfinite(logits).all():
         raise NumericError("cannot sample from non-finite logits")
+    return _draw(logits, policy, rng)
+
+
+def _draw(logits: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator) -> int:
+    """`sample` of a row that `forward` has already checked is finite."""
     if policy.mode == "greedy":
         return int(np.argmax(logits))
     return sample_from_dist(softmax(logits, policy.temperature), rng)
@@ -102,7 +108,7 @@ def autoregressive_decode(
     pending = list(prompt)
     for _ in range(max_new_tokens):
         logits, _ = forward(state, pending, cache)
-        tok = sample(logits[-1], policy, rng)
+        tok = _draw(logits[-1], policy, rng)
         out.append(tok)
         if eos_id is not None and tok == eos_id:
             break

@@ -8,8 +8,8 @@ from speclab import ModelConfig, init_model
 from speclab.distill import top_k
 from speclab.errors import ConfigError, LengthError
 from speclab.losses import LossSpec, ce_loss
-from speclab.model import (KVCache, _sigmoid, backward, cast_state, forward, forward_train,
-                           param_count, param_split)
+from speclab.model import (KVCache, _forward_batch, _sigmoid, _step, backward, cast_state,
+                           forward, forward_train, param_count, param_split)
 from speclab.sampling import SamplingPolicy, sample, softmax
 from speclab.training import Batch, loss_and_grads
 
@@ -72,6 +72,41 @@ def test_cached_matches_full_on_random_pairs():
             rows.append(forward(st, [t], cache)[0])
         inc = np.vstack(rows)
         assert rel_err(inc, full) < 1e-4, f"trial {trial}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden, heads, kv_heads, tie", [
+    (32, 4, 4, False), (64, 8, 2, False), (48, 6, 3, True), (32, 4, 1, True)],
+    ids=["mha", "gqa", "gqa_tied", "mqa_tied"])
+def test_one_token_step_equals_the_batched_forward_bit_for_bit(hidden, heads, kv_heads, tie,
+                                                              dtype):
+    """`_step` at every position gives the logits and writes the key/value
+    rows that `_forward_batch` gives on its own cache, bit for bit, and
+    raises what it raises for an out-of-range token and a full context."""
+    cfg = ModelConfig(hidden_size=hidden, intermediate_size=2 * hidden, n_layers=2,
+                      n_heads=heads, n_kv_heads=kv_heads, vocab_size=50, max_seq_len=20,
+                      tie_embeddings=tie)
+    st = cast_state(init_model(cfg, seed=heads + kv_heads), dtype)
+    step, batch = KVCache(cfg, dtype), KVCache(cfg, dtype)
+    for tok in np.random.default_rng(hidden).integers(0, 50, size=cfg.max_seq_len).tolist():
+        logits = _step(st, tok, step)
+        want, _ = _forward_batch(st, np.array([[tok]]), batch)
+        step.filled_len += 1
+        batch.filled_len += 1
+        assert logits.tobytes() == want[0, 0].tobytes(), f"position {step.filled_len - 1}"
+        assert step.keys.tobytes() == batch.keys.tobytes()
+        assert step.values.tobytes() == batch.values.tobytes()
+
+    def error(run, tok, filled_len):
+        cache = KVCache(cfg, dtype)
+        cache.filled_len = filled_len
+        with pytest.raises((ConfigError, LengthError)) as info:
+            run(cache, tok)
+        return type(info.value), str(info.value)
+
+    for tok, filled_len in [(50, 3), (-1, 3), (1, cfg.max_seq_len), (50, cfg.max_seq_len)]:
+        assert (error(lambda c, t: _step(st, t, c), tok, filled_len)
+                == error(lambda c, t: _forward_batch(st, np.array([[t]]), c), tok, filled_len))
 
 
 def test_context_overflow():

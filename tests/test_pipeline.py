@@ -439,12 +439,14 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
      "config.stages[0]: unknown key 'sparse_dataset'"),
     ({"runs": [{"audit": "missing.jsonl", "gamma": 0, "c_hat": 0.5}]},
      "config.runs[0].gamma must be positive"),
+    ({"runs": [{"audit": "missing.jsonl", "gamma": 2, "c_hat": 0.5, "sampling_mode": "beam"}]},
+     "config.runs[0].sampling_mode: unknown sampling_mode 'beam'"),
 ], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode",
         "hidden_candidates", "hidden_size", "temperature", "stages", "gamma",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
         "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate",
-        "sparse_dataset", "report_gamma"])
+        "sparse_dataset", "report_gamma", "report_sampling_mode"])
 def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, config,
                                                 message):
     """Every config fault is found before any work: nothing is written. A
@@ -520,6 +522,10 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
     ({"eval": {"gammas": [2, 2]}}, "config.eval.gammas[1]: an earlier gamma is 2"),
     ({"draft": dict(DRAFT, vocab_size=200)},
      "config.draft: the draft's vocabulary of 200 is smaller than the tokenizer's 264"),
+    ({"target_vocab_size": 200, "stages": [{"name": "gen", "kind": "generate",
+                                            "seed_instructions": "pretrain.jsonl"}]},
+     "config.target_checkpoint: the target's vocabulary of 200 is smaller than the "
+     "tokenizer's 264"),
 ], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
         "n_tasks_negative", "min_ctx", "lm_epochs", "lm_epochs_bool", "mix_unknown_corpus",
         "mix_negative_budget", "generate_temperature", "generate_max_new_tokens",
@@ -527,13 +533,20 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
         "align_k_over_target_vocabulary", "eval_gamma_over_target_context",
         "eval_draft_context", "arch_none_feasible", "stage_seq_len_over_draft_context",
         "teacher_seq_len_over_target_context", "repeated_benchmark_name", "repeated_mode",
-        "repeated_gamma", "draft_vocabulary_under_tokenizer"])
+        "repeated_gamma", "draft_vocabulary_under_tokenizer",
+        "target_vocabulary_under_tokenizer"])
 def test_a_bad_value_exits_2_before_any_stage_trains(tmp_path, world_files, capsys, keys,
                                                      message):
     """A value that a later stage, the eval or the arch table would reject,
     judged by the config or the checkpoints' headers, is found before the lm
-    stage in front of it trains: nothing is written."""
-    config = {"target_checkpoint": "target.sfmd", "draft": keys.get("draft", DRAFT),
+    stage in front of it trains: nothing is written. `target_vocab_size`
+    swaps in a target of that vocabulary."""
+    target = "target.sfmd"
+    if "target_vocab_size" in keys:
+        target = "small_target.sfmd"
+        save_checkpoint(init_model(ModelConfig(**dict(DRAFT, vocab_size=keys["target_vocab_size"])),
+                                   0), tmp_path / target)
+    config = {"target_checkpoint": target, "draft": keys.get("draft", DRAFT),
               "stages": [keys.get("lm", LM_STAGE)] + keys.get("stages", []),
               "eval": keys.get("eval"),
               "arch_search": keys.get("arch_search")}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import reference_draw, reference_softmax
-from speclab.errors import ContractError
-from speclab.sampling import SamplingPolicy, distribution, sample_from_dist, softmax
+from speclab.errors import ContractError, NumericError
+from speclab.sampling import SamplingPolicy, distribution, sample, sample_from_dist, softmax
 
 VOCABS = [2, 7, 8, 9, 127, 128, 129, 264, 1000]
 TEMPERATURES = [0.3, 0.6, 1.0, 2.0]
@@ -80,3 +80,14 @@ def test_sample_from_dist_rejects_a_block_or_a_distribution_without_mass():
         sample_from_dist(np.zeros(0), _FixedU(0.5))
     with pytest.raises(ContractError, match="1-D"):
         sample_from_dist(np.full((2, 2), 0.5), _FixedU(0.25))
+
+
+@pytest.mark.parametrize("policy", [SamplingPolicy("greedy"),
+                                    SamplingPolicy("multinomial", 0.6)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_logits(policy, bad):
+    """`autoregressive_decode` draws without this check, because `forward`
+    has checked the row; `sample` keeps it for direct callers."""
+    logits = np.array([0.5, bad, 1.0])
+    with pytest.raises(NumericError, match="non-finite"):
+        sample(logits, policy, np.random.default_rng(0))
