@@ -1,9 +1,9 @@
 """Decoder-only transformer implemented in numpy.
 
 Pre-norm blocks with RMS normalization, rotary position encoding, grouped
-key/value heads and a gated (SiLU) MLP, no biases anywhere. The forward
-pass optionally records a tape of intermediates so that `backward` can
-produce exact gradients for every tensor; gradients are validated against
+key/value heads and a gated (SiLU) MLP, no biases anywhere. The training
+forward records a tape of intermediates so that `backward` can produce
+exact gradients for every tensor; gradients are validated against
 central finite differences in the test suite.
 
 Attention has one head layout, in forward and backward. With KV key/value
@@ -30,12 +30,17 @@ out-of-place expressions they replace. A buffer on the tape is never
 written after it is recorded. The rope tables and the causal mask are
 computed once per config and dtype, read-only, and sliced per forward.
 
-`forward` with a cache and exactly one token (an AR token, a draft
-proposal, a generated token) runs `_step`, the same computation on 1-D
-rows: (hidden,) activations, (heads, d) heads and no mask, with the same
-float operations in the same order, so the logits and cache rows are
-bit-identical to `_forward_batch`'s. Prefill, verify blocks, multi-token
-catch-ups, training and teacher extraction run `_forward_batch`.
+Every single-sequence forward runs on rows, with the float operations of
+the batched training layout in the same order, so its logits and cache
+rows are bit-identical to `forward_train`'s on a (1, S) batch. `forward`
+with a cache and exactly one token (an AR token, a draft proposal, a
+generated token) runs `_step`: (hidden,) activations, (heads, d) heads and
+no mask. Every other `forward` runs `_rows`, cached or not: (S, hidden)
+activations, (S, heads, d) heads and the causal mask's rows for the new
+positions; that is a prefill, a verify block, a multi-token catch-up,
+teacher extraction and an uncached forward. `_forward_batch` is the
+training forward only: (B, S) batches, no cache, always recording the
+tape.
 """
 
 from __future__ import annotations
@@ -280,36 +285,33 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_batch(
-    state: ModelState,
-    tokens: np.ndarray,
-    cache: KVCache | None = None,
-    record: bool = False,
-) -> tuple[np.ndarray, Tape | None]:
-    """Shared forward over a (B, S) token batch; cache path requires B == 1."""
+def _token_ids(tokens: np.ndarray) -> np.ndarray:
+    """`tokens` as int64, or ConfigError unless its dtype is an integer one:
+    a float, string or bool id is never rounded or parsed into a token."""
+    if tokens.dtype.kind not in "iu":
+        raise ConfigError("token ids must be integers")
+    return tokens.astype(np.int64, copy=False)
+
+
+def _forward_batch(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """The training forward over a (B, S) token batch, recording the tape."""
     cfg = state.config
     t = state.tensors
-    dtype = state.dtype
-    tokens = np.asarray(tokens, dtype=np.int64)
     B, S = tokens.shape
-    if cache is not None and B != 1:
-        raise ConfigError("cached forward supports a single sequence")
-    start = cache.filled_len if cache is not None else 0
-    total = start + S
-    if total > cfg.max_seq_len:
-        raise LengthError(f"context of {total} tokens exceeds max_seq_len {cfg.max_seq_len}")
+    if S > cfg.max_seq_len:
+        raise LengthError(f"context of {S} tokens exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    cos, sin, causal = _position_tables(cfg, dtype)
-    cos, sin = cos[start:total], sin[start:total]
+    cos, sin, causal = _position_tables(cfg, state.dtype)
+    cos, sin = cos[:S], sin[:S]
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     G = H // KV
     scale = 1.0 / math.sqrt(d)
-    # additive causal mask: query i (global start+i) may attend keys <= start+i
-    mask = causal[start:total, :total]
+    # additive causal mask: query i may attend keys <= i
+    mask = causal[:S, :S]
 
-    tape = Tape(tokens=tokens, cos=cos, sin=sin) if record else None
+    tape = Tape(tokens=tokens, cos=cos, sin=sin)
     x = t["embed"][tokens]
 
     for l in range(cfg.n_layers):
@@ -321,12 +323,8 @@ def _forward_batch(
         q = _rotate((y1 @ t[p + "wq"]).reshape(B, S, H, d), cos, sin)
         k = _rotate((y1 @ t[p + "wk"]).reshape(B, S, KV, d), cos[:, :KV], sin[:, :KV])
         v = (y1 @ t[p + "wv"]).reshape(B, S, KV, d)
-        if cache is not None:
-            cache.keys[l, start:total] = k[0]
-            cache.values[l, start:total] = v[0]
-            k, v = cache.keys[l, :total][None], cache.values[l, :total][None]
 
-        # grouped heads: (B, KV, G, S, d) x (B, KV, 1, d, T) -> (B, KV, G, S, T);
+        # grouped heads: (B, KV, G, S, d) x (B, KV, 1, d, S) -> (B, KV, G, S, S);
         # broadcasting pairs query head kv*G + g with key/value head kv
         qh = q.reshape(B, S, KV, G, d).transpose(0, 2, 3, 1, 4)
         kh = k.transpose(0, 2, 1, 3)[:, :, None]
@@ -353,37 +351,102 @@ def _forward_batch(
         x = act @ t[p + "w_down"]
         x += x2
 
-        if record:
-            tape.layers.append({
-                "n1": n1, "r1": r1, "y1": y1,
-                "q": qh, "k": kh, "v": vh, "probs": probs, "o": o,
-                "n2": n2, "r2": r2, "y2": y2,
-                "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
-            })
+        tape.layers.append({
+            "n1": n1, "r1": r1, "y1": y1,
+            "q": qh, "k": kh, "v": vh, "probs": probs, "o": o,
+            "n2": n2, "r2": r2, "y2": y2,
+            "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
+        })
 
-    r_f = _rms_inv(x)
-    n_f = x * r_f
-    y_f = n_f * t["final_norm"]
-    logits = y_f @ state.head_weight()
+    tape.r_final = _rms_inv(x)
+    tape.n_final = x * tape.r_final
+    tape.y_final = tape.n_final * t["final_norm"]
+    return tape.y_final @ state.head_weight(), tape
 
-    if record:
-        tape.r_final, tape.n_final, tape.y_final = r_f, n_f, y_f
-    return logits, tape
+
+def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
+    """The forward of one sequence of S tokens on 2-D rows, appending their
+    keys and values to `cache` when given: `_forward_batch` of a (1, S)
+    batch with the same float operations in the same order, so the (S,
+    vocab) logits and the cache rows are bit-identical.
+
+    Activations are (S, hidden) and heads (S, heads, d). Attention is one
+    (S, d) x (d, T) product per query head, (KV, G, S, d) queries against
+    (KV, 1, d, T) keys, with the causal mask's rows for the new positions.
+    Max and sum over the last axis are `np.maximum.reduce` and
+    `np.add.reduce`: the reductions the batched path's calls run.
+    """
+    cfg = state.config
+    t = state.tensors
+    S = tokens.size
+    start = cache.filled_len if cache is not None else 0
+    total = start + S
+    if total > cfg.max_seq_len:
+        raise LengthError(f"context of {total} tokens exceeds max_seq_len {cfg.max_seq_len}")
+    if np.minimum.reduce(tokens) < 0 or np.maximum.reduce(tokens) >= cfg.vocab_size:
+        raise ConfigError("token id out of vocabulary range")
+
+    cos, sin, causal = _position_tables(cfg, state.dtype)
+    cos, sin = cos[start:total], sin[start:total]
+    H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
+    G = H // KV
+    scale = 1.0 / math.sqrt(d)
+    # additive causal mask: query i (global start+i) may attend keys <= start+i
+    mask = causal[start:total, :total]
+
+    x = t["embed"][tokens]
+    for l in range(cfg.n_layers):
+        p = f"layers.{l}."
+        y1 = x * _rms_inv(x)
+        y1 *= t[p + "attn_norm"]
+
+        q = _rotate((y1 @ t[p + "wq"]).reshape(S, H, d), cos, sin)
+        k = _rotate((y1 @ t[p + "wk"]).reshape(S, KV, d), cos[:, :KV], sin[:, :KV])
+        v = (y1 @ t[p + "wv"]).reshape(S, KV, d)
+        if cache is not None:
+            cache.keys[l, start:total] = k
+            cache.values[l, start:total] = v
+            k, v = cache.keys[l, :total], cache.values[l, :total]  # (T, KV, d)
+
+        # (KV, G, S, d) x (KV, 1, d, T) -> (KV, G, S, T)
+        probs = q.reshape(S, KV, G, d).transpose(1, 2, 0, 3) @ k.transpose(1, 2, 0)[:, None]
+        probs *= scale
+        probs += mask
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+
+        o = (probs @ v.transpose(1, 0, 2)[:, None]).transpose(2, 0, 1, 3).reshape(S, H * d)
+        x2 = o @ t[p + "wo"]
+        x2 += x
+
+        y2 = x2 * _rms_inv(x2)
+        y2 *= t[p + "mlp_norm"]
+        act = y2 @ t[p + "w_gate"]
+        up = y2 @ t[p + "w_up"]
+        act *= _sigmoid(act)  # silu
+        act *= up
+        x = act @ t[p + "w_down"]
+        x += x2
+
+    y = x * _rms_inv(x)
+    y *= t["final_norm"]
+    return y @ state.head_weight()
 
 
 def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
-    """The cached forward of one token, on 1-D rows: `_forward_batch` of a
-    (1, 1) batch with the same float operations in the same order, so the
-    (vocab,) logits and the cache rows it writes are bit-identical.
+    """The cached forward of one token, on 1-D rows: `_rows` of one token
+    with the same float operations in the same order, so the (vocab,)
+    logits and the cache rows it writes are bit-identical.
 
     Activations are (hidden,) and heads (heads, d). A lone query attends
     every cached key, so there is no mask. Attention stays one (1, d) x
-    (d, T) product per query head, as in the batched layout: one (G, d) x
-    (d, T) product per key/value head would run another BLAS kernel and
-    change the bits. Each inverse RMS is a numpy scalar of the state's
-    dtype where the batched path holds a one-element array per row: the
-    same operations, dispatched far more cheaply, and constants of the
-    dtype keep them in it under numpy's older promotion rules too.
+    (d, T) product per query head, as in `_rows`: one (G, d) x (d, T)
+    product per key/value head would run another BLAS kernel and change
+    the bits. Each inverse RMS is a numpy scalar of the state's dtype
+    where `_rows` holds a one-element array per row: the same operations,
+    dispatched far more cheaply, and constants of the dtype keep them in
+    it under numpy's older promotion rules too.
     """
     cfg = state.config
     t = state.tensors
@@ -448,18 +511,22 @@ def forward(
     With a cache, evaluation is incremental: previously cached positions are
     reused and the new keys/values are appended. The returned logits match a
     full recompute of the whole sequence to float32 accuracy. One token with
-    a cache runs `_step`, which gives the bits `_forward_batch` gives.
+    a cache (an AR token, a draft proposal) runs `_step`; every other call
+    (a prefill, a verify block, a catch-up, an uncached forward) runs
+    `_rows`. Both do the training forward's float operations in its order,
+    so an uncached call gives the logits `forward_train` gives on a (1, S)
+    batch, bit for bit. Token ids must have an integer dtype.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise ConfigError("forward expects a flat token sequence")
     if tokens.size == 0:
         raise ConfigError("forward expects at least one token")
+    tokens = _token_ids(tokens)
     if cache is not None and tokens.size == 1:
         logits = _step(state, int(tokens[0]), cache)[None]
     else:
-        logits, _ = _forward_batch(state, tokens[None, :], cache=cache, record=False)
-        logits = logits[0]
+        logits = _rows(state, tokens, cache)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in forward pass")
     if cache is not None:
@@ -468,8 +535,9 @@ def forward(
 
 
 def forward_train(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Batched forward that records the tape needed by `backward`."""
-    logits, tape = _forward_batch(state, tokens, cache=None, record=True)
+    """Batched forward over (B, S) integer token ids that records the tape
+    needed by `backward`."""
+    logits, tape = _forward_batch(state, _token_ids(np.asarray(tokens)))
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in training forward")
     return logits, tape

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from speclab import ModelConfig, init_model
-from speclab.distill import top_k
+from speclab import ModelConfig, init_model, model
+from speclab.distill import extract_sparse_logits, top_k
 from speclab.errors import ConfigError, LengthError
+from speclab.latency import measure_latency
 from speclab.losses import LossSpec, ce_loss
-from speclab.model import (KVCache, _forward_batch, _sigmoid, _step, backward, cast_state,
-                           forward, forward_train, param_count, param_split)
-from speclab.sampling import SamplingPolicy, sample, softmax
+from speclab.model import (KVCache, _rows, _sigmoid, _step, backward, cast_state, forward,
+                           forward_train, param_count, param_split)
+from speclab.sampling import SamplingPolicy, autoregressive_decode, sample, softmax
+from speclab.specdec import SpecConfig, generate, start_session
 from speclab.training import Batch, loss_and_grads
 
-from conftest import rel_err, tensor_walk_count
+from conftest import make_pair, reference_cached_forward, rel_err, tensor_walk_count
 
 
 def test_init_deterministic(tiny_config):
@@ -74,39 +76,154 @@ def test_cached_matches_full_on_random_pairs():
         assert rel_err(inc, full) < 1e-4, f"trial {trial}"
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("hidden, heads, kv_heads, tie", [
+LAYOUTS = pytest.mark.parametrize("hidden, heads, kv_heads, tie", [
     (32, 4, 4, False), (64, 8, 2, False), (48, 6, 3, True), (32, 4, 1, True)],
     ids=["mha", "gqa", "gqa_tied", "mqa_tied"])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+def _layout_state(hidden, heads, kv_heads, tie, dtype, max_seq_len):
+    cfg = ModelConfig(hidden_size=hidden, intermediate_size=2 * hidden, n_layers=2,
+                      n_heads=heads, n_kv_heads=kv_heads, vocab_size=50,
+                      max_seq_len=max_seq_len, tie_embeddings=tie)
+    return cast_state(init_model(cfg, seed=heads + kv_heads), dtype)
+
+
+def _error(run, st, tokens, filled_len):
+    """(type, message) of what `run(cache, tokens)` raises on a cache that
+    claims `filled_len` positions, and whether the cache was left as it was."""
+    cache = KVCache(st.config, st.dtype)
+    cache.filled_len = filled_len
+    with pytest.raises((ConfigError, LengthError)) as info:
+        run(cache, tokens)
+    untouched = not cache.keys.any() and not cache.values.any()
+    return type(info.value), str(info.value), untouched
+
+
+@DTYPES
+@LAYOUTS
 def test_one_token_step_equals_the_batched_forward_bit_for_bit(hidden, heads, kv_heads, tie,
                                                               dtype):
     """`_step` at every position gives the logits and writes the key/value
-    rows that `_forward_batch` gives on its own cache, bit for bit, and
-    raises what it raises for an out-of-range token and a full context."""
-    cfg = ModelConfig(hidden_size=hidden, intermediate_size=2 * hidden, n_layers=2,
-                      n_heads=heads, n_kv_heads=kv_heads, vocab_size=50, max_seq_len=20,
-                      tie_embeddings=tie)
-    st = cast_state(init_model(cfg, seed=heads + kv_heads), dtype)
+    rows that the batched reference gives on its own cache, bit for bit,
+    and raises what it raises for an out-of-range token and a full context."""
+    st = _layout_state(hidden, heads, kv_heads, tie, dtype, max_seq_len=20)
+    cfg = st.config
     step, batch = KVCache(cfg, dtype), KVCache(cfg, dtype)
     for tok in np.random.default_rng(hidden).integers(0, 50, size=cfg.max_seq_len).tolist():
         logits = _step(st, tok, step)
-        want, _ = _forward_batch(st, np.array([[tok]]), batch)
+        want = reference_cached_forward(st, [tok], batch)
         step.filled_len += 1
         batch.filled_len += 1
-        assert logits.tobytes() == want[0, 0].tobytes(), f"position {step.filled_len - 1}"
+        assert logits.tobytes() == want[0].tobytes(), f"position {step.filled_len - 1}"
         assert step.keys.tobytes() == batch.keys.tobytes()
         assert step.values.tobytes() == batch.values.tobytes()
 
-    def error(run, tok, filled_len):
-        cache = KVCache(cfg, dtype)
-        cache.filled_len = filled_len
-        with pytest.raises((ConfigError, LengthError)) as info:
-            run(cache, tok)
-        return type(info.value), str(info.value)
-
     for tok, filled_len in [(50, 3), (-1, 3), (1, cfg.max_seq_len), (50, cfg.max_seq_len)]:
-        assert (error(lambda c, t: _step(st, t, c), tok, filled_len)
-                == error(lambda c, t: _forward_batch(st, np.array([[t]]), c), tok, filled_len))
+        assert (_error(lambda c, t: _step(st, t, c), st, tok, filled_len)
+                == _error(lambda c, t: reference_cached_forward(st, [t], c), st, tok,
+                          filled_len))
+
+
+@DTYPES
+@LAYOUTS
+def test_rows_equal_the_batched_forward_bit_for_bit(hidden, heads, kv_heads, tie, dtype):
+    """`_rows` of S new tokens after `start` cached ones gives the logits and
+    the whole key/value caches that the batched reference gives, bit for bit,
+    and so does `_step` for S = 1; both raise what it raises, before any
+    cache write."""
+    st = _layout_state(hidden, heads, kv_heads, tie, dtype, max_seq_len=40)
+    cfg = st.config
+    rng = np.random.default_rng(hidden)
+    for start in (0, 1, 5, 13):
+        for S in (1, 2, 3, 4, 5, 6, 24):
+            tokens = rng.integers(0, 50, size=start + S)
+            caches = [KVCache(cfg, dtype) for _ in range(3)]
+            for cache in caches if start else ():
+                reference_cached_forward(st, tokens[:start], cache)
+                cache.filled_len = start
+            want = reference_cached_forward(st, tokens[start:], caches[0])
+            runs = {"_rows": (_rows(st, tokens[start:], caches[1]), caches[1])}
+            if S == 1:
+                runs["_step"] = (_step(st, int(tokens[start]), caches[2])[None], caches[2])
+            for name, (got, cache) in runs.items():
+                where = f"{name}, start {start}, S {S}"
+                assert got.tobytes() == want.tobytes(), where
+                assert cache.keys.tobytes() == caches[0].keys.tobytes(), where
+                assert cache.values.tobytes() == caches[0].values.tobytes(), where
+
+    full = cfg.max_seq_len
+    for tokens, filled_len in [([3, 50], 3), ([-1, 3, 4], 3), ([1], full), ([1, 2], full),
+                               ([1, 2, 3], full - 2), ([50, 1, 2], full - 2)]:
+        tokens = np.array(tokens)
+        assert (_error(lambda c, t: _rows(st, t, c), st, tokens, filled_len)
+                == _error(lambda c, t: reference_cached_forward(st, t, c), st, tokens,
+                          filled_len))
+
+
+@DTYPES
+@LAYOUTS
+def test_uncached_forward_equals_forward_train_bit_for_bit(hidden, heads, kv_heads, tie, dtype):
+    """An uncached `forward` of S tokens gives the logits `forward_train`
+    gives on the (1, S) batch of them, bit for bit."""
+    st = _layout_state(hidden, heads, kv_heads, tie, dtype, max_seq_len=24)
+    rng = np.random.default_rng(hidden + 1)
+    for S in (1, 2, 5, 24):
+        tokens = rng.integers(0, 50, size=S)
+        logits, _ = forward(st, tokens)
+        want, _ = forward_train(st, tokens[None])
+        assert logits.tobytes() == want[0].tobytes(), f"S {S}"
+
+
+@pytest.mark.parametrize("tokens", [[1.7, 2], ["3", 4], [True, False]],
+                         ids=["float", "str", "bool"])
+@pytest.mark.parametrize("route", ["cached_one", "cached_rows", "uncached"])
+def test_forward_rejects_token_ids_that_are_not_integers(tiny_state, tokens, route):
+    """A float, string or bool token id raises ConfigError on every route,
+    before any cache write, instead of being rounded or parsed into a token."""
+    tokens = {"cached_one": tokens[:1], "cached_rows": tokens, "uncached": tokens}[route]
+    cache = None if route == "uncached" else KVCache(tiny_state.config)
+    with pytest.raises(ConfigError, match="token ids must be integers"):
+        forward(tiny_state, tokens, cache)
+    if cache is not None:
+        assert cache.filled_len == 0 and not cache.keys.any() and not cache.values.any()
+
+
+def test_forward_train_rejects_a_float_batch(tiny_state):
+    with pytest.raises(ConfigError, match="token ids must be integers"):
+        forward_train(tiny_state, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_single_sequence_forwards_never_reach_the_training_forward(monkeypatch):
+    """Decoding (AR, and greedy and multinomial SD whose fully accepted
+    blocks make two-token draft catch-ups), teacher extraction and the
+    latency reps run on `_step` and `_rows` only; `forward_train` alone
+    reaches `_forward_batch`."""
+    _, target = make_pair()
+    draft = cast_state(target, target.dtype)  # a copy, so every proposal is accepted
+    calls = []
+    rows = model._rows
+
+    def counted_rows(state, tokens, cache=None):
+        calls.append((state is draft, cache is not None, tokens.size))
+        return rows(state, tokens, cache)
+
+    def training_only(*args, **kwargs):
+        raise AssertionError("a single-sequence forward ran the training forward")
+
+    monkeypatch.setattr(model, "_forward_batch", training_only)
+    monkeypatch.setattr(model, "_rows", counted_rows)
+    autoregressive_decode(target, [1, 2, 3], SamplingPolicy("greedy"), 8)
+    for policy in (SamplingPolicy("greedy"), SamplingPolicy("multinomial", temperature=1.0)):
+        session = start_session(draft, target, [1, 2, 3], policy=policy,
+                                rng=np.random.default_rng(0))
+        result = generate(session, SpecConfig(gamma=3, policy=policy, max_new_tokens=12))
+        assert len(result.tokens) == 12
+    assert (True, True, 2) in calls  # the draft's catch-ups after fully accepted blocks
+    list(extract_sparse_logits(target, [[1, 2, 3, 4], [5, 6]], k=4))
+    measure_latency(target, 3, warmup=0, reps=5, seed=0)
+    with pytest.raises(AssertionError, match="training forward"):
+        forward_train(target, np.array([[1, 2, 3]]))
 
 
 def test_context_overflow():
