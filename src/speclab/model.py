@@ -41,6 +41,14 @@ positions; that is a prefill, a verify block, a multi-token catch-up,
 teacher extraction and an uncached forward. `_forward_batch` is the
 training forward only: (B, S) batches, no cache, always recording the
 tape.
+
+In `_step` and `_rows` every product with a weight matrix (the q, k, v
+and output projections, the MLP's three and the head) is `ndarray.dot`:
+on these 1-D and 2-D operands it makes the BLAS call `@` makes, so the
+bits are the same, without the matmul gufunc's dispatch, which costs
+about half a microsecond more per call. The attention products are
+batched 4-D and stay `@`. `_step` reads its per-(config, dtype) constants
+from one cache, `_step_constants`, and rotates its q and k heads together.
 """
 
 from __future__ import annotations
@@ -370,7 +378,8 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -
     batch with the same float operations in the same order, so the (S,
     vocab) logits and the cache rows are bit-identical.
 
-    Activations are (S, hidden) and heads (S, heads, d). Attention is one
+    Activations are (S, hidden) and heads (S, heads, d). The weight
+    products are `ndarray.dot`, the gemm `@` runs. Attention is one
     (S, d) x (d, T) product per query head, (KV, G, S, d) queries against
     (KV, 1, d, T) keys, with the causal mask's rows for the new positions.
     Max and sum over the last axis are `np.maximum.reduce` and
@@ -400,9 +409,9 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -
         y1 = x * _rms_inv(x)
         y1 *= t[p + "attn_norm"]
 
-        q = _rotate((y1 @ t[p + "wq"]).reshape(S, H, d), cos, sin)
-        k = _rotate((y1 @ t[p + "wk"]).reshape(S, KV, d), cos[:, :KV], sin[:, :KV])
-        v = (y1 @ t[p + "wv"]).reshape(S, KV, d)
+        q = _rotate(y1.dot(t[p + "wq"]).reshape(S, H, d), cos, sin)
+        k = _rotate(y1.dot(t[p + "wk"]).reshape(S, KV, d), cos[:, :KV], sin[:, :KV])
+        v = y1.dot(t[p + "wv"]).reshape(S, KV, d)
         if cache is not None:
             cache.keys[l, start:total] = k
             cache.values[l, start:total] = v
@@ -417,21 +426,39 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
         o = (probs @ v.transpose(1, 0, 2)[:, None]).transpose(2, 0, 1, 3).reshape(S, H * d)
-        x2 = o @ t[p + "wo"]
+        x2 = o.dot(t[p + "wo"])
         x2 += x
 
         y2 = x2 * _rms_inv(x2)
         y2 *= t[p + "mlp_norm"]
-        act = y2 @ t[p + "w_gate"]
-        up = y2 @ t[p + "w_up"]
+        act = y2.dot(t[p + "w_gate"])
+        up = y2.dot(t[p + "w_up"])
         act *= _sigmoid(act)  # silu
         act *= up
-        x = act @ t[p + "w_down"]
+        x = act.dot(t[p + "w_down"])
         x += x2
 
     y = x * _rms_inv(x)
     y *= t["final_norm"]
-    return y @ state.head_weight()
+    return y.dot(state.head_weight())
+
+
+@functools.lru_cache(maxsize=16)
+def _step_constants(config: ModelConfig, dtype: np.dtype) -> tuple:
+    """What `_step` reads for a (config, dtype), in one cache lookup: each
+    layer's tensor names; the dtype's 1, hidden width and RMS epsilon; the
+    attention scale as a 0-d array, which numpy applies faster than a
+    scalar; and the rope tables of `_position_tables` widened to the
+    (T, n_heads + n_kv_heads, d) of the joint q and k buffer."""
+    layer = ("attn_norm", "wq", "wk", "wv", "wo", "mlp_norm", "w_gate", "w_up", "w_down")
+    names = tuple(tuple(f"layers.{l}.{n}" for n in layer) for l in range(config.n_layers))
+    one, width, eps = (dtype.type(c) for c in (1, config.hidden_size, RMS_EPS))
+    scale = np.asarray(1.0 / math.sqrt(config.head_dim), dtype)
+    cos, sin = (np.concatenate((table, table[:, :config.n_kv_heads]), axis=1)
+                for table in _position_tables(config, dtype)[:2])
+    for table in (scale, cos, sin):
+        table.setflags(write=False)
+    return names, one, width, eps, scale, cos, sin
 
 
 def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
@@ -439,14 +466,19 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     with the same float operations in the same order, so the (vocab,)
     logits and the cache rows it writes are bit-identical.
 
-    Activations are (hidden,) and heads (heads, d). A lone query attends
-    every cached key, so there is no mask. Attention stays one (1, d) x
-    (d, T) product per query head, as in `_rows`: one (G, d) x (d, T)
-    product per key/value head would run another BLAS kernel and change
-    the bits. Each inverse RMS is a numpy scalar of the state's dtype
-    where `_rows` holds a one-element array per row: the same operations,
-    dispatched far more cheaply, and constants of the dtype keep them in
-    it under numpy's older promotion rules too.
+    Activations are (hidden,) and the weight products are `ndarray.dot`,
+    the gemv `@` runs. Heads are (heads, d); the q and k heads are rotated
+    together in one (heads + kv_heads, d) buffer, and v is written straight
+    into its cache row. A lone query attends every cached key, so there is
+    no mask, and the softmax runs on the (heads, T) view of the scores.
+    Attention stays one (1, d) x (d, T) product per query head, as in
+    `_rows`: one (G, d) x (d, T) product per key/value head would run
+    another BLAS kernel and change the bits. Each inverse RMS is a numpy
+    scalar of the state's dtype where `_rows` holds a one-element array per
+    row: the same operations, dispatched far more cheaply, and constants of
+    the dtype keep them in it under numpy's older promotion rules too.
+    Those constants, the attention scale, the rope rows and the layers'
+    tensor names come from `_step_constants`, once per (config, dtype).
     """
     cfg = state.config
     t = state.tensors
@@ -456,49 +488,52 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     if not 0 <= token < cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    cos, sin, _ = _position_tables(cfg, state.dtype)
-    cos, sin = cos[start], sin[start]
+    names, one, width, eps, scale, cos, sin = _step_constants(cfg, state.dtype)
+    cos, sin = cos[start], sin[start]  # (heads + kv_heads, d)
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    G = H // KV
-    scale = 1.0 / math.sqrt(d)
-    one, width, eps = (state.dtype.type(c) for c in (1, cfg.hidden_size, RMS_EPS))
+    G, T = H // KV, start + 1
+    qk = np.empty((H + KV, d), state.dtype)  # the q and k heads before rotation
+    q_flat, k_flat = qk[:H].reshape(H * d), qk[H:].reshape(KV * d)
+    v_rows = cache.values.reshape(cfg.n_layers, cfg.max_seq_len, KV * d)
 
     def rms_inv(x: np.ndarray) -> np.generic:  # `_rms_inv` of a row
         return one / np.sqrt(np.add.reduce(np.square(x)) / width + eps)
 
     x = t["embed"][token]  # a view of the table: never written
-    for l in range(cfg.n_layers):
-        p = f"layers.{l}."
+    for l, (attn_norm, wq, wk, wv, wo, mlp_norm, w_gate, w_up, w_down) in enumerate(names):
         y1 = x * rms_inv(x)
-        y1 *= t[p + "attn_norm"]
+        y1 *= t[attn_norm]
 
-        q = _rotate((y1 @ t[p + "wq"]).reshape(H, d), cos, sin)
-        cache.keys[l, start] = _rotate((y1 @ t[p + "wk"]).reshape(KV, d), cos[:KV], sin[:KV])
-        cache.values[l, start] = (y1 @ t[p + "wv"]).reshape(KV, d)
-        k, v = cache.keys[l, :start + 1], cache.values[l, :start + 1]  # (T, KV, d)
+        y1.dot(t[wq], out=q_flat)
+        y1.dot(t[wk], out=k_flat)
+        y1.dot(t[wv], out=v_rows[l, start])
+        qk_rot = _rotate(qk, cos, sin)
+        cache.keys[l, start] = qk_rot[H:]
+        k, v = cache.keys[l, :T], cache.values[l, :T]  # (T, KV, d)
 
         # (KV, G, 1, d) x (KV, 1, d, T) -> (KV, G, 1, T)
-        probs = q.reshape(KV, G, 1, d) @ k.transpose(1, 2, 0)[:, None]
+        scores = qk_rot[:H].reshape(KV, G, 1, d) @ k.transpose(1, 2, 0)[:, None]
+        probs = scores.reshape(H, T)
         probs *= scale
         probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
-        x2 = (probs @ v.transpose(1, 0, 2)[:, None]).reshape(H * d) @ t[p + "wo"]
+        x2 = (scores @ v.transpose(1, 0, 2)[:, None]).reshape(H * d).dot(t[wo])
         x2 += x
 
         y2 = x2 * rms_inv(x2)
-        y2 *= t[p + "mlp_norm"]
-        act = y2 @ t[p + "w_gate"]
-        up = y2 @ t[p + "w_up"]
+        y2 *= t[mlp_norm]
+        act = y2.dot(t[w_gate])
+        up = y2.dot(t[w_up])
         act *= _sigmoid(act)  # silu
         act *= up
-        x = act @ t[p + "w_down"]
+        x = act.dot(t[w_down])
         x += x2
 
     y = x * rms_inv(x)
     y *= t["final_norm"]
-    return y @ state.head_weight()
+    return y.dot(state.head_weight())
 
 
 def forward(
@@ -515,7 +550,8 @@ def forward(
     (a prefill, a verify block, a catch-up, an uncached forward) runs
     `_rows`. Both do the training forward's float operations in its order,
     so an uncached call gives the logits `forward_train` gives on a (1, S)
-    batch, bit for bit. Token ids must have an integer dtype.
+    batch, bit for bit. Token ids must have an integer dtype, and a cache
+    the state's dtype.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
@@ -523,6 +559,8 @@ def forward(
     if tokens.size == 0:
         raise ConfigError("forward expects at least one token")
     tokens = _token_ids(tokens)
+    if cache is not None and cache.keys.dtype != state.dtype:
+        raise ConfigError(f"a {cache.keys.dtype} cache cannot hold a {state.dtype} model's keys")
     if cache is not None and tokens.size == 1:
         logits = _step(state, int(tokens[0]), cache)[None]
     else:
@@ -537,7 +575,12 @@ def forward(
 def forward_train(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Batched forward over (B, S) integer token ids that records the tape
     needed by `backward`."""
-    logits, tape = _forward_batch(state, _token_ids(np.asarray(tokens)))
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ConfigError("forward_train expects a (batch, seq) token array")
+    if tokens.size == 0:
+        raise ConfigError("forward_train expects at least one token")
+    logits, tape = _forward_batch(state, _token_ids(tokens))
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in training forward")
     return logits, tape

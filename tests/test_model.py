@@ -194,6 +194,46 @@ def test_forward_train_rejects_a_float_batch(tiny_state):
         forward_train(tiny_state, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+@pytest.mark.parametrize("tokens", [np.zeros((0, 3), int), np.zeros((2, 0), int),
+                                    np.array([1, 2, 3]), np.ones((2, 2, 3), int)],
+                         ids=["(0, 3)", "(2, 0)", "1-D", "3-D"])
+def test_forward_train_rejects_a_batch_that_is_not_2d_or_holds_no_token(tiny_state, tokens):
+    with pytest.raises(ConfigError, match="forward_train expects"):
+        forward_train(tiny_state, tokens)
+
+
+@pytest.mark.parametrize("tokens", [[1], [1, 2]], ids=["cached_one", "cached_rows"])
+def test_forward_rejects_a_cache_of_another_dtype(tiny_state, tokens):
+    """A float32 cache cannot hold a float64 model's keys: ConfigError on
+    both cached routes, before any cache write."""
+    cache = KVCache(tiny_state.config, np.float32)
+    with pytest.raises(ConfigError, match="cache cannot hold"):
+        forward(cast_state(tiny_state, np.float64), tokens, cache)
+    assert cache.filled_len == 0 and not cache.keys.any() and not cache.values.any()
+
+
+def test_step_constants_are_keyed_by_dtype_bit_for_bit():
+    """`_step` calls on a float32 state and on its float64 copy, interleaved
+    in one process, each give the logits and write the key/value rows that
+    the batched reference gives on its own cache, bit for bit: neither
+    dtype reads the other's cached constants or rope tables."""
+    model._step_constants.cache_clear()
+    st32 = _layout_state(64, 8, 2, False, np.float32, max_seq_len=12)
+    states = [st32, cast_state(st32, np.float64)]
+    caches = [(KVCache(st.config, st.dtype), KVCache(st.config, st.dtype)) for st in states]
+    for pos, tok in enumerate(np.random.default_rng(5).integers(0, 50, size=12).tolist()):
+        for st, (step, batch) in zip(states, caches):
+            logits = _step(st, tok, step)
+            want = reference_cached_forward(st, [tok], batch)
+            step.filled_len += 1
+            batch.filled_len += 1
+            where = f"{st.dtype}, position {pos}"
+            assert logits.dtype == st.dtype, where
+            assert logits.tobytes() == want[0].tobytes(), where
+            assert step.keys.tobytes() == batch.keys.tobytes(), where
+            assert step.values.tobytes() == batch.values.tobytes(), where
+
+
 def test_single_sequence_forwards_never_reach_the_training_forward(monkeypatch):
     """Decoding (AR, and greedy and multinomial SD whose fully accepted
     blocks make two-token draft catch-ups), teacher extraction and the
