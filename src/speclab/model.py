@@ -8,53 +8,34 @@ central finite differences in the test suite.
 
 Attention has one head layout, in forward and backward. With KV key/value
 heads and G = n_heads / KV query heads per group, queries are
-(B, KV, G, S, d) and keys and values (B, KV, 1, T, d), so matmul
+(..., KV, G, S, d) and keys and values (..., KV, 1, T, d), so matmul
 broadcasting pairs query head kv*G + g with key/value head kv and no head
 is copied; backward sums the key and value gradients over the G axis.
 
 All tensors are float32 by default, and a float32 state computes in float32
 end to end, forward and backward. Passing float64 tensors (see
 `cast_state`) runs the same code at double precision, which the gradient
-checks rely on.
+checks rely on. The rope tables and the causal mask are computed once per
+config and dtype, read-only, and sliced per forward.
 
-The tape holds exactly what `backward` reads: per layer the normalised
-inputs and inverse RMS of both norms (`n1`, `r1`, `n2`, `r2`), the normed
-inputs to the projections (`y1`, `y2`), the rotated queries and keys and
-the values in the grouped layout (`q`, `k`, `v`), the attention weights
-`probs`, the merged heads `o`, and the MLP's `gate`, `up`, `sig`, `silu`
-and `act`; once per tape the rope tables and the final norm's `n`, `r`
-and output `y`. Forward and backward write into their own fresh buffers in
-place (the softmax runs on its score buffer, residual sums on the branch
-output) with the same float operations in the same order as the
-out-of-place expressions they replace. A buffer on the tape is never
-written after it is recorded. The rope tables and the causal mask are
-computed once per config and dtype, read-only, and sliced per forward.
-
-Every single-sequence forward runs on rows, with the float operations of
-the batched training layout in the same order, so its logits and cache
-rows are bit-identical to `forward_train`'s on a (1, S) batch. `forward`
-with a cache and exactly one token (an AR token, a draft proposal, a
-generated token) runs `_step`: (hidden,) activations, (heads, d) heads and
-no mask. Every other `forward` runs `_rows`, cached or not: (S, hidden)
-activations, (S, heads, d) heads and the causal mask's rows for the new
-positions; that is a prefill, a verify block, a multi-token catch-up,
-teacher extraction and an uncached forward. `_forward_batch` is the
-training forward only: (B, S) batches, no cache, always recording the
-tape.
-
-In `_step` and `_rows` every product with a weight matrix (the q, k, v
-and output projections, the MLP's three and the head) is `ndarray.dot`:
-on these 1-D and 2-D operands it makes the BLAS call `@` makes, so the
-bits are the same, without the matmul gufunc's dispatch, which costs
-about half a microsecond more per call. The attention products are
-batched 4-D and stay `@`. `_step` reads its per-(config, dtype) constants
-from one cache, `_step_constants`, and rotates its q and k heads together.
+Two bodies run the layers. `_step` serves `forward` with a cache and
+exactly one token (an AR token, a draft proposal, a generated token).
+`_rows` serves everything else: one (S,) sequence for every other
+`forward` (a prefill, a verify block, a multi-token catch-up, teacher
+extraction, an uncached forward), and the (B, S) batch of
+`forward_train`, the only call that records a tape. Both run the float
+operations of the batched layout in its order, so one sequence's logits
+and cache rows are bit-identical to `forward_train`'s on a (1, S) batch.
+In-place operations write only buffers of their own (the softmax its
+scores, a residual sum its branch output), and a buffer on the tape is
+never written after it is recorded.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -220,21 +201,38 @@ class KVCache:
 
 @dataclass
 class Tape:
-    """Intermediates recorded by a training forward for use in backward."""
+    """What `backward` reads, recorded by `_rows` for `forward_train`: per
+    layer (a dict in `layers`) the normalised inputs and inverse RMS of
+    both norms (`n1`, `r1`, `n2`, `r2`), the normed inputs to the
+    projections (`y1`, `y2`), the rotated queries and keys and the values
+    in the grouped layout (`q`, `k`, `v`), the attention weights `probs`,
+    the merged heads `o`, and the MLP's `gate`, `up`, `sig`, `silu` and
+    `act`; once per tape the rope tables and the final norm's `r`, `n` and
+    output `y`."""
     tokens: np.ndarray                      # (B, S) int
-    cos: np.ndarray                         # (S, n_heads, d) rope tables, see `_position_tables`
-    sin: np.ndarray
+    cos: np.ndarray | None = None           # (S, n_heads, d) rope tables, see `_position_tables`
+    sin: np.ndarray | None = None
     layers: list[dict] = field(default_factory=list)
     r_final: np.ndarray | None = None       # inverse RMS of the residual stream
     n_final: np.ndarray | None = None       # normalized final hidden
     y_final: np.ndarray | None = None       # n_final times the final norm gain
 
 
+@functools.lru_cache(maxsize=8)
+def _one_zero(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0-d 1 and 0 of `dtype`: numpy applies them faster than Python scalars."""
+    one, zero = np.ones((), dtype), np.zeros((), dtype)
+    one.setflags(write=False)
+    zero.setflags(write=False)
+    return one, zero
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    one, zero = _one_zero(x.dtype)
     e = np.exp(-np.abs(x))  # cannot overflow
-    den = 1 + e
+    den = one + e
     # 1/(1+e) for x >= 0 and e/(1+e) below: the numerator is 1 or e
-    np.maximum(e, x >= 0, out=e)
+    np.maximum(e, x >= zero, out=e)
     e /= den
     return e
 
@@ -293,106 +291,54 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _token_ids(tokens: np.ndarray) -> np.ndarray:
-    """`tokens` as int64, or ConfigError unless its dtype is an integer one:
-    a float, string or bool id is never rounded or parsed into a token."""
+def _token_ids(tokens, ndim: int, caller: str, layout: str) -> np.ndarray:
+    """`tokens` as an int64 array of `ndim` axes and at least one token, or
+    ConfigError naming `caller`. Only an integer dtype is accepted: a float,
+    string or bool id is never rounded or parsed into a token."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != ndim:
+        raise ConfigError(f"{caller} expects {layout}")
+    if tokens.size == 0:
+        raise ConfigError(f"{caller} expects at least one token")
     if tokens.dtype.kind not in "iu":
         raise ConfigError("token ids must be integers")
     return tokens.astype(np.int64, copy=False)
 
 
-def _forward_batch(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """The training forward over a (B, S) token batch, recording the tape."""
-    cfg = state.config
-    t = state.tensors
-    B, S = tokens.shape
-    if S > cfg.max_seq_len:
-        raise LengthError(f"context of {S} tokens exceeds max_seq_len {cfg.max_seq_len}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise ConfigError("token id out of vocabulary range")
-
-    cos, sin, causal = _position_tables(cfg, state.dtype)
-    cos, sin = cos[:S], sin[:S]
-    H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    G = H // KV
-    scale = 1.0 / math.sqrt(d)
-    # additive causal mask: query i may attend keys <= i
-    mask = causal[:S, :S]
-
-    tape = Tape(tokens=tokens, cos=cos, sin=sin)
-    x = t["embed"][tokens]
-
-    for l in range(cfg.n_layers):
-        p = f"layers.{l}."
-        r1 = _rms_inv(x)
-        n1 = x * r1
-        y1 = n1 * t[p + "attn_norm"]
-
-        q = _rotate((y1 @ t[p + "wq"]).reshape(B, S, H, d), cos, sin)
-        k = _rotate((y1 @ t[p + "wk"]).reshape(B, S, KV, d), cos[:, :KV], sin[:, :KV])
-        v = (y1 @ t[p + "wv"]).reshape(B, S, KV, d)
-
-        # grouped heads: (B, KV, G, S, d) x (B, KV, 1, d, S) -> (B, KV, G, S, S);
-        # broadcasting pairs query head kv*G + g with key/value head kv
-        qh = q.reshape(B, S, KV, G, d).transpose(0, 2, 3, 1, 4)
-        kh = k.transpose(0, 2, 1, 3)[:, :, None]
-        vh = v.transpose(0, 2, 1, 3)[:, :, None]
-        probs = qh @ kh.swapaxes(-1, -2)
-        probs *= scale
-        probs += mask
-        probs -= row_max(probs)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-
-        o = (probs @ vh).transpose(0, 3, 1, 2, 4).reshape(B, S, H * d)
-        x2 = o @ t[p + "wo"]
-        x2 += x
-
-        r2 = _rms_inv(x2)
-        n2 = x2 * r2
-        y2 = n2 * t[p + "mlp_norm"]
-        gate = y2 @ t[p + "w_gate"]
-        up = y2 @ t[p + "w_up"]
-        sig = _sigmoid(gate)
-        silu = gate * sig
-        act = silu * up
-        x = act @ t[p + "w_down"]
-        x += x2
-
-        tape.layers.append({
-            "n1": n1, "r1": r1, "y1": y1,
-            "q": qh, "k": kh, "v": vh, "probs": probs, "o": o,
-            "n2": n2, "r2": r2, "y2": y2,
-            "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
-        })
-
-    tape.r_final = _rms_inv(x)
-    tape.n_final = x * tape.r_final
-    tape.y_final = tape.n_final * t["final_norm"]
-    return tape.y_final @ state.head_weight(), tape
+# The grouped layout's axes for a sequence (n = 0 leading axes) and a batch
+# (n = 1): queries (..., S, KV, G, d) to (..., KV, G, S, d) and back, keys
+# (..., T, KV, d) to (..., KV, d, T), values to (..., KV, T, d), and the
+# index that inserts the group axis after KV.
+_LAYOUTS = tuple(((*range(n), n + 1, n + 2, n, n + 3), (*range(n), n + 2, n, n + 1, n + 3),
+                  (*range(n), n + 1, n + 2, n), (*range(n), n + 1, n, n + 2),
+                  (slice(None),) * (n + 1) + (None,))
+                 for n in (0, 1))
 
 
-def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
-    """The forward of one sequence of S tokens on 2-D rows, appending their
-    keys and values to `cache` when given: `_forward_batch` of a (1, S)
-    batch with the same float operations in the same order, so the (S,
-    vocab) logits and the cache rows are bit-identical.
+def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
+          tape: Tape | None = None) -> np.ndarray:
+    """The forward of every call `_step` does not take: one (S,) sequence,
+    cached or not, or a (B, S) training batch, recording `tape` when given.
+    Returns the (..., S, vocab) logits.
 
-    Activations are (S, hidden) and heads (S, heads, d). The weight
-    products are `ndarray.dot`, the gemm `@` runs. Attention is one
-    (S, d) x (d, T) product per query head, (KV, G, S, d) queries against
-    (KV, 1, d, T) keys, with the causal mask's rows for the new positions.
-    Max and sum over the last axis are `np.maximum.reduce` and
-    `np.add.reduce`: the reductions the batched path's calls run.
+    Activations are (..., S, hidden), heads (..., S, heads, d). Three
+    choices are made per call, each keeping a sequence's bits a (1, S)
+    batch's: weight products are `ndarray.dot` on a sequence (the BLAS
+    call of `@` without the gufunc's dispatch) and `@` on a batch, where a
+    3-D `dot` or one flattened gemm would change the bits; without a tape
+    the norm gains and the MLP's products apply in place, the float
+    operations of the fresh buffers a tape records; the exact row max is
+    `row_max` on a batch's many short rows, `np.maximum.reduce` on one.
     """
-    cfg = state.config
-    t = state.tensors
-    S = tokens.size
+    cfg, t = state.config, state.tensors
+    shape = tokens.shape  # (S,) or (B, S)
+    n, S = len(shape) - 1, shape[-1]
     start = cache.filled_len if cache is not None else 0
     total = start + S
     if total > cfg.max_seq_len:
         raise LengthError(f"context of {total} tokens exceeds max_seq_len {cfg.max_seq_len}")
-    if np.minimum.reduce(tokens) < 0 or np.maximum.reduce(tokens) >= cfg.vocab_size:
+    if (np.minimum.reduce(tokens, axis=None) < 0
+            or np.maximum.reduce(tokens, axis=None) >= cfg.vocab_size):
         raise ConfigError("token id out of vocabulary range")
 
     cos, sin, causal = _position_tables(cfg, state.dtype)
@@ -402,45 +348,68 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None) -
     scale = 1.0 / math.sqrt(d)
     # additive causal mask: query i (global start+i) may attend keys <= start+i
     mask = causal[start:total, :total]
+    matmul = np.matmul if n else np.ndarray.dot
+    mul = operator.mul if tape is not None else operator.imul
+    q_shape, kv_shape = shape + (H, d), shape + (KV, d)
+    grouped, merged = shape + (KV, G, d), shape + (H * d,)
+    to_grouped, from_grouped, keys_t, values_t, one_group = _LAYOUTS[n]
 
     x = t["embed"][tokens]
     for l in range(cfg.n_layers):
         p = f"layers.{l}."
-        y1 = x * _rms_inv(x)
-        y1 *= t[p + "attn_norm"]
+        r1 = _rms_inv(x)
+        n1 = x * r1
+        y1 = mul(n1, t[p + "attn_norm"])
 
-        q = _rotate(y1.dot(t[p + "wq"]).reshape(S, H, d), cos, sin)
-        k = _rotate(y1.dot(t[p + "wk"]).reshape(S, KV, d), cos[:, :KV], sin[:, :KV])
-        v = y1.dot(t[p + "wv"]).reshape(S, KV, d)
+        q = _rotate(matmul(y1, t[p + "wq"]).reshape(q_shape), cos, sin)
+        k = _rotate(matmul(y1, t[p + "wk"]).reshape(kv_shape), cos[:, :KV], sin[:, :KV])
+        v = matmul(y1, t[p + "wv"]).reshape(kv_shape)
         if cache is not None:
             cache.keys[l, start:total] = k
             cache.values[l, start:total] = v
             k, v = cache.keys[l, :total], cache.values[l, :total]  # (T, KV, d)
 
-        # (KV, G, S, d) x (KV, 1, d, T) -> (KV, G, S, T)
-        probs = q.reshape(S, KV, G, d).transpose(1, 2, 0, 3) @ k.transpose(1, 2, 0)[:, None]
+        # (..., KV, G, S, d) x (..., KV, 1, d, T) -> (..., KV, G, S, T): broadcasting
+        # pairs query head kv*G + g with key/value head kv
+        qh = q.reshape(grouped).transpose(to_grouped)
+        kt = k.transpose(keys_t)[one_group]
+        vh = v.transpose(values_t)[one_group]
+        probs = qh @ kt
         probs *= scale
         probs += mask
-        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        probs -= row_max(probs) if n else np.maximum.reduce(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
-        o = (probs @ v.transpose(1, 0, 2)[:, None]).transpose(2, 0, 1, 3).reshape(S, H * d)
-        x2 = o.dot(t[p + "wo"])
+        o = (probs @ vh).transpose(from_grouped).reshape(merged)
+        x2 = matmul(o, t[p + "wo"])
         x2 += x
 
-        y2 = x2 * _rms_inv(x2)
-        y2 *= t[p + "mlp_norm"]
-        act = y2.dot(t[p + "w_gate"])
-        up = y2.dot(t[p + "w_up"])
-        act *= _sigmoid(act)  # silu
-        act *= up
-        x = act.dot(t[p + "w_down"])
+        r2 = _rms_inv(x2)
+        n2 = x2 * r2
+        y2 = mul(n2, t[p + "mlp_norm"])
+        gate = matmul(y2, t[p + "w_gate"])
+        up = matmul(y2, t[p + "w_up"])
+        sig = _sigmoid(gate)
+        silu = mul(gate, sig)
+        act = mul(silu, up)
+        x = matmul(act, t[p + "w_down"])
         x += x2
 
-    y = x * _rms_inv(x)
-    y *= t["final_norm"]
-    return y.dot(state.head_weight())
+        if tape is not None:
+            tape.layers.append({
+                "n1": n1, "r1": r1, "y1": y1,
+                "q": qh, "k": kt.swapaxes(-1, -2), "v": vh, "probs": probs, "o": o,
+                "n2": n2, "r2": r2, "y2": y2,
+                "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
+            })
+
+    r = _rms_inv(x)
+    n_final = x * r
+    y = mul(n_final, t["final_norm"])
+    if tape is not None:
+        tape.cos, tape.sin, tape.r_final, tape.n_final, tape.y_final = cos, sin, r, n_final, y
+    return matmul(y, state.head_weight())
 
 
 @functools.lru_cache(maxsize=16)
@@ -466,22 +435,18 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     with the same float operations in the same order, so the (vocab,)
     logits and the cache rows it writes are bit-identical.
 
-    Activations are (hidden,) and the weight products are `ndarray.dot`,
-    the gemv `@` runs. Heads are (heads, d); the q and k heads are rotated
-    together in one (heads + kv_heads, d) buffer, and v is written straight
-    into its cache row. A lone query attends every cached key, so there is
-    no mask, and the softmax runs on the (heads, T) view of the scores.
-    Attention stays one (1, d) x (d, T) product per query head, as in
-    `_rows`: one (G, d) x (d, T) product per key/value head would run
-    another BLAS kernel and change the bits. Each inverse RMS is a numpy
-    scalar of the state's dtype where `_rows` holds a one-element array per
-    row: the same operations, dispatched far more cheaply, and constants of
-    the dtype keep them in it under numpy's older promotion rules too.
-    Those constants, the attention scale, the rope rows and the layers'
-    tensor names come from `_step_constants`, once per (config, dtype).
+    Activations are (hidden,), heads (heads, d), weight products
+    `ndarray.dot`. The q and k heads are rotated together in one
+    (heads + kv_heads, d) buffer; v is written straight into its cache row.
+    A lone query attends every cached key, so there is no mask, and the
+    softmax runs on the (heads, T) view of the scores. Attention stays one
+    (1, d) x (d, T) product per query head: one (G, d) x (d, T) product
+    per key/value head would run another BLAS kernel and change the bits.
+    Each inverse RMS is a numpy scalar where `_rows` holds a one-element
+    array per row; the dtype's constants from `_step_constants` keep it in
+    the dtype under numpy's older promotion rules too.
     """
-    cfg = state.config
-    t = state.tensors
+    cfg, t = state.config, state.tensors
     start = cache.filled_len
     if start + 1 > cfg.max_seq_len:
         raise LengthError(f"context of {start + 1} tokens exceeds max_seq_len {cfg.max_seq_len}")
@@ -536,29 +501,18 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     return y.dot(state.head_weight())
 
 
-def forward(
-    state: ModelState,
-    tokens,
-    cache: KVCache | None = None,
-) -> tuple[np.ndarray, KVCache | None]:
+def forward(state: ModelState, tokens,
+            cache: KVCache | None = None) -> tuple[np.ndarray, KVCache | None]:
     """Run the model over new tokens, returning one logits row per token.
 
     With a cache, evaluation is incremental: previously cached positions are
     reused and the new keys/values are appended. The returned logits match a
     full recompute of the whole sequence to float32 accuracy. One token with
-    a cache (an AR token, a draft proposal) runs `_step`; every other call
-    (a prefill, a verify block, a catch-up, an uncached forward) runs
-    `_rows`. Both do the training forward's float operations in its order,
-    so an uncached call gives the logits `forward_train` gives on a (1, S)
-    batch, bit for bit. Token ids must have an integer dtype, and a cache
-    the state's dtype.
+    a cache runs `_step` and every other call `_rows`, so an uncached call
+    gives the logits `forward_train` gives on a (1, S) batch, bit for bit.
+    Token ids must have an integer dtype, and a cache the state's dtype.
     """
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise ConfigError("forward expects a flat token sequence")
-    if tokens.size == 0:
-        raise ConfigError("forward expects at least one token")
-    tokens = _token_ids(tokens)
+    tokens = _token_ids(tokens, 1, "forward", "a flat token sequence")
     if cache is not None and cache.keys.dtype != state.dtype:
         raise ConfigError(f"a {cache.keys.dtype} cache cannot hold a {state.dtype} model's keys")
     if cache is not None and tokens.size == 1:
@@ -575,12 +529,8 @@ def forward(
 def forward_train(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Batched forward over (B, S) integer token ids that records the tape
     needed by `backward`."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise ConfigError("forward_train expects a (batch, seq) token array")
-    if tokens.size == 0:
-        raise ConfigError("forward_train expects at least one token")
-    logits, tape = _forward_batch(state, _token_ids(tokens))
+    tape = Tape(tokens=_token_ids(tokens, 2, "forward_train", "a (batch, seq) token array"))
+    logits = _rows(state, tape.tokens, tape=tape)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in training forward")
     return logits, tape
@@ -600,8 +550,7 @@ def _rmsnorm_backward(dy: np.ndarray, n: np.ndarray, r: np.ndarray, gain: np.nda
 
 def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every model tensor, given dloss/dlogits."""
-    cfg = state.config
-    t = state.tensors
+    cfg, t = state.config, state.tensors
     grads: dict[str, np.ndarray] = {}
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     scale = 1.0 / math.sqrt(d)

@@ -76,9 +76,9 @@ def test_cached_matches_full_on_random_pairs():
         assert rel_err(inc, full) < 1e-4, f"trial {trial}"
 
 
-LAYOUTS = pytest.mark.parametrize("hidden, heads, kv_heads, tie", [
-    (32, 4, 4, False), (64, 8, 2, False), (48, 6, 3, True), (32, 4, 1, True)],
-    ids=["mha", "gqa", "gqa_tied", "mqa_tied"])
+LAYOUT_PARAMS = [(32, 4, 4, False), (64, 8, 2, False), (48, 6, 3, True), (32, 4, 1, True)]
+LAYOUT_IDS = ["mha", "gqa", "gqa_tied", "mqa_tied"]
+LAYOUTS = pytest.mark.parametrize("hidden, heads, kv_heads, tie", LAYOUT_PARAMS, ids=LAYOUT_IDS)
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
@@ -175,6 +175,23 @@ def test_uncached_forward_equals_forward_train_bit_for_bit(hidden, heads, kv_hea
         assert logits.tobytes() == want[0].tobytes(), f"S {S}"
 
 
+@DTYPES
+@pytest.mark.parametrize("hidden, heads, kv_heads, tie", LAYOUT_PARAMS + [(64, 4, 4, False)],
+                         ids=LAYOUT_IDS + ["mha_64"])
+def test_forward_train_rows_equal_uncached_forwards_bit_for_bit(hidden, heads, kv_heads, tie,
+                                                               dtype):
+    """Each row of `forward_train` on a (B, S) batch gives the logits the
+    uncached `forward` of that row gives, bit for bit: the weight products
+    run `@` on the batch and `ndarray.dot` on one sequence."""
+    st = _layout_state(hidden, heads, kv_heads, tie, dtype, max_seq_len=64)
+    rng = np.random.default_rng(hidden + heads)
+    for B, S in [(2, 1), (3, 2), (4, 5), (5, 24), (16, 29), (16, 31), (16, 64)]:
+        tokens = rng.integers(0, 50, size=(B, S))
+        logits, _ = forward_train(st, tokens)
+        for b in range(B):
+            assert logits[b].tobytes() == forward(st, tokens[b])[0].tobytes(), f"{B}x{S}, row {b}"
+
+
 @pytest.mark.parametrize("tokens", [[1.7, 2], ["3", 4], [True, False]],
                          ids=["float", "str", "bool"])
 @pytest.mark.parametrize("route", ["cached_one", "cached_rows", "uncached"])
@@ -237,21 +254,17 @@ def test_step_constants_are_keyed_by_dtype_bit_for_bit():
 def test_single_sequence_forwards_never_reach_the_training_forward(monkeypatch):
     """Decoding (AR, and greedy and multinomial SD whose fully accepted
     blocks make two-token draft catch-ups), teacher extraction and the
-    latency reps run on `_step` and `_rows` only; `forward_train` alone
-    reaches `_forward_batch`."""
+    latency reps call `_rows` with one (S,) sequence and no tape; only
+    `forward_train` passes it a (B, S) batch and a tape."""
     _, target = make_pair()
     draft = cast_state(target, target.dtype)  # a copy, so every proposal is accepted
     calls = []
     rows = model._rows
 
-    def counted_rows(state, tokens, cache=None):
-        calls.append((state is draft, cache is not None, tokens.size))
-        return rows(state, tokens, cache)
+    def counted_rows(state, tokens, cache=None, tape=None):
+        calls.append((state is draft, cache is not None, tokens.shape, tape is not None))
+        return rows(state, tokens, cache, tape)
 
-    def training_only(*args, **kwargs):
-        raise AssertionError("a single-sequence forward ran the training forward")
-
-    monkeypatch.setattr(model, "_forward_batch", training_only)
     monkeypatch.setattr(model, "_rows", counted_rows)
     autoregressive_decode(target, [1, 2, 3], SamplingPolicy("greedy"), 8)
     for policy in (SamplingPolicy("greedy"), SamplingPolicy("multinomial", temperature=1.0)):
@@ -259,11 +272,13 @@ def test_single_sequence_forwards_never_reach_the_training_forward(monkeypatch):
                                 rng=np.random.default_rng(0))
         result = generate(session, SpecConfig(gamma=3, policy=policy, max_new_tokens=12))
         assert len(result.tokens) == 12
-    assert (True, True, 2) in calls  # the draft's catch-ups after fully accepted blocks
+    assert (True, True, (2,), False) in calls  # the draft's catch-ups after fully accepted blocks
     list(extract_sparse_logits(target, [[1, 2, 3, 4], [5, 6]], k=4))
     measure_latency(target, 3, warmup=0, reps=5, seed=0)
-    with pytest.raises(AssertionError, match="training forward"):
-        forward_train(target, np.array([[1, 2, 3]]))
+    assert calls and all(len(shape) == 1 and not taped for _, _, shape, taped in calls)
+    calls.clear()
+    forward_train(target, np.array([[1, 2, 3], [4, 5, 6]]))
+    assert calls == [(False, False, (2, 3), True)]
 
 
 def test_context_overflow():
@@ -405,6 +420,22 @@ def test_sigmoid_edges(dtype):
     ref = 1.0 / (1.0 + np.exp(-x[4:].astype(np.longdouble)))
     np.testing.assert_allclose(s[4:], ref.astype(np.float64),
                                rtol=4 * np.finfo(dtype).eps, atol=0)
+
+
+@DTYPES
+def test_sigmoid_equals_its_out_of_place_form_by_bytes(dtype):
+    """`_sigmoid`, with its in-place steps and 0-d constants of the dtype,
+    gives the bytes of `np.where(x >= 0, 1, e) / (1 + e)`, e = exp(-|x|),
+    over the range and extremes `test_sigmoid_edges` uses, the infinities
+    and the dtype's own extremes."""
+    info = np.finfo(dtype)
+    x = np.concatenate([np.array([-1e4, -0.0, 0.0, 1e4, -np.inf, np.inf]),
+                        np.linspace(-80.0, 80.0, 1001)]).astype(dtype)
+    x = np.concatenate([x, np.array([info.min, info.max, -info.tiny, info.tiny], dtype)])
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1, e) / (1 + e)
+    assert want.dtype == dtype
+    assert _sigmoid(x).tobytes() == want.tobytes()
 
 
 @st.composite
