@@ -62,7 +62,8 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> list[dict]:
     """The objects of a JSON-lines file, blank lines skipped. `required` maps
-    each key a line must hold to its type (or tuple of types). A line that is
+    each key a line must hold to its type (or tuple of types); as in
+    `speclab.config`, `true` and `false` are not an `int`. A line that is
     not JSON or not an object, lacks a required key or holds a value of the
     wrong type raises DataError naming the file and the line."""
     records = []
@@ -80,7 +81,9 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
             if missing:
                 raise DataError(f"{path}:{n}: missing key(s) {', '.join(missing)}")
             for k, kind in required.items():
-                if not isinstance(rec[k], kind):
+                kinds = kind if isinstance(kind, tuple) else (kind,)
+                if (not isinstance(rec[k], kinds)
+                        or type(rec[k]) is bool and bool not in kinds):
                     raise DataError(f"{path}:{n}: key {k} has wrong type "
                                     f"{type(rec[k]).__name__}")
             records.append(rec)

@@ -7,6 +7,10 @@ stages (generate, lm, align, the last writing the target's top-k logits
 when it distils), its evaluation and its arch table, so a config with no
 stages evaluates a draft checkpoint. `speclab report` replays a metrics
 table from recorded audit logs.
+
+Two routes run `main`: the installed `speclab` script (`[project.scripts]`
+in pyproject.toml) and `python -m speclab.cli`, whose `__main__` block
+below exits with `main`'s result just as the script's wrapper does.
 """
 
 from __future__ import annotations

@@ -210,7 +210,7 @@ class Tape:
     `act`; once per tape the rope tables and the final norm's `r`, `n` and
     output `y`."""
     tokens: np.ndarray                      # (B, S) int
-    cos: np.ndarray | None = None           # (S, n_heads, d) rope tables, see `_position_tables`
+    cos: np.ndarray | None = None           # (S, n_heads, d) rope tables, see `_constants`
     sin: np.ndarray | None = None
     layers: list[dict] = field(default_factory=list)
     r_final: np.ndarray | None = None       # inverse RMS of the residual stream
@@ -255,28 +255,36 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def _rms_inv(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(_mean_last(np.square(x)) + RMS_EPS)
+def _rms_inv(x: np.ndarray, one: np.generic, eps: np.generic) -> np.ndarray:
+    return one / np.sqrt(_mean_last(np.square(x)) + eps)
 
 
 @functools.lru_cache(maxsize=16)
-def _position_tables(config: ModelConfig, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """Read-only tables over all `max_seq_len` positions, sliced by each
-    forward: the full-width (T, n_heads, d) rope tables for `_rotate` (the
-    cosine of each half's angle, and its sine negated on the first half)
-    and the (T, T) additive causal mask, the size of one head's scores
-    over the full context."""
+def _constants(config: ModelConfig, dtype: np.dtype) -> tuple:
+    """What `_rows` and `_step` read for a (config, dtype), in one cache
+    lookup: each layer's tensor names; the dtype's 1, hidden width and RMS
+    epsilon; the attention scale as a 0-d array, which numpy applies
+    faster than a scalar; the read-only rope tables over all `max_seq_len`
+    positions, (T, n_heads + n_kv_heads, d) for the q heads then the k
+    heads (the cosine of each half's angle, and its sine negated on the
+    first half); and the (T, T) additive causal mask, the size of one
+    head's scores over the full context. Each forward slices them."""
+    layer = ("attn_norm", "wq", "wk", "wv", "wo", "mlp_norm", "w_gate", "w_up", "w_down")
+    names = tuple(tuple(f"layers.{l}.{n}" for n in layer) for l in range(config.n_layers))
+    one, width, eps = (dtype.type(c) for c in (1, config.hidden_size, RMS_EPS))
     d, T = config.head_dim, config.max_seq_len
+    scale = np.asarray(1.0 / math.sqrt(d), dtype)
     inv_freq = config.rope_base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     angles = np.arange(T, dtype=np.float64)[:, None] * np.concatenate([inv_freq, inv_freq])
     sin = np.sin(angles)
     sin[:, :d // 2] *= -1.0
-    tables = (np.repeat(np.cos(angles).astype(dtype)[:, None], config.n_heads, axis=1),
-              np.repeat(sin.astype(dtype)[:, None], config.n_heads, axis=1),
-              np.triu(np.full((T, T), -np.inf, dtype), k=1))
-    for table in tables:
+    heads = config.n_heads + config.n_kv_heads
+    cos, sin = (np.repeat(table.astype(dtype)[:, None], heads, axis=1)
+                for table in (np.cos(angles), sin))
+    causal = np.triu(np.full((T, T), -np.inf, dtype), k=1)
+    for table in (scale, cos, sin, causal):
         table.setflags(write=False)
-    return tables
+    return names, one, width, eps, scale, cos, sin, causal
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -341,11 +349,10 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
             or np.maximum.reduce(tokens, axis=None) >= cfg.vocab_size):
         raise ConfigError("token id out of vocabulary range")
 
-    cos, sin, causal = _position_tables(cfg, state.dtype)
-    cos, sin = cos[start:total], sin[start:total]
+    names, one, _, eps, scale, cos, sin, causal = _constants(cfg, state.dtype)
+    cos, sin = cos[start:total], sin[start:total]  # (S, heads + kv_heads, d)
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     G = H // KV
-    scale = 1.0 / math.sqrt(d)
     # additive causal mask: query i (global start+i) may attend keys <= start+i
     mask = causal[start:total, :total]
     matmul = np.matmul if n else np.ndarray.dot
@@ -355,15 +362,14 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
     to_grouped, from_grouped, keys_t, values_t, one_group = _LAYOUTS[n]
 
     x = t["embed"][tokens]
-    for l in range(cfg.n_layers):
-        p = f"layers.{l}."
-        r1 = _rms_inv(x)
+    for l, (attn_norm, wq, wk, wv, wo, mlp_norm, w_gate, w_up, w_down) in enumerate(names):
+        r1 = _rms_inv(x, one, eps)
         n1 = x * r1
-        y1 = mul(n1, t[p + "attn_norm"])
+        y1 = mul(n1, t[attn_norm])
 
-        q = _rotate(matmul(y1, t[p + "wq"]).reshape(q_shape), cos, sin)
-        k = _rotate(matmul(y1, t[p + "wk"]).reshape(kv_shape), cos[:, :KV], sin[:, :KV])
-        v = matmul(y1, t[p + "wv"]).reshape(kv_shape)
+        q = _rotate(matmul(y1, t[wq]).reshape(q_shape), cos[:, :H], sin[:, :H])
+        k = _rotate(matmul(y1, t[wk]).reshape(kv_shape), cos[:, H:], sin[:, H:])
+        v = matmul(y1, t[wv]).reshape(kv_shape)
         if cache is not None:
             cache.keys[l, start:total] = k
             cache.values[l, start:total] = v
@@ -382,18 +388,18 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
 
         o = (probs @ vh).transpose(from_grouped).reshape(merged)
-        x2 = matmul(o, t[p + "wo"])
+        x2 = matmul(o, t[wo])
         x2 += x
 
-        r2 = _rms_inv(x2)
+        r2 = _rms_inv(x2, one, eps)
         n2 = x2 * r2
-        y2 = mul(n2, t[p + "mlp_norm"])
-        gate = matmul(y2, t[p + "w_gate"])
-        up = matmul(y2, t[p + "w_up"])
+        y2 = mul(n2, t[mlp_norm])
+        gate = matmul(y2, t[w_gate])
+        up = matmul(y2, t[w_up])
         sig = _sigmoid(gate)
         silu = mul(gate, sig)
         act = mul(silu, up)
-        x = matmul(act, t[p + "w_down"])
+        x = matmul(act, t[w_down])
         x += x2
 
         if tape is not None:
@@ -404,30 +410,13 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
                 "gate": gate, "up": up, "sig": sig, "silu": silu, "act": act,
             })
 
-    r = _rms_inv(x)
+    r = _rms_inv(x, one, eps)
     n_final = x * r
     y = mul(n_final, t["final_norm"])
     if tape is not None:
-        tape.cos, tape.sin, tape.r_final, tape.n_final, tape.y_final = cos, sin, r, n_final, y
+        tape.cos, tape.sin = cos[:, :H], sin[:, :H]
+        tape.r_final, tape.n_final, tape.y_final = r, n_final, y
     return matmul(y, state.head_weight())
-
-
-@functools.lru_cache(maxsize=16)
-def _step_constants(config: ModelConfig, dtype: np.dtype) -> tuple:
-    """What `_step` reads for a (config, dtype), in one cache lookup: each
-    layer's tensor names; the dtype's 1, hidden width and RMS epsilon; the
-    attention scale as a 0-d array, which numpy applies faster than a
-    scalar; and the rope tables of `_position_tables` widened to the
-    (T, n_heads + n_kv_heads, d) of the joint q and k buffer."""
-    layer = ("attn_norm", "wq", "wk", "wv", "wo", "mlp_norm", "w_gate", "w_up", "w_down")
-    names = tuple(tuple(f"layers.{l}.{n}" for n in layer) for l in range(config.n_layers))
-    one, width, eps = (dtype.type(c) for c in (1, config.hidden_size, RMS_EPS))
-    scale = np.asarray(1.0 / math.sqrt(config.head_dim), dtype)
-    cos, sin = (np.concatenate((table, table[:, :config.n_kv_heads]), axis=1)
-                for table in _position_tables(config, dtype)[:2])
-    for table in (scale, cos, sin):
-        table.setflags(write=False)
-    return names, one, width, eps, scale, cos, sin
 
 
 def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
@@ -443,7 +432,7 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     (1, d) x (d, T) product per query head: one (G, d) x (d, T) product
     per key/value head would run another BLAS kernel and change the bits.
     Each inverse RMS is a numpy scalar where `_rows` holds a one-element
-    array per row; the dtype's constants from `_step_constants` keep it in
+    array per row; the dtype's constants from `_constants` keep it in
     the dtype under numpy's older promotion rules too.
     """
     cfg, t = state.config, state.tensors
@@ -453,7 +442,7 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     if not 0 <= token < cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    names, one, width, eps, scale, cos, sin = _step_constants(cfg, state.dtype)
+    names, one, width, eps, scale, cos, sin, _ = _constants(cfg, state.dtype)
     cos, sin = cos[start], sin[start]  # (heads + kv_heads, d)
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     G, T = H // KV, start + 1

@@ -234,7 +234,7 @@ def test_step_constants_are_keyed_by_dtype_bit_for_bit():
     in one process, each give the logits and write the key/value rows that
     the batched reference gives on its own cache, bit for bit: neither
     dtype reads the other's cached constants or rope tables."""
-    model._step_constants.cache_clear()
+    model._constants.cache_clear()
     st32 = _layout_state(64, 8, 2, False, np.float32, max_seq_len=12)
     states = [st32, cast_state(st32, np.float64)]
     caches = [(KVCache(st.config, st.dtype), KVCache(st.config, st.dtype)) for st in states]

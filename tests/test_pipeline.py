@@ -9,10 +9,16 @@ not come from a measured latency.
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speclab
 from speclab import (LossSpec, ModelConfig, ModelState, TrainSchedule, init_model,
                      save_checkpoint, train_stage)
 from speclab.cli import main
@@ -183,8 +189,7 @@ def test_arch_search_csv_reads_back_the_configs_of_its_json_twin(tmp_path, world
         assert [c is not None for c in configs] == [True, False, True, False]
 
 
-@pytest.mark.parametrize("teacher", ["extracted"])
-def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_files, teacher):
+def test_align_stage_rejects_a_teacher_of_another_vocabulary(tmp_path, world_files):
     """The teacher's vocabulary, the target's, must be the draft's; the
     target's header is read before any work, so nothing is written."""
     stage = {"name": "align", "kind": "align", "alignment": str(tmp_path / "align.jsonl"),
@@ -301,9 +306,8 @@ def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp
             == (tmp_path / "run" / "checkpoints" / "ft.sfmd").read_bytes())
 
 
-@pytest.mark.parametrize("command", ["train"])
-def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_files, command,
-                                                               capsys):
+def test_a_generate_stage_writes_what_load_alignment_set_reads_and_a_machine_manifest(
+        tmp_path, world_files, capsys):
     """`speclab train` with a generate stage writes the alignment set that
     `load_alignment_set` reads, and a manifest of the machine."""
     tok = ByteTokenizer()
@@ -313,7 +317,7 @@ def test_data_and_latency_commands_write_what_the_readers_read(tmp_path, world_f
         {"name": "alignment", "kind": "generate", "seed_instructions": "seeds.jsonl",
          "temperatures": [0.6], "max_new_tokens": 8}]}
     out = tmp_path / "out"
-    assert main([command, _write(tmp_path / "cmd.json", config), "--out-dir", str(out)]) == 0
+    assert main(["train", _write(tmp_path / "cmd.json", config), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     got = load_alignment_set(out / "data" / "alignment.jsonl", tok)
     assert [(tok.decode_bytes(s.instruction), s.temperature) for s in got] == [
@@ -350,10 +354,13 @@ def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
     key = next(iter(first))
     wrong = dict(first, **{key: 5})
     del first[key]
-    for damaged, where in ((good[:-3], "not JSON"),
-                           (json.dumps(first).encode() + b"\n" + good, "missing key"),
-                           (json.dumps(wrong).encode() + b"\n" + good,
-                            f":1: key {key} has wrong type int")):
+    cases = [(good[:-3], "not JSON"),
+             (json.dumps(first).encode() + b"\n" + good, "missing key"),
+             (json.dumps(wrong).encode() + b"\n" + good, f":1: key {key} has wrong type int")]
+    if name == "audit.jsonl":  # JSON's true is not an int
+        cases.append((b'{"proposed": [1, 2], "accepted_count": true, "emitted": [1, 2], '
+                      b'"u": []}\n', ":1: key accepted_count has wrong type bool"))
+    for damaged, where in cases:
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=where):
             read(path)
@@ -456,10 +463,12 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
                  "--out-dir", str(tmp_path / "out")]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ConfigError" and message in error["message"]
+    assert error["message"].startswith(message) or not message.startswith("config.")
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("keys, message", [
+    ({"eval": {"gamma": [2]}}, "config.eval: unknown key 'gamma'"),
     ({"eval": {"gammas": [0]}}, "config.eval: gamma must be >= 1"),
     ({"eval": {"max_new_tokens": 0}}, "config.eval: max_new_tokens must be >= 1"),
     ({"eval": {"latency": {"reps": 2}}}, "config.eval.latency.reps must be at least 5"),
@@ -526,11 +535,12 @@ def test_bad_config_key_exits_2_with_json_error(tmp_path, world_files, capsys, c
                                             "seed_instructions": "pretrain.jsonl"}]},
      "config.target_checkpoint: the target's vocabulary of 200 is smaller than the "
      "tokenizer's 264"),
-], ids=["eval_gamma", "eval_max_new_tokens", "latency_reps", "latency_warmup", "n_tasks_zero",
-        "n_tasks_negative", "min_ctx", "lm_epochs", "lm_epochs_bool", "mix_unknown_corpus",
-        "mix_negative_budget", "generate_temperature", "generate_max_new_tokens",
-        "generate_no_sampling", "generate_self_prompt_count", "align_k", "align_mask",
-        "align_k_over_target_vocabulary", "eval_gamma_over_target_context",
+], ids=["eval_unknown_key", "eval_gamma", "eval_max_new_tokens", "latency_reps",
+        "latency_warmup", "n_tasks_zero", "n_tasks_negative", "min_ctx", "lm_epochs",
+        "lm_epochs_bool", "mix_unknown_corpus", "mix_negative_budget", "generate_temperature",
+        "generate_max_new_tokens", "generate_no_sampling", "generate_self_prompt_count",
+        "align_k", "align_mask", "align_k_over_target_vocabulary",
+        "eval_gamma_over_target_context",
         "eval_draft_context", "arch_none_feasible", "stage_seq_len_over_draft_context",
         "teacher_seq_len_over_target_context", "repeated_benchmark_name", "repeated_mode",
         "repeated_gamma", "draft_vocabulary_under_tokenizer",
@@ -580,16 +590,6 @@ def test_an_arch_only_run_builds_no_model(tmp_path, world_files, monkeypatch, dr
         "arch_search.csv", "arch_search.json", "manifest.json"]
 
 
-def test_a_bad_eval_key_exits_2_before_any_stage_trains(tmp_path, world_files, capsys):
-    config = {"target_checkpoint": "target.sfmd", "draft": DRAFT, "stages": [LM_STAGE],
-              "eval": {"gamma": [2]}}
-    assert main(["train", _write(tmp_path / "cmd.json", config),
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    error = json.loads(capsys.readouterr().err)
-    assert error == {"error": "ConfigError", "message": "config.eval: unknown key 'gamma'"}
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("config, where", [
     ({"draft": DRAFT, "stages": [LM_STAGE, dict(LM_STAGE, name="lm2", corpus="pretrian.jsonl")]},
      "config.stages[1].corpus"),
@@ -615,6 +615,56 @@ def test_a_missing_input_file_exits_3_before_any_stage_trains(tmp_path, world_fi
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "FileNotFoundError" and error["message"].startswith(where)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, code, error", [
+    ({"draft": DRAFT, "arch_search": {"hidden_candidates": [8, 16]}}, 0, None),
+    ({"draft": DRAFT, "arch_search": {"hidden_candidates": ["x"]}}, 2,
+     {"error": "ConfigError",
+      "message": "config.arch_search.hidden_candidates[0] must be int, not str"}),
+    ({"draft": DRAFT, "stages": [dict(LM_STAGE, corpus="corpus.jsonl"),
+                                 dict(LM_STAGE, name="lm2", corpus="corpsu.jsonl")]}, 3,
+     {"error": "FileNotFoundError", "message": "config.stages[1].corpus"}),
+], ids=["arch_only", "hidden_candidates", "later_stage_corpus"])
+def test_the_cli_process_exits_with_mains_code_and_one_json_error_line(tmp_path, config, code,
+                                                                         error):
+    """`python -m speclab.cli` in a child process: the exit code is `main`'s,
+    stderr is empty or exactly one `{"error", "message"}` JSON line, and a
+    failed run writes no out dir. The installed script runs this route (see
+    the next test); pytest's `pythonpath` does not reach a child, so its
+    PYTHONPATH names the tested package's directory."""
+    (tmp_path / "corpus.jsonl").write_text('{"text": "one line of corpus text"}\n',
+                                           encoding="utf-8")
+    src = str(Path(speclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "speclab.cli", "train",
+                           _write(tmp_path / "cmd.json", config), "--out-dir", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    out = tmp_path / "out"
+    if error is None:
+        assert proc.stderr == ""
+        assert (out / "arch_search.csv").exists() and not (out / "checkpoints").exists()
+        assert json.loads((out / "arch_search.json").read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant)
+        return
+    line, = proc.stderr.splitlines()
+    got = json.loads(line)
+    assert set(got) == {"error", "message"} and proc.stderr == line + "\n"
+    assert got["error"] == error["error"] and got["message"].startswith(error["message"])
+    assert not out.exists()
+
+
+def test_the_speclab_script_is_cli_main():
+    """The installed `speclab` script calls `speclab.cli:main` and exits with
+    its result, as `cli.py`'s `__main__` block does, so the child-process
+    test above runs the script's route. pyproject.toml is read as text:
+    Python 3.10 has no tomllib."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', section.group(1), re.M)) == {
+        "speclab": "speclab.cli:main"}
 
 
 def test_an_empty_eval_section_runs_the_grid_with_its_defaults(tmp_path, world_files, capsys):
