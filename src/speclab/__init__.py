@@ -15,7 +15,7 @@ from .model import (KVCache, ModelConfig, ModelState, forward, forward_train,
 from .sampling import SamplingPolicy, autoregressive_decode, sample, softmax
 from .tokenizer import ByteTokenizer
 from .checkpoint import load_checkpoint, save_checkpoint
-from .losses import LossSpec, ce_loss, kd_loss
+from .losses import LossSpec, ce_loss
 from .training import AdamW, Batch, TrainSchedule, lr_at, train_stage
 from .distill import SPARSE_DTYPE, extract_sparse_logits
 from .specdec import (BlockResult, SpecConfig, SpecSession, accept_step,

@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from .config import read
 from .errors import ConfigError, DataError
 from .model import ModelConfig, ModelState, tensor_shapes
 
@@ -60,12 +62,11 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             f.write((json.dumps(rec, allow_nan=False) + "\n").encode("utf-8"))
 
 
-def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]) -> list[dict]:
-    """The objects of a JSON-lines file, blank lines skipped. `required` maps
-    each key a line must hold to its type (or tuple of types); as in
-    `speclab.config`, `true` and `false` are not an `int`. A line that is
-    not JSON or not an object, lacks a required key or holds a value of the
-    wrong type raises DataError naming the file and the line."""
+def read_jsonl(path: str | Path, schema: dict) -> list[SimpleNamespace]:
+    """The objects of a JSON-lines file, blank lines skipped, each read by
+    `config.read` as a namespace of `schema`'s keys; keys outside it are
+    ignored. A line that is not JSON, not an object or rejected by the
+    schema raises DataError naming the file and the line (and the key)."""
     records = []
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
@@ -77,16 +78,11 @@ def read_jsonl(path: str | Path, required: Mapping[str, type | tuple[type, ...]]
                 raise DataError(f"{path}:{n}: not JSON ({exc})") from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{n}: not a JSON object")
-            missing = [k for k in required if k not in rec]
-            if missing:
-                raise DataError(f"{path}:{n}: missing key(s) {', '.join(missing)}")
-            for k, kind in required.items():
-                kinds = kind if isinstance(kind, tuple) else (kind,)
-                if (not isinstance(rec[k], kinds)
-                        or type(rec[k]) is bool and bool not in kinds):
-                    raise DataError(f"{path}:{n}: key {k} has wrong type "
-                                    f"{type(rec[k]).__name__}")
-            records.append(rec)
+            try:
+                records.append(read("line", {k: v for k, v in rec.items() if k in schema},
+                                    schema))
+            except ConfigError as exc:
+                raise DataError(f"{path}:{n}: {exc}") from None
     return records
 
 

@@ -2,9 +2,9 @@
 completion-task construction, synthetic alignment-set generation, and the
 batch builders that feed training.
 
-Corpora are JSON-lines files of {"text": ..., "tag": ...}; alignment sets
-are JSON-lines of {"instruction", "response", "source", "temperature"}.
-Every operation is a deterministic function of its inputs and seed.
+Corpora and alignment sets are JSON-lines files, one object per line,
+read by the schemas `CORPUS` and `ALIGNMENT`. Every operation is a
+deterministic function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ from .sampling import SamplingPolicy, autoregressive_decode
 from .tokenizer import ByteTokenizer
 from .training import Batch
 
-TAGS = ("text", "code", "instruction")
+TAGS = frozenset({"text", "code", "instruction"})
 MASK_MODES = frozenset({"response", "full"})  # what `alignment_batches` supervises
+# the schema of a corpus line and of an alignment-set line (config.py gives the notation)
+CORPUS = {"text": str, "tag": (TAGS, "text")}
+ALIGNMENT = {"instruction": str, "response": str, "source": str, "temperature": (float, None),
+             "instruction_source": (str, "corpus"), "truncated": (bool, False)}
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,8 @@ class Corpus:
 
 def load_corpus(path: str | Path) -> Corpus:
     return Corpus(documents=[
-        Document(text=rec["text"].encode("utf-8", errors="surrogateescape"),
-                 tag=rec.get("tag", "text"))
-        for rec in read_jsonl(path, {"text": str})])
+        Document(text=rec.text.encode("utf-8", errors="surrogateescape"), tag=rec.tag)
+        for rec in read_jsonl(path, CORPUS)])
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -166,14 +169,9 @@ def load_alignment_set(path: str | Path, tokenizer: ByteTokenizer) -> list[Align
     def ids(text: str) -> list[int]:
         return tokenizer.encode(text.encode("utf-8", errors="surrogateescape"))
 
-    return [AlignmentSample(
-        instruction=ids(rec["instruction"]),
-        response=ids(rec["response"]),
-        source=rec["source"],
-        temperature=rec.get("temperature"),
-        instruction_source=rec.get("instruction_source", "corpus"),
-        truncated=rec.get("truncated", False),
-    ) for rec in read_jsonl(path, {"instruction": str, "response": str, "source": str})]
+    return [AlignmentSample(ids(rec.instruction), ids(rec.response), rec.source, rec.temperature,
+                            rec.instruction_source, rec.truncated)
+            for rec in read_jsonl(path, ALIGNMENT)]
 
 
 def chat_prompt(tokenizer: ByteTokenizer, instruction: list[int]) -> list[int]:

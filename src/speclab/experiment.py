@@ -56,8 +56,7 @@ BENCH = {"name": str, "kind": str, "n_tasks": (Min(1), 8), "min_ctx": (Min(0), 4
 BENCHMARK = Kinds(completion={**BENCH, "corpus": Path}, instruction={**BENCH, "alignment": Path})
 EVAL = {"benchmarks": ([BENCHMARK], []), "modes": ([str], ["greedy", "multinomial"]),
         "gammas": ([int], [3, 5]), "temperature": (float, 0.6), "max_new_tokens": (int, 32),
-        "stop_at_eos": (bool, True), "c_hat_mode": (frozenset({"total", "excluded"}), "total"),
-        "latency": (LATENCY, {})}
+        "c_hat_mode": (frozenset({"total", "excluded"}), "total"), "latency": (LATENCY, {})}
 PIPELINE = {**RUN, "out_dir": (Path, "runs/experiment"), "target_checkpoint": (Path, None),
             "draft_init_checkpoint": (Path, None), "draft": (ModelConfig, None),
             "stages": ([STAGE], []), "eval": (EVAL, None), "arch_search": (ARCH_SEARCH, None)}
@@ -228,11 +227,11 @@ class _Run:
                     "benchmark is named")
             _unique("config.eval.modes[{}]", ev.modes, "mode is")
             _unique("config.eval.gammas[{}]", ev.gammas, "gamma is")
-            eos = ByteTokenizer.eos_id if ev.stop_at_eos else None
             for j, mode in enumerate(ev.modes):
                 policy = at(f"config.eval.modes[{j}]", _policy, mode, ev.temperature)
                 self.specs += [(j, mode, at("config.eval", SpecConfig, gamma, policy,
-                                            ev.max_new_tokens, eos)) for gamma in ev.gammas]
+                                            ev.max_new_tokens, ByteTokenizer.eos_id))
+                               for gamma in ev.gammas]
         if cfg.arch_search is not None:
             at("config.arch_search", check_search, cfg.arch_search.budget,
                cfg.arch_search.hidden_candidates)
@@ -342,7 +341,7 @@ class _Run:
             save_checkpoint(state, ckpt)
             report.checkpoints[name] = ckpt
             write_json(cfg.out_dir / "losses" / f"{name}.json",
-                       {"stage": name, "losses": result.losses, "steps_run": result.steps_run})
+                       {"stage": name, "losses": result.losses})
 
         timing = {} if cfg.eval is None else self.evaluate(state, report)
         if cfg.arch_search is not None:

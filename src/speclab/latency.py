@@ -31,28 +31,21 @@ class LatencyRun:
         return float(np.median(self.samples))
 
 
-def check_block(config: ModelConfig, block_size: int, prefill: int = PREFILL) -> None:
+def check_block(config: ModelConfig, block_size: int) -> None:
     """Raise ConfigError unless a model of `config` can time a block of
-    `block_size` tokens after `prefill` cached ones."""
+    `block_size` tokens after `PREFILL` cached ones."""
     if block_size < 1:
         raise ConfigError("block_size must be >= 1")
-    if prefill + block_size > config.max_seq_len:
-        raise ConfigError(f"prefill plus block exceeds max_seq_len: {prefill} + {block_size} "
+    if PREFILL + block_size > config.max_seq_len:
+        raise ConfigError(f"prefill plus block exceeds max_seq_len: {PREFILL} + {block_size} "
                           f"> {config.max_seq_len}")
 
 
-def measure_latency(
-    state: ModelState,
-    block_size: int,
-    warmup: int = 3,
-    reps: int = 10,
-    prefill: int = PREFILL,
-    *,
-    seed: int,
-) -> LatencyRun:
+def measure_latency(state: ModelState, block_size: int, warmup: int = 3, reps: int = 10, *,
+                    seed: int) -> LatencyRun:
     """Median wall-clock seconds of one forward over `block_size` tokens.
 
-    The model sees `prefill` cached context tokens first, mirroring decode
+    The model sees `PREFILL` cached context tokens first, mirroring decode
     conditions; `seed` draws the context and block tokens. The samples and
     the resolution that judges them come from one clock, `time.perf_counter`.
     """
@@ -61,9 +54,9 @@ def measure_latency(
     if warmup < 0:
         raise ConfigError("warmup must be nonnegative")
     cfg = state.config
-    check_block(cfg, block_size, prefill)
+    check_block(cfg, block_size)
     rng = np.random.default_rng(seed)
-    context = rng.integers(0, cfg.vocab_size, size=prefill).tolist()
+    context = rng.integers(0, cfg.vocab_size, size=PREFILL).tolist()
     block = rng.integers(0, cfg.vocab_size, size=block_size).tolist()
 
     resolution = time.get_clock_info("perf_counter").resolution

@@ -93,11 +93,10 @@ def _restricted_dists(student_rows: np.ndarray, teacher: np.ndarray):
 
 
 def _kd_sparse(student_logits: np.ndarray, teacher: np.ndarray, kind: str):
-    """`kd_loss` with its gradient left on the teacher's support: returns
-    (loss, rows, grad), where dloss/dlogits is grad at [rows, teacher["id"]]
-    and zero elsewhere."""
-    if kind not in ("KL", "TVD"):
-        raise ConfigError(f"unknown distillation loss {kind!r}")
+    """Distillation loss "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1), a
+    mean over the positions given, of (P, V) student logits against (P, k)
+    `SPARSE_DTYPE` teacher pairs. Returns (loss, rows, grad), where
+    dloss/dlogits is grad at [rows, teacher["id"]] and zero elsewhere."""
     student_logits = np.asarray(student_logits)
     if student_logits.ndim != 2:
         raise ContractError("kd loss expects (positions, vocab) student logits")
@@ -123,18 +122,6 @@ def _kd_sparse(student_logits: np.ndarray, teacher: np.ndarray, kind: str):
     dtype = student_logits.dtype.type
     dker *= dtype(1) / dtype(n)
     return float(per_pos.sum() / n), rows, dker
-
-
-def kd_loss(student_logits: np.ndarray, teacher: np.ndarray, kind: str):
-    """Vectorized distillation loss, a mean over the positions given.
-
-    student_logits: (P, V); teacher: (P, k) `SPARSE_DTYPE` pairs.
-    kind: "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1).
-    """
-    loss, rows, grad = _kd_sparse(student_logits, teacher, kind)
-    dlogits = np.zeros_like(student_logits)
-    dlogits[rows, teacher["id"]] += grad  # ids are distinct within a row (checked)
-    return loss, dlogits
 
 
 def combined_loss(logits2d: np.ndarray, gold: np.ndarray, spec: LossSpec,

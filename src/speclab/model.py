@@ -186,7 +186,6 @@ class KVCache:
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32) -> None:
-        self.config = config
         shape = (config.n_layers, config.max_seq_len, config.n_kv_heads, config.head_dim)
         self.keys = np.zeros(shape, dtype=dtype)
         self.values = np.zeros(shape, dtype=dtype)
@@ -542,7 +541,9 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
     cfg, t = state.config, state.tensors
     grads: dict[str, np.ndarray] = {}
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
-    scale = 1.0 / math.sqrt(d)
+    scale = _constants(cfg, state.dtype)[4]  # the forward's attention scale
+    # the forward's grouped layout; `values_t` swaps the S and KV axes, both ways
+    to_grouped, from_grouped, _, values_t, _ = _LAYOUTS[1]
     B, S = tape.tokens.shape
     flat = lambda a: a.reshape(-1, a.shape[-1])
     # the inverse rotation (orthogonal) rotates by the negated angle
@@ -584,8 +585,8 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
 
         # attention branch
         grads[p + "wo"] = flat(tp["o"]).T @ flat(dx2)
-        # the forward's grouped layout; a key/value head's gradient sums its group
-        do = (dx2 @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(0, 2, 3, 1, 4)
+        # a key/value head's gradient sums its group
+        do = (dx2 @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(to_grouped)
         probs = tp["probs"]
         # softmax backward in place: dscores = probs * (dprobs - sum(dprobs * probs))
         dscores = do @ tp["v"].swapaxes(-1, -2)
@@ -598,11 +599,11 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
         dk = dk.sum(axis=2)
         dv = (probs.swapaxes(-1, -2) @ do).sum(axis=2)
         # back to contiguous (B, S, heads, d), then un-rotated
-        dq = _rotate(np.ascontiguousarray(dq.transpose(0, 3, 1, 2, 4)).reshape(B, S, H, d),
+        dq = _rotate(np.ascontiguousarray(dq.transpose(from_grouped)).reshape(B, S, H, d),
                      cos, sin)
-        dk = _rotate(np.ascontiguousarray(dk.transpose(0, 2, 1, 3)), cos[:, :KV], sin[:, :KV])
+        dk = _rotate(np.ascontiguousarray(dk.transpose(values_t)), cos[:, :KV], sin[:, :KV])
         dqm, dkm = dq.reshape(B, S, H * d), dk.reshape(B, S, KV * d)
-        dvm = dv.transpose(0, 2, 1, 3).reshape(B, S, KV * d)
+        dvm = dv.transpose(values_t).reshape(B, S, KV * d)
 
         grads[p + "wq"] = flat(tp["y1"]).T @ flat(dqm)
         grads[p + "wk"] = flat(tp["y1"]).T @ flat(dkm)

@@ -29,6 +29,8 @@ from .model import KVCache, ModelState, forward
 from .sampling import SamplingPolicy, distribution, sample_from_dist
 
 DIST_SUM_TOL = 1e-4
+# the schema of an audit-log line (config.py gives the notation)
+AUDIT = {"proposed": [int], "accepted_count": int, "emitted": [int], "u": [float]}
 
 
 @dataclass(frozen=True)
@@ -145,34 +147,28 @@ def _rollback(session: SpecSession) -> None:
         cache.truncate(min(cache.filled_len, frontier))
 
 
-def speculate_block(
-    session: SpecSession,
-    spec: SpecConfig,
-    proposal_len: int | None = None,
-) -> BlockResult:
-    """One propose/verify round; emits accepted prefix plus one more token.
-
-    `proposal_len` shrinks the block for a partial final budget; the block
-    records how many tokens it proposed. Multinomial verification builds
-    the target's gamma + 1 distributions with one `distribution` call over
-    the block's logits rows; each u and each draw comes from the session's
-    rng in decision order.
+def speculate_block(session: SpecSession, spec: SpecConfig, proposal_len: int) -> BlockResult:
+    """One propose/verify round of `proposal_len` draft tokens (`spec.gamma`,
+    or fewer for a partial final budget); emits the accepted prefix plus one
+    more token. Multinomial verification builds the target's
+    `proposal_len + 1` distributions with one `distribution` call over the
+    block's logits rows; each u and each draw comes from the session's rng
+    in decision order.
     """
-    gamma = spec.gamma if proposal_len is None else proposal_len
-    if gamma < 0:
+    if proposal_len < 0:
         raise ConfigError("proposal length must be nonnegative")
     policy = spec.policy
     policy.check_rng(session.rng)
     greedy = policy.mode == "greedy"
     m = len(session.committed)
     for st, label in ((session.draft, "draft"), (session.target, "target")):
-        if m + gamma + 1 > st.config.max_seq_len:
-            raise LengthError(f"no room for a {gamma}-token block in the {label} context")
+        if m + proposal_len + 1 > st.config.max_seq_len:
+            raise LengthError(f"no room for a {proposal_len}-token block in the {label} context")
 
-    # the draft proposes gamma tokens, one forward each
+    # the draft proposes proposal_len tokens, one forward each
     proposed: list[int] = []
     q_dists: list[np.ndarray] = []
-    for _ in range(gamma):
+    for _ in range(proposal_len):
         logits = _catch_up(session.draft, session.draft_cache, session.committed + proposed)[-1]
         if greedy:
             proposed.append(int(np.argmax(logits)))
@@ -182,11 +178,11 @@ def speculate_block(
 
     # the target verifies the whole block in one forward
     t_logits = _catch_up(session.target, session.target_cache,
-                         session.committed + proposed)[-(gamma + 1):]
+                         session.committed + proposed)[-(proposal_len + 1):]
     u_values: list[float] = []
     if greedy:
         best = np.argmax(t_logits, axis=-1)
-        accepted = next((j for j, tok in enumerate(proposed) if tok != best[j]), gamma)
+        accepted = next((j for j, tok in enumerate(proposed) if tok != best[j]), proposal_len)
         emitted = proposed[:accepted] + [int(best[accepted])]
     else:
         p_dists = distribution(t_logits, policy)
@@ -200,7 +196,7 @@ def speculate_block(
             emitted.append(tok)
         else:
             # whole block accepted: bonus token from the target's next distribution
-            emitted.append(sample_from_dist(p_dists[gamma], session.rng))
+            emitted.append(sample_from_dist(p_dists[proposal_len], session.rng))
         accepted = len(emitted) - 1
 
     session.committed.extend(emitted)
@@ -220,12 +216,11 @@ def decode_stats(gamma: int, blocks: list[BlockResult]) -> DecodeStats:
 @dataclass
 class GenerateResult:
     tokens: list[int]
-    stats: DecodeStats
-    blocks: list[BlockResult]
+    blocks: list[BlockResult]  # `decode_stats(spec.gamma, blocks)` gives their stats
 
 
 def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
-    """Speculate blocks until the budget or eos; returns new tokens and stats.
+    """Speculate blocks until the budget or eos; returns the new tokens and blocks.
 
     A partial final budget shrinks the proposal length of the last block so
     a generation never overshoots max_new_tokens.
@@ -253,8 +248,7 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
         del session.committed[start_len + len(new_tokens):]
         _rollback(session)
 
-    blocks = session.blocks[first_block:]
-    return GenerateResult(tokens=new_tokens, stats=decode_stats(spec.gamma, blocks), blocks=blocks)
+    return GenerateResult(tokens=new_tokens, blocks=session.blocks[first_block:])
 
 
 def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
@@ -265,6 +259,5 @@ def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
 
 def read_audit_log(path: str | Path) -> list[BlockResult]:
     """The blocks `write_audit_log` wrote; damage raises DataError."""
-    return [BlockResult(r["proposed"], r["accepted_count"], r["emitted"], r["u"])
-            for r in read_jsonl(path, {"proposed": list, "accepted_count": int,
-                                       "emitted": list, "u": list})]
+    return [BlockResult(r.proposed, r.accepted_count, r.emitted, r.u)
+            for r in read_jsonl(path, AUDIT)]

@@ -20,18 +20,6 @@ WORDS = (
 )
 
 
-def word_sentence_corpus(n_docs: int, seed: int, words=WORDS,
-                         length_range=(4, 9), tag: str = "text") -> Corpus:
-    """Plain sentences of random words; no instruction structure."""
-    rng = np.random.default_rng(seed)
-    docs = []
-    for _ in range(n_docs):
-        n = int(rng.integers(*length_range))
-        sent = " ".join(words[int(i)] for i in rng.integers(0, len(words), n))
-        docs.append(Document(text=(sent + ".").encode(), tag=tag))
-    return Corpus(documents=docs)
-
-
 @dataclass
 class TopicWorld:
     """Closed set of topics with two phrasings of each fact.

@@ -162,7 +162,6 @@ def _keep_freed_memory() -> None:
 class TrainResult:
     state: ModelState
     losses: list[float] = field(default_factory=list)
-    steps_run: int = 0
 
 
 def train_stage(
@@ -186,7 +185,6 @@ def train_stage(
     opt = AdamW(state, schedule)
     losses: list[float] = []
     it = iter(batches)
-    step = 0
     for step in range(1, schedule.total_steps + 1):
         try:
             batch = next(it)
@@ -194,7 +192,6 @@ def train_stage(
             warnings.warn(
                 f"corpus exhausted after {step - 1} of {schedule.total_steps} steps; "
                 "stage truncated", stacklevel=2)
-            step -= 1
             break
         loss, grads, _ = loss_and_grads(state, batch, loss_spec)
         if not np.isfinite(loss):
@@ -202,4 +199,4 @@ def train_stage(
         opt.step(state, grads, lr_at(schedule, step))
         losses.append(loss)
     state.check_finite()
-    return TrainResult(state=state, losses=losses, steps_run=step)
+    return TrainResult(state=state, losses=losses)

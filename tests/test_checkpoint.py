@@ -78,17 +78,23 @@ def test_save_is_atomic(tmp_path, tiny_state):
 
 def test_jsonl_round_trip_and_damage(tmp_path):
     path = tmp_path / "records.jsonl"
-    records = [{"a": 1, "b": "x\udcff"}, {"a": 2, "b": None}]
+    records = [{"a": 1, "b": "x\udcff", "c": 0.5}, {"a": 2, "b": None, "c": None}]
     write_jsonl(path, records)
-    required = {"a": int, "b": (str, type(None))}
-    assert read_jsonl(path, required) == records
+    schema = {"a": int, "b": (str, None), "c": (float, 1.0)}
+    assert [vars(r) for r in read_jsonl(path, schema)] == [records[0], dict(records[1], c=1.0)]
     good = path.read_bytes()
+    # a key outside the schema is ignored, an absent optional key is its default, and an
+    # int is taken where a float is due
+    path.write_bytes(b'{"a": 3, "c": 2, "extra": [true]}\n')
+    assert [vars(r) for r in read_jsonl(path, schema)] == [{"a": 3, "b": None, "c": 2.0}]
     for damaged, where, what in ((good[:-4], ":2:", "not JSON"),
                                  (b"\n[1]\n", ":2:", "not a JSON object"),
-                                 (b'{"a": 1}\n', ":1:", "missing key"),
+                                 (b'{"b": "x"}\n', ":1:", "line.a is missing"),
                                  (b'{"a": 1, "b": "\xff"}\n', ":1:", "not JSON"),
                                  (b'{"a": 1, "b": null}\n{"a": "2", "b": null}\n', ":2:",
-                                  "key a has wrong type str")):
+                                  "line.a must be int, not str"),
+                                 (b'{"a": true}\n', ":1:", "line.a must be int, not bool"),
+                                 (b'{"a": 1, "c": "x"}\n', ":1:", "line.c must be float, not str")):
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=f"records.jsonl{where} {what}"):
-            read_jsonl(path, required)
+            read_jsonl(path, schema)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from speclab.config import read
 from speclab.distill import SPARSE_DTYPE, top_k
 from speclab.errors import ConfigError, ContractError
-from speclab.losses import LOSS, LossSpec, ce_loss, combined_loss, kd_loss
+from speclab.losses import LOSS, LossSpec, ce_loss, combined_loss
 
 
 def sparse(ids, logits) -> np.ndarray:
@@ -14,6 +14,14 @@ def sparse(ids, logits) -> np.ndarray:
     pairs["id"] = ids
     pairs["logit"] = logits
     return pairs
+
+
+def kd_term(student, teacher, kind):
+    """One distillation term alone, through `combined_loss` with its weight
+    1: (loss, dloss/dlogits), the term's own values, as 0.0 + 1.0 * loss
+    and grad * 1.0 are exact."""
+    loss, dlogits, _ = combined_loss(student, None, LossSpec(**{kind.lower(): 1.0}), teacher)
+    return loss, dlogits
 
 
 class TestCrossEntropy:
@@ -48,7 +56,7 @@ class TestDistillation:
         student = rng.normal(size=(3, 12)).astype(np.float32).astype(np.float64)
         ids = np.argsort(-student, axis=-1, kind="stable")[:, :4]
         for kind in ("KL", "TVD"):
-            loss, d = kd_loss(student, sparse(ids, np.take_along_axis(student, ids, -1)), kind)
+            loss, d = kd_term(student, sparse(ids, np.take_along_axis(student, ids, -1)), kind)
             assert abs(loss) < 1e-12
             assert np.allclose(d, 0.0, atol=1e-9)
 
@@ -56,7 +64,7 @@ class TestDistillation:
         # p_t = softmax(1, 0), p_s = softmax(0, 1) over k=2 -> tvd tanh(1/2)
         s = np.zeros((1, 5))
         s[0, 1] = 1.0
-        loss, _ = kd_loss(s, sparse([[0, 1]], [[1.0, 0.0]]), "TVD")
+        loss, _ = kd_term(s, sparse([[0, 1]], [[1.0, 0.0]]), "TVD")
         assert abs(loss - np.tanh(0.5)) < 1e-9
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -65,12 +73,12 @@ class TestDistillation:
         probability that underflows to 0 adds no 0 * log 0 and no
         log 0, and the gradient stays p_s - p_t."""
         student = np.zeros((1, 4), dtype=dtype)
-        loss, d = kd_loss(student, sparse([[0, 1]], [[0.0, -120.0]]), "KL")
+        loss, d = kd_term(student, sparse([[0, 1]], [[0.0, -120.0]]), "KL")
         assert loss == pytest.approx(np.log(2), rel=1e-6)
         assert np.allclose(d, [[-0.5, 0.5, 0, 0]], atol=1e-6)
 
         student[0, 0] = -120.0
-        loss, d = kd_loss(student, sparse([[0, 1]], [[0.0, 0.0]]), "KL")
+        loss, d = kd_term(student, sparse([[0, 1]], [[0.0, 0.0]]), "KL")
         assert loss == pytest.approx(60.0 - np.log(2), rel=1e-6)
         assert np.allclose(d, [[-0.5, 0.5, 0, 0]], atol=1e-6)
 
@@ -91,7 +99,7 @@ class TestDistillation:
             return float(np.mean(0.5 * np.abs(p_t - p_s).sum(-1)))
 
         for kind in ("KL", "TVD"):
-            loss, _ = kd_loss(student, pairs, kind)
+            loss, _ = kd_term(student, pairs, kind)
             assert abs(loss - dense(kind)) < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -101,19 +109,19 @@ class TestDistillation:
         student = rng.normal(scale=3.0, size=(2, 8))
         teacher = rng.normal(scale=3.0, size=(2, 3))
         ids = np.stack([rng.choice(8, size=3, replace=False) for _ in range(2)])
-        kl, _ = kd_loss(student, sparse(ids, teacher), "KL")
-        tvd, _ = kd_loss(student, sparse(ids, teacher), "TVD")
+        kl, _ = kd_term(student, sparse(ids, teacher), "KL")
+        tvd, _ = kd_term(student, sparse(ids, teacher), "TVD")
         assert kl >= 0.0
         assert 0.0 <= tvd <= 1.0
 
     def test_duplicate_ids_rejected(self):
         student = np.zeros((1, 5))
         with pytest.raises(ContractError):
-            kd_loss(student, sparse([[1, 1]], [[0.0, 0.0]]), "KL")
+            kd_term(student, sparse([[1, 1]], [[0.0, 0.0]]), "KL")
 
     def test_empty_records_rejected(self):
         with pytest.raises(ContractError):
-            kd_loss(np.zeros((0, 5)), np.zeros((0, 2), dtype=SPARSE_DTYPE), "KL")
+            kd_term(np.zeros((0, 5)), np.zeros((0, 2), dtype=SPARSE_DTYPE), "KL")
 
 
 class TestLossSpec:
@@ -136,8 +144,8 @@ class TestLossSpec:
         ids = np.stack([rng.choice(11, size=4, replace=False) for _ in range(6)])
         teacher = sparse(ids, rng.normal(size=(6, 4)))
         ce, _ = ce_loss(logits, gold)
-        kl, _ = kd_loss(logits, teacher, "KL")
-        tvd, _ = kd_loss(logits, teacher, "TVD")
+        kl, _ = kd_term(logits, teacher, "KL")
+        tvd, _ = kd_term(logits, teacher, "TVD")
         for spec in (LossSpec(ce=0.5, kl=0.5), LossSpec(ce=0.5, tvd=0.5),
                      LossSpec(ce=0.2, kl=0.3, tvd=0.5)):
             total, _, _ = combined_loss(logits, gold, spec, teacher)

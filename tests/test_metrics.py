@@ -89,8 +89,8 @@ def test_measure_latency_judges_samples_by_the_clock_that_took_them(tiny_latency
     ({"block_size": 1, "reps": 4}, "repetitions"),
     ({"block_size": 1, "warmup": -1}, "warmup"),
     ({"block_size": 0}, "block_size"),
-    ({"block_size": 9, "prefill": 16}, "max_seq_len"),
-], ids=["reps", "warmup", "block", "prefill"])
+    ({"block_size": 9}, "max_seq_len"),
+], ids=["reps", "warmup", "block", "block_past_context"])
 def test_measure_latency_rejects_bad_settings(tiny_latency_state, monkeypatch, kwargs, match):
     fake_clock(monkeypatch, [])
     with pytest.raises(ConfigError, match=match):

@@ -229,7 +229,7 @@ def test_forward_rejects_a_cache_of_another_dtype(tiny_state, tokens):
     assert cache.filled_len == 0 and not cache.keys.any() and not cache.values.any()
 
 
-def test_step_constants_are_keyed_by_dtype_bit_for_bit():
+def test_constants_are_keyed_by_dtype_bit_for_bit():
     """`_step` calls on a float32 state and on its float64 copy, interleaved
     in one process, each give the logits and write the key/value rows that
     the batched reference gives on its own cache, bit for bit: neither

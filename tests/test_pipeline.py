@@ -340,6 +340,30 @@ def test_eval_on_truncated_checkpoint_exits_2_with_json_error(tmp_path, world_fi
     assert error["error"] == "DataError" and "truncated" in error["message"]
 
 
+# every key is typed, optional keys and list items too; JSON's true is not an int
+BAD_AUDIT_LINE = (b'{"proposed": ["x", true], "accepted_count": 1, "emitted": [1.5, 2], '
+                  b'"u": ["a"]}\n')
+ALIGN_LINE = b'{"instruction": "a", "response": "b", "source": "s"'
+BAD_LINES = {
+    "pretrain.jsonl": [(b'{"text": "a", "tag": 5}\n', "line.tag must be str, not int"),
+                       (b'{"text": "a", "tag": "poem"}\n', "line.tag: unknown tag 'poem'")],
+    "align.jsonl": [
+        (ALIGN_LINE + b', "temperature": "hot", "truncated": "yes", "instruction_source": 5}\n',
+         "line.temperature must be float, not str"),
+        (ALIGN_LINE + b', "truncated": "yes"}\n', "line.truncated must be bool, not str"),
+        (ALIGN_LINE + b', "instruction_source": 5}\n',
+         "line.instruction_source must be str, not int")],
+    "audit.jsonl": [
+        (b'{"proposed": [1, 2], "accepted_count": true, "emitted": [1, 2], "u": []}\n',
+         "line.accepted_count must be int, not bool"),
+        (BAD_AUDIT_LINE, "line.proposed[0] must be int, not str"),
+        (b'{"proposed": [], "accepted_count": 0, "emitted": [1.5], "u": []}\n',
+         "line.emitted[0] must be int, not float"),
+        (b'{"proposed": [], "accepted_count": 0, "emitted": [1], "u": ["a"]}\n',
+         "line.u[0] must be float, not str")],
+}
+
+
 @pytest.mark.parametrize("name", ["pretrain.jsonl", "align.jsonl", "audit.jsonl"])
 def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
     blocks = [BlockResult([5, 6], 1, [5, 7], [0.1, 0.9])]
@@ -355,11 +379,9 @@ def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
     wrong = dict(first, **{key: 5})
     del first[key]
     cases = [(good[:-3], "not JSON"),
-             (json.dumps(first).encode() + b"\n" + good, "missing key"),
-             (json.dumps(wrong).encode() + b"\n" + good, f":1: key {key} has wrong type int")]
-    if name == "audit.jsonl":  # JSON's true is not an int
-        cases.append((b'{"proposed": [1, 2], "accepted_count": true, "emitted": [1, 2], '
-                      b'"u": []}\n', ":1: key accepted_count has wrong type bool"))
+             (json.dumps(first).encode() + b"\n" + good, f":1: line.{key} is missing"),
+             (json.dumps(wrong).encode() + b"\n" + good, f":1: line.{key} must be \\w+, not int")]
+    cases += [(line, ":1: " + re.escape(message)) for line, message in BAD_LINES[name]]
     for damaged, where in cases:
         path.write_bytes(damaged)
         with pytest.raises(DataError, match=where):
@@ -376,13 +398,16 @@ def test_report_on_damaged_audit_log_exits_2_with_json_error(tmp_path, capsys):
 
 
 def test_report_on_wrongly_typed_audit_log_exits_2_with_json_error(tmp_path, capsys):
-    (tmp_path / "audit.jsonl").write_text(
-        '{"proposed": 3, "accepted_count": 1, "emitted": [5], "u": []}\n')
     config = _write(tmp_path / "report.json",
                     {"runs": [{"audit": "audit.jsonl", "gamma": 2, "c_hat": 0.5}]})
-    assert main(["report", config, "--out-dir", str(tmp_path / "out")]) == 2
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "DataError" and "audit.jsonl:1: key proposed" in error["message"]
+    for line, message in ((b'{"proposed": 3, "accepted_count": 1, "emitted": [5], "u": []}\n',
+                           "audit.jsonl:1: line.proposed must be list, not int"),
+                          (BAD_AUDIT_LINE, "audit.jsonl:1: line.proposed[0] must be int")):
+        (tmp_path / "audit.jsonl").write_bytes(line)
+        assert main(["report", config, "--out-dir", str(tmp_path / "out")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError" and message in error["message"]
+        assert not (tmp_path / "out").exists()
 
 
 def test_config_not_utf8_exits_3_with_json_error(tmp_path, capsys):
@@ -415,6 +440,8 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
     ({"draft": DRAFT, "stages": [None]}, "stages[0] is missing"),
     ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"gamma": [2]}},
      "eval: unknown key 'gamma'"),
+    ({"target_checkpoint": "target.sfmd", "draft": DRAFT, "eval": {"stop_at_eos": False}},
+     "config.eval: unknown key 'stop_at_eos'"),
     ({"target_checkpoint": "", "draft": DRAFT, "stages": [LM_STAGE]},
      "config.target_checkpoint is an empty path"),
     ({"draft_init_checkpoint": "", "draft": DRAFT},
@@ -449,7 +476,7 @@ LM_STAGE = {"name": "lm", "kind": "lm", "corpus": "pretrain.jsonl", "schedule": 
     ({"runs": [{"audit": "missing.jsonl", "gamma": 2, "c_hat": 0.5, "sampling_mode": "beam"}]},
      "config.runs[0].sampling_mode: unknown sampling_mode 'beam'"),
 ], ids=["draft", "null", "schedule", "loss", "modes", "c_hat_mode",
-        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma",
+        "hidden_candidates", "hidden_size", "temperature", "stages", "gamma", "stop_at_eos",
         "empty_target_checkpoint", "empty_draft_init_checkpoint", "empty_arch_search",
         "duplicate_stage_name", "benchmark_kind", "generate_without_target",
         "key_of_another_kind", "zero_budget", "no_candidates", "zero_candidate",

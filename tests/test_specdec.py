@@ -15,7 +15,7 @@ from speclab.errors import ConfigError, ContractError, VocabMismatchError
 from speclab.metrics import DecodeStats, acceptance_rate, block_efficiency
 from speclab.model import forward
 from speclab.sampling import SamplingPolicy, autoregressive_decode, distribution
-from speclab.specdec import (SpecConfig, accept_step, generate, start_session,
+from speclab.specdec import (SpecConfig, accept_step, decode_stats, generate, start_session,
                              write_audit_log)
 
 GREEDY = SamplingPolicy("greedy")
@@ -241,7 +241,7 @@ def test_self_draft_gives_full_acceptance(tmp_path, capsys, pair, max_new):
     shortened final block, and `speclab report` replays the same AR."""
     _, target = pair
     result = _sd(target, target, PROMPT, GREEDY, 4, max_new)
-    alpha = acceptance_rate(result.stats)
+    alpha = acceptance_rate(decode_stats(4, result.blocks))
     assert alpha == 1.0 and block_efficiency(alpha, 4) == 5.0
     write_audit_log(tmp_path / "audit.jsonl", result.blocks)
     config = tmp_path / "report.json"
