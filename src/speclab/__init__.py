@@ -24,6 +24,6 @@ from .metrics import (DecodeStats, LatencyProfile, acceptance_rate,
                       block_efficiency, expected_speedup, mbsu, tpot_ar, tpot_sd)
 from .data import (AlignmentSample, Corpus, generate_alignment_set,
                    make_completion_tasks, mix, subsample)
-from .latency import LatencyRun, build_latency_profile, measure_latency
+from .latency import measure_latency
 from .archsearch import budget_search
-from .experiment import evaluate_acceptance, run_training
+from .experiment import run_training

@@ -24,13 +24,13 @@ from .config import RUN, Min, load
 from .errors import SpecLabError
 from .experiment import PIPELINE, _Run
 from .metrics import metrics_row, write_report
+from .sampling import MODES
 from .specdec import decode_stats, read_audit_log
 
 # the config schema of `report`; `train` reads the pipeline's (notation
 # in config.py)
 REPORT_RUN = {"audit": Path, "gamma": Min(1), "c_hat": float, "benchmark": (str, "replay"),
-              "sampling_mode": (frozenset({"greedy", "multinomial"}), "greedy"),
-              "temperature": (float, 0.0)}
+              "sampling_mode": (MODES, "greedy"), "temperature": (float, 0.0)}
 REPORT = {**RUN, "runs": [REPORT_RUN]}
 
 

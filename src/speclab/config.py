@@ -37,19 +37,22 @@ class Min(int):
     """An int of at least this value."""
 
 
+_WANT = {Min: int, frozenset: str}  # the type of a value of a spec of this type
+_SCALARS = (int, float, bool, str)  # the types a scalar spec wants
+
+
 def read(section: str, d, schema):
     """The section `d` as a namespace of every key of `schema`, or as an
     instance of `schema` if it is a config dataclass, whose fields are the keys."""
     cls = SimpleNamespace
-    if dataclasses.is_dataclass(schema):
+    if not isinstance(schema, dict):  # a config dataclass
         hints = _type_hints(schema)
         cls, schema = schema, {f.name: hints[f.name] if f.default is dataclasses.MISSING
                                else (hints[f.name], f.default) for f in dataclasses.fields(schema)}
     if type(d) is not dict:
         raise ConfigError(f"{section} must be dict, not {type(d).__name__}")
-    unknown = sorted(set(d) - set(schema))
-    if unknown:
-        raise ConfigError(f"{section}: unknown key {unknown[0]!r}")
+    if not d.keys() <= schema.keys():
+        raise ConfigError(f"{section}: unknown key {min(d.keys() - schema.keys())!r}")
     values = {}
     for key, spec in schema.items():
         value, optional = d.get(key), isinstance(spec, tuple)
@@ -64,26 +67,28 @@ def check(where: str, value, spec):
     made a float if a float is due, a section read by its schema)."""
     if value is None:
         raise ConfigError(f"{where} is missing")
-    if isinstance(spec, list) and type(value) is list and len(spec) in (1, len(value)):
+    want = _WANT.get(type(spec), str if spec is Path else spec)
+    if want in _SCALARS:
+        if spec is Path and value == "":
+            raise ConfigError(f"{where} is an empty path")
+        if type(value) is want or want is float and type(value) is int:
+            if isinstance(spec, Min) and value < spec:
+                bound = {0: "nonnegative", 1: "positive"}.get(spec, f"at least {spec}")
+                raise ConfigError(f"{where} must be {bound}")
+            if isinstance(spec, frozenset) and value not in spec:
+                key = where.split(".")[-1].split("[")[0]
+                raise ConfigError(f"{where}: unknown {key} {value!r}")
+            return float(value) if want is float else value
+    elif isinstance(spec, list) and type(value) is list and len(spec) in (1, len(value)):
         return [check(f"{where}[{i}]", v, spec[i % len(spec)]) for i, v in enumerate(value)]
-    if isinstance(spec, dict) and str in spec and type(value) is dict:
+    elif isinstance(spec, dict) and str in spec and type(value) is dict:
         return {k: check(f"{where}.{k}", v, spec[str]) for k, v in value.items()}
-    if isinstance(spec, Kinds) and type(value) is dict:
+    elif isinstance(spec, Kinds) and type(value) is dict:
         kind = next(iter(spec)) if value.get("kind") is None else value["kind"]
         kind = check(f"{where}.kind", kind, frozenset(spec))
         return read(where, dict(value, kind=kind), spec[kind])
-    if isinstance(spec, dict) and str not in spec or dataclasses.is_dataclass(spec):
+    elif not isinstance(spec, list):  # a schema, an object of values, Kinds or a dataclass
         return read(where, value, spec)
-    if spec is Path and value == "":
-        raise ConfigError(f"{where} is an empty path")
-    want = {Min: int, frozenset: str}.get(type(spec), str if spec is Path else spec)
-    if type(value) is want or want is float and type(value) is int:
-        if isinstance(spec, Min) and value < spec:
-            bound = {0: "nonnegative", 1: "positive"}.get(spec, f"at least {spec}")
-            raise ConfigError(f"{where} must be {bound}")
-        if isinstance(spec, frozenset) and value not in spec:
-            raise ConfigError(f"{where}: unknown {where.split('.')[-1].split('[')[0]} {value!r}")
-        return float(value) if want is float else value
     want = (f"list of {len(spec)}" if isinstance(spec, list) and len(spec) > 1
             else "path" if spec is Path else getattr(want, "__name__", type(want).__name__))
     raise ConfigError(f"{where} must be {want}, not {type(value).__name__}")

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_jsonl, write_jsonl
-from .distill import SPARSE_DTYPE
 from .errors import ConfigError, DataError
 from .model import ModelState
 from .sampling import SamplingPolicy, autoregressive_decode
@@ -259,18 +258,9 @@ def lm_batches(corpus: Corpus, tokenizer: ByteTokenizer, batch_size: int,
         for s in range(len(stream) // step_tokens):
             chunk = stream[s * step_tokens:(s + 1) * step_tokens]
             rows = chunk.reshape(batch_size, seq_len + 1)
-            yield Batch(
-                inputs=rows[:, :-1].copy(),
-                targets=rows[:, 1:].copy(),
-                mask=np.ones((batch_size, seq_len), dtype=bool),
-            )
-
-
-def _pad_rows(rows: list[np.ndarray], pad_id: int, width: int) -> np.ndarray:
-    out = np.full((len(rows), width), pad_id, dtype=np.int64)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out
+            yield Batch(inputs=rows[:, :-1].copy(),
+                        mask=np.ones((batch_size, seq_len), dtype=bool),
+                        gold=rows[:, 1:].reshape(-1))
 
 
 def alignment_batches(
@@ -288,11 +278,10 @@ def alignment_batches(
     The mask covers exactly the positions whose target is a response token
     or the closing eos, never the instruction; mask_mode="full" instead
     supervises the whole sequence (used when training a target model that
-    must also model instructions). With `teacher`, each sample's (P, k)
-    `SPARSE_DTYPE` pairs (see `distill`) are copied into one zeroed
-    (B, S, k) pair array for distillation. The loss is a mean over the
-    supervised positions only (`training.loss_and_grads` picks them), so
-    the zeroed pairs at the other positions are never read.
+    must also model instructions). Each row's supervised positions are one
+    run, so a batch's `gold` tokens and, with `teacher`, its pairs are the
+    slices of each sample's next tokens and (P, k) `SPARSE_DTYPE` pairs
+    (see `distill`) over that run, concatenated row by row.
     """
     if mask_mode not in MASK_MODES:
         raise ConfigError(f"unknown mask_mode {mask_mode!r}")
@@ -304,7 +293,9 @@ def alignment_batches(
         seq = seq[:seq_len + 1]
         if len(seq) < resp_start + 1:
             continue  # response truncated away entirely
-        sequences.append((si, np.asarray(seq, dtype=np.int64), resp_start))
+        # position j predicts seq[j+1]; responses start at resp_start
+        lo = 0 if mask_mode == "full" else resp_start - 1
+        sequences.append((si, np.asarray(seq, dtype=np.int64), lo))
     if not sequences:
         raise DataError("all alignment samples shorter than the loss boundary")
     rng = np.random.default_rng(seed)
@@ -313,20 +304,14 @@ def alignment_batches(
         order = rng.permutation(len(sequences))
         for b0 in range(0, len(order), batch_size):
             chosen = [sequences[int(i)] for i in order[b0:b0 + batch_size]]
-            width = max(len(seq) for _, seq, _ in chosen)
-            inputs = _pad_rows([seq[:-1] for _, seq, _ in chosen], tokenizer.pad_id, width - 1)
-            targets = _pad_rows([seq[1:] for _, seq, _ in chosen], tokenizer.pad_id, width - 1)
+            width = max(len(seq) for _, seq, _ in chosen) - 1
+            inputs = np.full((len(chosen), width), tokenizer.pad_id, dtype=np.int64)
             mask = np.zeros_like(inputs, dtype=bool)
-            for i, (_, seq, resp_start) in enumerate(chosen):
-                # position j predicts seq[j+1]; responses start at resp_start
-                lo = 0 if mask_mode == "full" else resp_start - 1
+            for i, (_, seq, lo) in enumerate(chosen):
+                inputs[i, :len(seq) - 1] = seq[:-1]
                 mask[i, lo:len(seq) - 1] = True
-            t = None
-            if teacher is not None:
-                k = teacher[chosen[0][0]].shape[1]
-                t = np.zeros((len(chosen), width - 1, k), dtype=SPARSE_DTYPE)
-                for i, (si, seq, _) in enumerate(chosen):
-                    pairs = teacher[si][:len(seq) - 1]
-                    t[i, :len(pairs)] = pairs
-            yield Batch(inputs=inputs, targets=targets, mask=mask, teacher=t)
+            gold = np.concatenate([seq[lo + 1:] for _, seq, lo in chosen])
+            pairs = None if teacher is None else np.concatenate(
+                [teacher[si][lo:len(seq) - 1] for si, seq, lo in chosen])
+            yield Batch(inputs=inputs, mask=mask, gold=gold, teacher=pairs)
         epoch += 1

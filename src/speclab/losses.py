@@ -2,7 +2,9 @@
 
 Every loss is a mean over the rows it is given and returns (scalar,
 dloss/dlogits), so gradients can be pushed through the model with
-`model.backward`; `training.loss_and_grads` picks the supervised rows.
+`model.backward`; `training.loss_and_grads` gives it a batch's supervised
+logits rows, which meet the batch's gold tokens and teacher pairs row for
+row.
 Distillation losses take the teacher's stored top-k pairs as one
 `distill.SPARSE_DTYPE` array and renormalize both those logits and the
 student's logits restricted to the same k ids. KL is summed from the two

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError
 from .model import KVCache, ModelState, forward
 
+MODES = frozenset({"greedy", "multinomial"})  # of a SamplingPolicy
+
 
 @dataclass(frozen=True)
 class SamplingPolicy:
@@ -23,7 +25,7 @@ class SamplingPolicy:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("greedy", "multinomial"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown sampling mode {self.mode!r}")
         if self.mode == "multinomial" and self.temperature <= 0:
             raise ConfigError("temperature must be positive")

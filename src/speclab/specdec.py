@@ -17,7 +17,7 @@ the target's own greedy decode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .sampling import SamplingPolicy, distribution, sample_from_dist
 
 DIST_SUM_TOL = 1e-4
 # the schema of an audit-log line (config.py gives the notation)
-AUDIT = {"proposed": [int], "accepted_count": int, "emitted": [int], "u": [float]}
+AUDIT = {"proposed": [int], "emitted": [int], "u": [float]}
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,12 @@ class SpecConfig:
 @dataclass
 class BlockResult:
     proposed: list[int]
-    accepted_count: int
-    emitted: list[int]
+    emitted: list[int]  # the accepted prefix of `proposed`, then one more token
     u_values: list[float]
+
+    @property
+    def accepted_count(self) -> int:
+        return len(self.emitted) - 1
 
 
 @dataclass
@@ -63,7 +66,6 @@ class SpecSession:
     rng: np.random.Generator | None
     draft_cache: KVCache
     target_cache: KVCache
-    blocks: list[BlockResult] = field(default_factory=list)
 
 
 def start_session(
@@ -197,14 +199,10 @@ def speculate_block(session: SpecSession, spec: SpecConfig, proposal_len: int) -
         else:
             # whole block accepted: bonus token from the target's next distribution
             emitted.append(sample_from_dist(p_dists[proposal_len], session.rng))
-        accepted = len(emitted) - 1
 
     session.committed.extend(emitted)
     _rollback(session)
-    block = BlockResult(proposed=proposed, accepted_count=accepted, emitted=emitted,
-                        u_values=u_values)
-    session.blocks.append(block)
-    return block
+    return BlockResult(proposed=proposed, emitted=emitted, u_values=u_values)
 
 
 def decode_stats(gamma: int, blocks: list[BlockResult]) -> DecodeStats:
@@ -226,7 +224,7 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
     a generation never overshoots max_new_tokens.
     """
     start_len = len(session.committed)
-    first_block = len(session.blocks)
+    blocks: list[BlockResult] = []
     if start_len + 1 > session.target.config.max_seq_len:
         raise LengthError("context full: no room to emit a single token")
     produced = 0
@@ -237,6 +235,7 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
         if room < 0:
             raise LengthError("context full during generation")
         block = speculate_block(session, spec, proposal_len=min(spec.gamma, remaining - 1, room))
+        blocks.append(block)
         produced += len(block.emitted)
         if spec.eos_id is not None and spec.eos_id in block.emitted:
             break
@@ -248,16 +247,17 @@ def generate(session: SpecSession, spec: SpecConfig) -> GenerateResult:
         del session.committed[start_len + len(new_tokens):]
         _rollback(session)
 
-    return GenerateResult(tokens=new_tokens, blocks=session.blocks[first_block:])
+    return GenerateResult(tokens=new_tokens, blocks=blocks)
 
 
 def write_audit_log(path: str | Path, blocks: list[BlockResult]) -> None:
     """One JSON line per block with the fields needed to replay decisions."""
-    write_jsonl(path, ({"proposed": b.proposed, "accepted_count": b.accepted_count,
-                        "emitted": b.emitted, "u": b.u_values} for b in blocks))
+    write_jsonl(path, ({"proposed": b.proposed, "emitted": b.emitted, "u": b.u_values}
+                       for b in blocks))
 
 
 def read_audit_log(path: str | Path) -> list[BlockResult]:
-    """The blocks `write_audit_log` wrote; damage raises DataError."""
-    return [BlockResult(r.proposed, r.accepted_count, r.emitted, r.u)
+    """The blocks `write_audit_log` wrote (an older log's `accepted_count`,
+    always `len(emitted) - 1`, is ignored); damage raises DataError."""
+    return [BlockResult(r.proposed, r.emitted, r.u)
             for r in read_jsonl(path, AUDIT)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 from .losses import LossSpec, combined_loss
 from .model import ModelState, backward, forward_train
 
@@ -68,14 +68,22 @@ def lr_at(schedule: TrainSchedule, step: int | float) -> float:
     return schedule.peak_lr * (schedule.total_steps - step) / (schedule.total_steps - warmup)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Batch:
-    """One training step: next-token inputs/targets, the positions the loss
-    supervises, and optional teacher top-k pairs."""
+    """One training step: the inputs, the positions the loss supervises,
+    and for those positions alone, in row-major order, the next tokens and
+    optional teacher top-k pairs (other row counts raise ContractError)."""
     inputs: np.ndarray                  # (B, S) int
-    targets: np.ndarray                 # (B, S) int
     mask: np.ndarray                    # (B, S) bool, True where the loss applies
-    teacher: np.ndarray | None = None   # (B, S, k) SPARSE_DTYPE, read only where mask
+    gold: np.ndarray                    # (P,) int, P = mask.sum()
+    teacher: np.ndarray | None = None   # (P, k) SPARSE_DTYPE
+
+    def __post_init__(self) -> None:
+        p = int(np.count_nonzero(self.mask))
+        if (self.mask.shape != self.inputs.shape or self.gold.shape != (p,)
+                or self.teacher is not None and len(self.teacher) != p):
+            raise ContractError(f"a batch's gold and teacher rows must match its {p} "
+                                "supervised positions")
 
 
 class AdamW:
@@ -122,19 +130,16 @@ class AdamW:
 def loss_and_grads(state: ModelState, batch: Batch, loss_spec: LossSpec):
     """Forward + loss + full backprop; returns (loss, grads, parts).
 
-    The loss is a mean over the supervised positions only: their logits,
-    targets and teacher pairs are gathered once, and the other rows of
-    dloss/dlogits are zero."""
+    The loss is a mean over the supervised positions only: their logits
+    rows are gathered once and meet `batch.gold` and `batch.teacher` row
+    for row, and the other rows of dloss/dlogits are zero."""
     logits, tape = forward_train(state, batch.inputs)
-    B, S, V = logits.shape
-    flat_logits = logits.reshape(B * S, V)
+    flat_logits = logits.reshape(-1, logits.shape[-1])
     rows = np.flatnonzero(batch.mask)
-    teacher = None if batch.teacher is None else batch.teacher.reshape(B * S, -1)[rows]
-    loss, drows, parts = combined_loss(flat_logits[rows], batch.targets.reshape(-1)[rows],
-                                       loss_spec, teacher)
+    loss, drows, parts = combined_loss(flat_logits[rows], batch.gold, loss_spec, batch.teacher)
     dflat = np.zeros_like(flat_logits)
     dflat[rows] = drows
-    grads = backward(state, tape, dflat.reshape(B, S, V))
+    grads = backward(state, tape, dflat.reshape(logits.shape))
     return loss, grads, parts
 
 

@@ -382,8 +382,9 @@ def test_distillation_backward_matches_finite_differences(heads, kv_heads, tie, 
     tokens = rng.integers(0, 20, size=(2, 6))
     mask = np.ones((2, 6), dtype=bool)
     mask[[0, 1], [2, 3]] = False
-    batch = Batch(inputs=tokens, targets=rng.integers(0, 20, size=(2, 6)), mask=mask,
-                  teacher=top_k(forward_train(init_model(cfg, seed=11), tokens)[0], 6))
+    targets = rng.integers(0, 20, size=(2, 6))
+    teacher = top_k(forward_train(init_model(cfg, seed=11), tokens)[0], 6)
+    batch = Batch(inputs=tokens, mask=mask, gold=targets[mask], teacher=teacher[mask])
     spec = {"KL": LossSpec(kl=1.0), "TVD": LossSpec(tvd=1.0),
             "mix": LossSpec(ce=0.4, kl=0.3, tvd=0.3)}[kind]
 

@@ -1,6 +1,6 @@
 """The summary of `tools/pair_bench.py` on hand-made runs: medians, wins
 and the base's IQR come out as computed by hand, and identical runs on
-both sides claim nothing."""
+both sides claim nothing. The run order of the pairs is seeded."""
 
 import importlib.util
 from pathlib import Path
@@ -77,3 +77,13 @@ def test_the_bootstrap_is_seeded():
     change = runs(ar_us_per_token=[90.0, 125.0, 95.0, 135.0, 92.0, 101.0])
     first = pair_bench.summarize(base, change, {"ar_us_per_token": "lower"})
     assert pair_bench.summarize(base, change, {"ar_us_per_token": "lower"}) == first
+
+
+def test_the_run_order_is_seeded_and_shuffled():
+    """Both orders occur over 10 pairs, each in half of them, not in the
+    alternation AB, BA, AB, ..., and a rerun gives the same order."""
+    orders = pair_bench.run_orders(10)
+    assert pair_bench.run_orders(10) == orders
+    assert sorted(orders) == [("base", "change")] * 5 + [("change", "base")] * 5
+    assert orders != [("base", "change"), ("change", "base")] * 5
+    assert [first for first, _ in pair_bench.run_orders(5)].count("base") == 3

@@ -354,8 +354,6 @@ BAD_LINES = {
         (ALIGN_LINE + b', "instruction_source": 5}\n',
          "line.instruction_source must be str, not int")],
     "audit.jsonl": [
-        (b'{"proposed": [1, 2], "accepted_count": true, "emitted": [1, 2], "u": []}\n',
-         "line.accepted_count must be int, not bool"),
         (BAD_AUDIT_LINE, "line.proposed[0] must be int, not str"),
         (b'{"proposed": [], "accepted_count": 0, "emitted": [1.5], "u": []}\n',
          "line.emitted[0] must be int, not float"),
@@ -366,9 +364,13 @@ BAD_LINES = {
 
 @pytest.mark.parametrize("name", ["pretrain.jsonl", "align.jsonl", "audit.jsonl"])
 def test_damaged_jsonl_raises_data_error(tmp_path, world_files, name):
-    blocks = [BlockResult([5, 6], 1, [5, 7], [0.1, 0.9])]
+    blocks = [BlockResult([5, 6], [5, 7], [0.1, 0.9])]
     write_audit_log(tmp_path / "audit.jsonl", blocks)
     assert read_audit_log(tmp_path / "audit.jsonl") == blocks
+    # a log of the older format, which also held each block's accepted count
+    (tmp_path / "old.jsonl").write_text(
+        '{"proposed": [5, 6], "accepted_count": 1, "emitted": [5, 7], "u": [0.1, 0.9]}\n')
+    assert read_audit_log(tmp_path / "old.jsonl") == blocks
     read = {"pretrain.jsonl": load_corpus, "audit.jsonl": read_audit_log,
             "align.jsonl": lambda path: load_alignment_set(path, ByteTokenizer())}[name]
     path = tmp_path / name

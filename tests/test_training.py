@@ -7,11 +7,12 @@ import pytest
 
 from speclab import LossSpec, ModelConfig, TrainSchedule, init_model, lr_at, train_stage
 from speclab.checkpoint import load_checkpoint, save_checkpoint
-from speclab.data import Corpus, Document, lm_batches
-from speclab.distill import extract_sparse_logits, top_k
-from speclab.errors import ConfigError
-from speclab.losses import ce_loss
-from speclab.model import forward, forward_train
+from speclab.data import (AlignmentSample, Corpus, Document, alignment_batches, lm_batches,
+                          lm_token_stream, teacher_sequences)
+from speclab.distill import SPARSE_DTYPE, extract_sparse_logits, top_k
+from speclab.errors import ConfigError, ContractError
+from speclab.losses import ce_loss, combined_loss
+from speclab.model import backward, forward, forward_train
 from speclab.synthetic import WORDS
 from speclab.tokenizer import ByteTokenizer
 from speclab.training import AdamW, Batch, loss_and_grads
@@ -56,13 +57,12 @@ class TestSchedule:
             TrainSchedule(peak_lr=1e-4, total_steps=10, beta1=1.0)
 
 
-def _tiny_batch(vocab=40, batch=2, seq=6, seed=0):
+def _tiny_batch(vocab=40, batch=2, seq=6, seed=0, mask=None):
     rng = np.random.default_rng(seed)
-    return Batch(
-        inputs=rng.integers(0, vocab, size=(batch, seq)),
-        targets=rng.integers(0, vocab, size=(batch, seq)),
-        mask=np.ones((batch, seq), dtype=bool),
-    )
+    inputs = rng.integers(0, vocab, size=(batch, seq))
+    targets = rng.integers(0, vocab, size=(batch, seq))
+    mask = np.ones((batch, seq), dtype=bool) if mask is None else mask
+    return Batch(inputs=inputs, mask=mask, gold=targets[mask])
 
 
 class TestOptimizer:
@@ -86,31 +86,81 @@ class TestOptimizer:
 
 class TestSupervisedRows:
     def test_mask_restricts_positions(self, tiny_state):
-        """The loss is the mean over the supervised positions alone."""
+        """The loss is the mean over the supervised positions alone, whose
+        gold tokens the batch holds in row-major order."""
         full = _tiny_batch()
-        part = _tiny_batch()
-        part.mask[0, :4] = False
-        part.mask[1, 5] = False
+        mask = np.ones((2, 6), dtype=bool)
+        mask[0, :4] = False
+        mask[1, 5] = False
+        part = _tiny_batch(mask=mask)
+        assert np.array_equal(part.gold, full.gold[mask.reshape(-1)])
         loss, _, parts = loss_and_grads(tiny_state, part, LossSpec(ce=1.0))
         logits, _ = forward_train(tiny_state, part.inputs)
-        assert loss == parts["CE"] == ce_loss(logits[part.mask], part.targets[part.mask])[0]
+        assert loss == parts["CE"] == ce_loss(logits[mask], part.gold)[0]
         assert loss != loss_and_grads(tiny_state, full, LossSpec(ce=1.0))[0]
 
-    def test_masked_positions_are_never_read(self, tiny_state):
-        """Duplicate ids and NaN logits in the teacher pairs of masked
-        positions change nothing: loss, parts and grads are bit-identical."""
+    def test_rows_that_disagree_with_the_mask_raise(self):
+        batch = _tiny_batch()
+        pairs = top_k(np.zeros((12, 40)), 4)
+        good = dict(inputs=batch.inputs, mask=batch.mask, gold=batch.gold, teacher=pairs)
+        Batch(**good)
+        for bad in (dict(gold=batch.gold[:-1]), dict(gold=batch.gold.reshape(2, 6)),
+                    dict(teacher=pairs[:-1]), dict(mask=batch.mask[:, :-1])):
+            with pytest.raises(ContractError, match="supervised positions"):
+                Batch(**{**good, **bad})
+
+    @pytest.mark.parametrize("source", ["lm", "align-response", "align-full"])
+    def test_supervised_rows_match_the_padded_layout_bit_for_bit(self, source):
+        """Loss, parts and gradient bytes under CE+KL+TVD equal those of the
+        padded layout, rebuilt here by hand from each row's sequence: (B, S)
+        targets and a zero-filled (B, S, k) teacher array, gathered by the
+        mask."""
+        tok = ByteTokenizer()
+        cfg = ModelConfig(hidden_size=16, intermediate_size=32, n_layers=1, n_heads=2,
+                          n_kv_heads=1, vocab_size=tok.vocab_size, max_seq_len=64)
+        student, teacher = init_model(cfg, seed=0), init_model(cfg, seed=1)
+        k, seq_len = 8, 60
+        if source == "lm":
+            corpus = word_sentence_corpus(n_docs=40, seed=0)
+            stream = lm_token_stream(corpus, tok, np.random.default_rng(2))
+            sequences = stream[:3 * (seq_len + 1)].reshape(3, seq_len + 1).tolist()
+        else:
+            docs = word_sentence_corpus(n_docs=10, seed=1).documents
+            samples = [AlignmentSample(tok.encode(a.text[:12]), tok.encode(b.text), "original")
+                       for a, b in zip(docs[::2], docs[1::2])]
+            sequences = teacher_sequences(tok, samples, seq_len + 1)
+        pairs = [p for _, p in extract_sparse_logits(teacher, sequences, k)]
+        if source == "lm":
+            batch = next(lm_batches(corpus, tok, 3, seq_len, seed=2))
+            batch = Batch(batch.inputs, batch.mask, batch.gold,
+                          np.concatenate([p[batch.mask[i]] for i, p in enumerate(pairs)]))
+        else:
+            batch = next(alignment_batches(samples, tok, 5, seq_len, seed=3, teacher=pairs,
+                                           mask_mode=source.split("-")[1]))
+            assert not batch.mask.all()
+        # the padded layout: each row's next tokens and pairs, padding after them
+        by_row = {tuple(s[:-1]): (s, p) for s, p in zip(sequences, pairs)}
+        B, S = batch.inputs.shape
+        targets = np.full((B, S), tok.pad_id, dtype=np.int64)
+        padded = np.zeros((B, S, k), dtype=SPARSE_DTYPE)
+        for i, row in enumerate(batch.inputs):
+            seq, p = by_row[tuple(row[row != tok.pad_id].tolist())]
+            targets[i, :len(seq) - 1] = seq[1:]
+            padded[i, :len(seq) - 1] = p
+
         spec = LossSpec(ce=0.4, kl=0.3, tvd=0.3)
-        clean = _tiny_batch()
-        clean.mask[:, :2] = False
-        clean.teacher = top_k(np.random.default_rng(1).normal(size=(2, 6, 40)), 4)
-        dirty = Batch(clean.inputs, clean.targets, clean.mask, clean.teacher.copy())
-        dirty.teacher["id"][~clean.mask] = 3
-        dirty.teacher["logit"][~clean.mask] = np.nan
-        loss, grads, parts = loss_and_grads(tiny_state, clean, spec)
-        d_loss, d_grads, d_parts = loss_and_grads(tiny_state, dirty, spec)
-        assert (d_loss, d_parts) == (loss, parts)
+        loss, grads, parts = loss_and_grads(student, batch, spec)
+        logits, tape = forward_train(student, batch.inputs)
+        flat = logits.reshape(B * S, -1)
+        rows = np.flatnonzero(batch.mask)
+        want, drows, want_parts = combined_loss(flat[rows], targets.reshape(-1)[rows], spec,
+                                                padded.reshape(B * S, k)[rows])
+        dflat = np.zeros_like(flat)
+        dflat[rows] = drows
+        want_grads = backward(student, tape, dflat.reshape(logits.shape))
+        assert (loss, parts) == (want, want_parts)
         for name, g in grads.items():
-            assert np.array_equal(d_grads[name], g), name
+            assert g.tobytes() == want_grads[name].tobytes(), name
 
 
 def _stage_inputs(total_steps=60, seed=0):
@@ -177,9 +227,8 @@ class TestTrainStage:
         for seq in seqs:
             _, pairs = next(iter(extract_sparse_logits(state, [seq], k=30)))
             arr = np.asarray(seq)
-            batches.append(Batch(
-                inputs=arr[None, :-1], targets=arr[None, 1:],
-                mask=np.ones((1, len(seq) - 1), dtype=bool), teacher=pairs[None]))
+            batches.append(Batch(inputs=arr[None, :-1], mask=np.ones((1, len(seq) - 1), bool),
+                                 gold=arr[1:], teacher=pairs))
 
         # (a) fixed point: no decay, four steps, nothing moves
         sched = TrainSchedule(peak_lr=1e-3, total_steps=4, batch_size=1,
@@ -225,7 +274,7 @@ def test_lm_batches_are_next_token_shifted():
     corpus = word_sentence_corpus(n_docs=50, seed=0)
     batch = next(lm_batches(corpus, tok, 2, 16, seed=1))
     assert batch.inputs.shape == (2, 16)
-    assert np.array_equal(batch.inputs[:, 1:], batch.targets[:, :-1])
+    assert np.array_equal(batch.inputs[:, 1:], batch.gold.reshape(2, 16)[:, :-1])
 
 
 def test_lm_epochs_draw_from_one_generator():

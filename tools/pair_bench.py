@@ -7,13 +7,16 @@ Run from anywhere inside the repository:
 The ref's committed files are unpacked with `git archive` into a temporary
 directory. Pair i then runs `bench/run.py --workload W --seed i --seconds S`
 once in that tree (the base) and once in this checkout's working tree (the
-change), the base first in even pairs and the change first in odd ones.
-Every run is kept, failed ones too. The JSON written to `--out` (default
-`BENCH_<workload>.json` at the repository root) holds each run's metrics
-and, per end-to-end metric of BENCHMARK.json, the medians of both sides,
-the pairs the change wins, the base's interquartile range, and a paired
-bootstrap interval on the ratio of medians (change over base) drawn from a
-fixed seed. A gain or a loss is claimed only when that interval excludes 1.
+change). Each side goes first in half the pairs, in an order shuffled by
+a fixed-seed generator, so a slow phase of the host that spans a pair
+boundary does not land on one side by construction, and reruns keep the
+order. Every run is kept, failed ones too. The JSON written to `--out`
+(default `BENCH_<workload>.json` at the repository root) holds each run's
+metrics and, per end-to-end metric of BENCHMARK.json, the medians of both
+sides, the pairs the change wins, the base's interquartile range, and a
+paired bootstrap interval on the ratio of medians (change over base) drawn
+from a fixed seed. A gain or a loss is claimed only when that interval
+excludes 1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 BOOTSTRAP_SEED = 20241117
+ORDER_SEED = 20241118
 BOOTSTRAP_RESAMPLES = 4000
 INTERVAL = (2.5, 97.5)
 
@@ -91,6 +95,14 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
     return out
 
 
+def run_orders(pairs: int) -> list[tuple[str, str]]:
+    """The order of the two sides in each pair: a shuffle, drawn from
+    `ORDER_SEED`, of as many base-first pairs as change-first ones (one
+    more base-first for an odd count)."""
+    firsts = np.random.default_rng(ORDER_SEED).permutation(np.arange(pairs) % 2)
+    return [("base", "change") if f == 0 else ("change", "base") for f in firsts]
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -114,8 +126,7 @@ def main(argv: list[str] | None = None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         trees = {"base": Path(tmp), "change": ROOT}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for i, order in enumerate(run_orders(args.pairs)):
             for side in order:
                 run = bench_run(trees[side], args.workload, i, args.seconds)
                 run.update(pair=i, seed=i, side=side, first=side == order[0])
