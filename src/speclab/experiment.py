@@ -4,7 +4,8 @@ evaluation grids, latency measurement, architecture tables and reports.
 Configuration is one JSON document (keys in README.md); every run writes
 a manifest with the config hash, seeds, versions and machine so it can be
 replayed. Apart from measured-latency columns, reports are a pure function
-of (checkpoints, eval seeds).
+of (checkpoints, eval seeds). The alignment-direction study is five such
+documents, in `study/`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import shutil
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +40,7 @@ from .metrics import (DecodeStats, LatencyProfile, MetricsRow, metrics_row,
 from .model import ModelConfig, ModelState, init_model, param_count
 from .sampling import SamplingPolicy
 from .specdec import SpecConfig, decode_stats, generate, start_session, write_audit_log
+from .synthetic import TopicWorld
 from .tokenizer import ByteTokenizer
 from .training import TrainSchedule, train_stage
 
@@ -391,30 +394,12 @@ def run_training(config: dict | str | Path, out_dir: str | Path | None = None,
     return _Run(*load(config, PIPELINE, out_dir, seed)).run()
 
 
-@dataclass
-class AlignmentStudyResult:
-    """Held-out acceptance rates from the alignment-direction study."""
-    pt_ar: float
-    ft_target_ar: list[float]    # one per seed
-    ft_original_ar: list[float]
-
-
 def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
-                              out_dir: str | Path = "runs/study") -> AlignmentStudyResult:
-    """Fine-tune a pre-trained draft on target-generated vs. original
-    responses and compare held-out acceptance rates against a fixed tiny
-    target trained to memorize a synthetic topic world, each model a
-    pipeline run under `out_dir` (layout in README.md).
-
-    The target's own phrasing of each fact differs from the "original"
-    dataset's phrasing, so drafts tuned on the target's answers align
-    measurably better, mirroring the effect at full scale.
-    """
-    from .synthetic import TopicWorld
-
-    out = Path(out_dir)
-    tokenizer = ByteTokenizer()
-    world = TopicWorld(n_topics=32, seed=0)
+                              out_dir: str | Path = "runs/study") -> dict[str, list[float]]:
+    """Held-out alphas of a pre-trained draft (`pt`) and, per seed, of it tuned on a
+    synthetic world's target-generated or original responses, each arm a `study/`
+    config run next to the inputs it writes under `out_dir` (layout in README.md)."""
+    out, tokenizer, world = Path(out_dir), ByteTokenizer(), TopicWorld(n_topics=32, seed=0)
     ft_topics, eval_topics = list(range(24)), list(range(24, 32))
     save_alignment_set(world.target_training_samples(), out / "target.jsonl", tokenizer)
     save_corpus(world.pretrain_corpus(repeats=30, seed=3), out / "pretrain.jsonl")
@@ -423,40 +408,15 @@ def alignment_direction_study(seeds: tuple[int, ...] = (0, 1, 2),
     save_corpus(Corpus([Document(world.instruction(k), "instruction") for k in ft_topics]),
                 out / "ft_instructions.jsonl")
 
-    target_cfg = {"hidden_size": 64, "intermediate_size": 128, "n_layers": 2, "n_heads": 4,
-                  "n_kv_heads": 4, "vocab_size": 264, "max_seq_len": 96}
-    draft_cfg = dict(target_cfg, hidden_size=32, intermediate_size=64)
+    def run(name: str, where: Path, seed: int | None = None) -> ExperimentReport:
+        where.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(Path(__file__).with_name("study") / f"{name}.json", where / f"{name}.json")
+        return run_training(where / f"{name}.json", where / name, seed)
 
-    def stage(name: str, kind: str, seed: int, peak_lr: float, steps: int, **keys) -> dict:
-        return {"name": name, "kind": kind, "seed": seed, **keys,
-                "schedule": {"peak_lr": peak_lr, "total_steps": steps,
-                             "batch_size": 16, "seq_len": 64}}
-
-    target = run_training({"draft": target_cfg, "stages": [stage(
-        "target", "align", 11, 3e-3, 600, alignment=str(out / "target.jsonl"), mask="full")]},
-        out / "target", seed=1).checkpoints["target"]
-    draft = run_training({"draft": draft_cfg, "stages": [stage(
-        "pretrain", "lm", 4, 3e-3, 120, corpus=str(out / "pretrain.jsonl"), epochs=3)]},
-        out / "pretrain", seed=2).checkpoints["pretrain"]
-
-    def held_out_ar(run: str, seed: int, stages: list[dict]) -> float:
-        return run_training({
-            "target_checkpoint": str(target), "draft_init_checkpoint": str(draft),
-            "stages": stages,
-            "eval": {"benchmarks": [{"name": "held_out", "kind": "instruction",
-                                     "alignment": str(out / "held_out.jsonl")}],
-                     "modes": ["greedy"], "gammas": [3]},
-        }, out / run, seed).rows[0].alpha
-
-    pt_ar = held_out_ar("pt", 0, [])
-    ft_target_ar, ft_original_ar = [], []
+    run("target", out)
+    run("pretrain", out)
+    alphas = {"pt": [run("pt", out).rows[0].alpha], "ft_generated": [], "ft_original": []}
     for seed in seeds:
-        generate = {"name": "generated", "kind": "generate", "seed": 100 + seed,
-                    "seed_instructions": str(out / "ft_instructions.jsonl"),
-                    "temperatures": [0.6], "include_greedy": False, "max_new_tokens": 48}
-        generated = out / f"ft_generated_{seed}" / "data" / "generated.jsonl"
-        ft_target_ar.append(held_out_ar(f"ft_generated_{seed}", seed, [generate, stage(
-            "ft", "align", 200 + seed, 2e-3, 250, alignment=str(generated))]))
-        ft_original_ar.append(held_out_ar(f"ft_original_{seed}", seed, [stage(
-            "ft", "align", 200 + seed, 2e-3, 250, alignment=str(out / "original.jsonl"))]))
-    return AlignmentStudyResult(pt_ar, ft_target_ar, ft_original_ar)
+        for name in ("ft_generated", "ft_original"):
+            alphas[name].append(run(name, out / f"seed_{seed}", seed).rows[0].alpha)
+    return alphas

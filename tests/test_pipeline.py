@@ -22,6 +22,7 @@ import speclab
 from speclab import (LossSpec, ModelConfig, ModelState, TrainSchedule, init_model,
                      save_checkpoint, train_stage)
 from speclab.cli import main
+from speclab.config import load
 from speclab.data import (alignment_batches, generate_alignment_set, lm_batches,
                           load_alignment_set, load_corpus, mix, save_alignment_set,
                           save_corpus, teacher_sequences)
@@ -51,6 +52,7 @@ EVAL = {
     "latency": {"warmup": 1, "reps": 5},
 }
 HIDDEN = [8, 12, 16, 64]
+STUDY = Path(experiment.__file__).with_name("study")  # the alignment-direction study's configs
 
 
 def _write(path, obj):
@@ -266,25 +268,31 @@ def test_stage_keys_reproduce_hand_built_train_stage_calls(tmp_path, world_files
                 == (tmp_path / "run" / "checkpoints" / f"{name}.sfmd").read_bytes()), name
 
 
+@pytest.mark.parametrize("as_file", [False, True], ids=["dict", "file"])
 def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp_path,
-                                                                             world_files):
+                                                                             world_files, as_file):
     """A generate stage without `seed` samples with its child seed of the run
     seed and writes `data/<name>.jsonl` byte for byte as a hand call of
     `generate_alignment_set` does; a later CE+KL align stage that names that
     file writes the `.sfkd` that a hand call of `extract_sparse_logits` and
     `write_sparse_dataset` gives, and trains what `alignment_batches` with
-    that teacher and train_stage give by hand."""
+    that teacher and train_stage give by hand. As a file, the config names
+    its inputs and `<run>/data/gen.jsonl` relative to its own directory, as
+    the study's `ft_generated.json` does."""
     _, target = world_files
     tok = ByteTokenizer()
     (tmp_path / "seeds.jsonl").write_text('{"text": "topic one?"}\n{"text": "and two?"}\n',
                                           encoding="utf-8")
     generated = tmp_path / "run" / "data" / "gen.jsonl"
-    report = run_training({"target_checkpoint": str(tmp_path / "target.sfmd"), "draft": DRAFT,
-                           "stages": [
-        {"name": "gen", "kind": "generate", "seed_instructions": str(tmp_path / "seeds.jsonl"),
+    inputs = (["target.sfmd", "seeds.jsonl", "run/data/gen.jsonl"] if as_file else
+              [str(tmp_path / "target.sfmd"), str(tmp_path / "seeds.jsonl"), str(generated)])
+    config = {"target_checkpoint": inputs[0], "draft": DRAFT, "stages": [
+        {"name": "gen", "kind": "generate", "seed_instructions": inputs[1],
          "temperatures": [0.6, 0.9], "self_prompt_count": 1, "max_new_tokens": 8},
-        {"name": "ft", "kind": "align", "alignment": str(generated), "seed": 7,
-         "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]}, out_dir=tmp_path / "run", seed=3)
+        {"name": "ft", "kind": "align", "alignment": inputs[2], "seed": 7,
+         "loss": {"CE": 0.5, "KL": 0.5}, "schedule": SCHEDULE}]}
+    report = run_training(_write(tmp_path / "ft.json", config) if as_file else config,
+                          out_dir=tmp_path / "run", seed=3)
     assert list(report.checkpoints) == ["ft"]
 
     save_alignment_set(generate_alignment_set(
@@ -304,6 +312,12 @@ def test_generate_stage_writes_what_a_hand_call_gives_and_align_trains_on_it(tmp
     save_checkpoint(state, tmp_path / "ft.sfmd")
     assert ((tmp_path / "ft.sfmd").read_bytes()
             == (tmp_path / "run" / "checkpoints" / "ft.sfmd").read_bytes())
+
+
+@pytest.mark.parametrize("path", sorted(STUDY.glob("*.json")), ids=lambda path: path.name)
+def test_every_study_config_reads_by_the_pipeline_schema(path):
+    """An unknown, missing or mistyped key in a committed study config is a ConfigError."""
+    load(path, experiment.PIPELINE)
 
 
 def test_a_generate_stage_writes_what_load_alignment_set_reads_and_a_machine_manifest(
