@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import shards
 from .checkpoint import read_jsonl, write_jsonl
 from .errors import ConfigError, DataError
 from .model import ModelState
@@ -202,7 +203,8 @@ def generate_alignment_set(
 ) -> list[AlignmentSample]:
     """Solicit responses from the target for every seed instruction under
     each sampling configuration, plus optional self-prompted samples where
-    the target writes the instruction too."""
+    the target writes the instruction too. The jobs are split over the
+    shards of `shards.count`, and the samples come back in job order."""
     if not temperatures and not include_greedy:
         raise ConfigError("need at least one sampling configuration")
     configs: list[float | None] = ([None] if include_greedy else []) + list(temperatures)
@@ -210,8 +212,25 @@ def generate_alignment_set(
     jobs: list[tuple[list[int] | None, float | None]] = [
         (list(instr), temp) for instr in seed_instructions for temp in configs]
     jobs += [(None, temperatures[0] if temperatures else None)] * self_prompt_count
+    children = np.random.SeedSequence(seed).spawn(len(jobs))
+    k = shards.count(len(jobs))
+    if k == 1:
+        return _respond(target, tokenizer, jobs, children, max_new_tokens)
+    shards.start(k - 1)
+    parts = shards.run([(_respond, (target, tokenizer, jobs[i::k], children[i::k],
+                                    max_new_tokens)) for i in range(k)])
+    return [parts[j % k][j // k] for j in range(len(jobs))]
+
+
+def _respond(target: ModelState, tokenizer: ByteTokenizer,
+             jobs: list[tuple[list[int] | None, float | None]],
+             children: list[np.random.SeedSequence],
+             max_new_tokens: int) -> list[AlignmentSample]:
+    """The samples of `generate_alignment_set`'s jobs, each job decoding
+    from its own child seed, so a job's sample does not depend on the
+    shard that runs it."""
     samples: list[AlignmentSample] = []
-    for (instr, temp), child in zip(jobs, np.random.SeedSequence(seed).spawn(len(jobs))):
+    for (instr, temp), child in zip(jobs, children):
         rng = np.random.default_rng(child)
         policy = (SamplingPolicy("greedy") if temp is None
                   else SamplingPolicy("multinomial", temperature=temp))

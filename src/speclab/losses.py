@@ -59,21 +59,25 @@ def ce_loss(logits: np.ndarray, gold: np.ndarray):
     """
     logits = np.asarray(logits)
     gold = np.asarray(gold, dtype=np.int64)
-    flat_logits = logits.reshape(-1, logits.shape[-1])
-    flat_gold = gold.reshape(-1)
-    n = flat_gold.size
+    n = gold.size
+    picked, dflat = _ce_rows(logits.reshape(-1, logits.shape[-1]), gold.reshape(-1), n)
+    return float(-picked.sum() / n), dflat.reshape(logits.shape)
+
+
+def _ce_rows(flat_logits: np.ndarray, flat_gold: np.ndarray, n: int):
+    """The rows' part of a cross entropy that is a mean over n positions:
+    the log-probability of each row's gold token, whose negated sum over
+    all n rows, divided by n, is the loss, and the rows' dloss/dlogits."""
     if n == 0:
         raise ContractError("cross entropy needs at least one position")
-
     # rows of a whole vocabulary are long enough for numpy's own max
     ls = _log_softmax(flat_logits, flat_logits.max(axis=-1, keepdims=True))
-    rows = np.arange(n)
-    loss = -ls[rows, flat_gold].sum() / n
-
+    rows = np.arange(flat_gold.size)
+    picked = ls[rows, flat_gold]
     dflat = np.exp(ls, out=ls)
     dflat[rows, flat_gold] -= 1.0
-    dflat *= logits.dtype.type(1) / logits.dtype.type(n)
-    return float(loss), dflat.reshape(logits.shape)
+    dflat *= flat_logits.dtype.type(1) / flat_logits.dtype.type(n)
+    return picked, dflat
 
 
 def _restricted_dists(student_rows: np.ndarray, teacher: np.ndarray):
@@ -94,17 +98,18 @@ def _restricted_dists(student_rows: np.ndarray, teacher: np.ndarray):
     return _log_softmax(t, row_max(t)), _log_softmax(s, row_max(s)), rows
 
 
-def _kd_sparse(student_logits: np.ndarray, teacher: np.ndarray, kind: str):
-    """Distillation loss "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1), a
-    mean over the positions given, of (P, V) student logits against (P, k)
-    `SPARSE_DTYPE` teacher pairs. Returns (loss, rows, grad), where
-    dloss/dlogits is grad at [rows, teacher["id"]] and zero elsewhere."""
+def _kd_rows(student_logits: np.ndarray, teacher: np.ndarray, kind: str, n: int):
+    """Distillation loss "KL" (sum p_t log(p_t/p_s)) or "TVD" (half L1) on
+    the rows given, as part of a mean over n positions, of (P, V) student
+    logits against (P, k) `SPARSE_DTYPE` teacher pairs. Returns (per_pos,
+    rows, grad): each row's term, whose sum over all n rows divided by n is
+    the loss, and dloss/dlogits as grad at [rows, teacher["id"]] and zero
+    elsewhere."""
     student_logits = np.asarray(student_logits)
     if student_logits.ndim != 2:
         raise ContractError("kd loss expects (positions, vocab) student logits")
     if teacher.shape[0] != student_logits.shape[0]:
         raise ContractError("teacher rows do not align with student positions")
-    n = teacher.shape[0]
     if n == 0:
         raise ContractError("no sparse logit rows")
     if teacher.shape[1] < 1:
@@ -123,27 +128,51 @@ def _kd_sparse(student_logits: np.ndarray, teacher: np.ndarray, kind: str):
         dker = p_s * (g - np.sum(g * p_s, axis=-1, keepdims=True))
     dtype = student_logits.dtype.type
     dker *= dtype(1) / dtype(n)
-    return float(per_pos.sum() / n), rows, dker
+    return per_pos, rows, dker
+
+
+def loss_rows(logits2d: np.ndarray, gold: np.ndarray | None, spec: LossSpec,
+              teacher: np.ndarray | None, n: int):
+    """The row-local part of `combined_loss` on rows that are some of the n
+    positions a loss is a mean over: (dlogits of the rows, the rows' terms
+    of each weighted loss by name), as `loss_value` takes them."""
+    if spec.needs_teacher and teacher is None:
+        raise ConfigError("KL/TVD weights require sparse-logit supervision")
+    terms: dict[str, np.ndarray] = {}
+    if spec.ce > 0:
+        terms["CE"], dlogits = _ce_rows(np.asarray(logits2d),
+                                        np.asarray(gold, dtype=np.int64).reshape(-1), n)
+        dlogits *= spec.ce
+    else:
+        dlogits = np.zeros_like(logits2d)
+    for kind, weight in (("KL", spec.kl), ("TVD", spec.tvd)):
+        if weight > 0:
+            terms[kind], rows, grad = _kd_rows(logits2d, teacher, kind, n)
+            grad *= weight
+            dlogits[rows, teacher["id"]] += grad  # ids are distinct within a row
+    return dlogits, terms
+
+
+def loss_value(spec: LossSpec, terms: dict[str, np.ndarray], n: int):
+    """(total, parts) of a loss from the terms of all its n positions, in
+    position order, of each loss of positive weight: each part is one sum
+    divided by n (a negated one for CE), and the total their exact
+    weighted sum."""
+    total = 0.0
+    parts: dict[str, float] = {}
+    for kind, weight in (("CE", spec.ce), ("KL", spec.kl), ("TVD", spec.tvd)):
+        if weight > 0:
+            s = terms[kind].sum()
+            parts[kind] = float((-s if kind == "CE" else s) / n)
+            total += weight * parts[kind]
+    return total, parts
 
 
 def combined_loss(logits2d: np.ndarray, gold: np.ndarray, spec: LossSpec,
                   teacher: np.ndarray | None = None):
     """Weighted mixture of CE / KL / TVD over the rows given; value is the
     exact weighted sum."""
-    if spec.needs_teacher and teacher is None:
-        raise ConfigError("KL/TVD weights require sparse-logit supervision")
-    total = 0.0
-    parts: dict[str, float] = {}
-    if spec.ce > 0:
-        parts["CE"], dlogits = ce_loss(logits2d, gold)
-        total += spec.ce * parts["CE"]
-        dlogits *= spec.ce
-    else:
-        dlogits = np.zeros_like(logits2d)
-    for kind, weight in (("KL", spec.kl), ("TVD", spec.tvd)):
-        if weight > 0:
-            parts[kind], rows, grad = _kd_sparse(logits2d, teacher, kind)
-            total += weight * parts[kind]
-            grad *= weight
-            dlogits[rows, teacher["id"]] += grad  # ids are distinct within a row
+    n = len(logits2d)
+    dlogits, terms = loss_rows(logits2d, gold, spec, teacher, n)
+    total, parts = loss_value(spec, terms, n)
     return total, dlogits, parts

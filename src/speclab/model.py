@@ -29,6 +29,13 @@ and cache rows are bit-identical to `forward_train`'s on a (1, S) batch.
 In-place operations write only buffers of their own (the softmax its
 scores, a residual sum its branch output), and a buffer on the tape is
 never written after it is recorded.
+
+`backward` is a row-local pass, `backward_rows`, and a reduction,
+`reduce_grads`. The first runs everything the batch rows do not share
+(the deltas, the attention and norm backward) and leaves, per row, the
+operands of every sum over rows (`reduction_operands`); the second runs
+those sums once over the whole batch. So rows split across processes
+and stacked again give the gradients of one call, bit for bit.
 """
 
 from __future__ import annotations
@@ -499,18 +506,22 @@ def forward(state: ModelState, tokens,
     a cache runs `_step` and every other call `_rows`, so an uncached call
     gives the logits `forward_train` gives on a (1, S) batch, bit for bit.
     Token ids must have an integer dtype, and a cache the state's dtype.
+    A one-element list holding a Python int, each decode step's input,
+    reaches `_step` without becoming an array.
     """
-    tokens = _token_ids(tokens, 1, "forward", "a flat token sequence")
+    if cache is not None and type(tokens) is list and len(tokens) == 1 and type(tokens[0]) is int:
+        token, n = tokens[0], 1
+    else:
+        tokens = _token_ids(tokens, 1, "forward", "a flat token sequence")
+        n = tokens.size
+        token = int(tokens[0]) if cache is not None and n == 1 else None
     if cache is not None and cache.keys.dtype != state.dtype:
         raise ConfigError(f"a {cache.keys.dtype} cache cannot hold a {state.dtype} model's keys")
-    if cache is not None and tokens.size == 1:
-        logits = _step(state, int(tokens[0]), cache)[None]
-    else:
-        logits = _rows(state, tokens, cache)
+    logits = _rows(state, tokens, cache) if token is None else _step(state, token, cache)[None]
     if not np.isfinite(logits).all():
         raise NumericError("non-finite activations in forward pass")
     if cache is not None:
-        cache.filled_len += tokens.size
+        cache.filled_len += n
     return logits, cache
 
 
@@ -524,48 +535,70 @@ def forward_train(state: ModelState, tokens: np.ndarray) -> tuple[np.ndarray, Ta
     return logits, tape
 
 
+def reduction_operands(config: ModelConfig) -> dict[str, int]:
+    """The width of each (B, S, width) operand of `reduce_grads`, by name:
+    per layer the inputs of each weight product and the deltas it meets
+    (`y1` with `dq`, `dk` and `dv`, `o` with `dx2`, `y2` with `dgate` and
+    `dup`, `act` with `dmlp`) and the products `g1` and `g2` whose row
+    sums are the norm gains' gradients; once per model the head's `y_final`
+    and `dlogits`, the final norm's `g_final` and the embedding's `dx`."""
+    h, i, kv = config.hidden_size, config.intermediate_size, config.kv_dim
+    ops = {"dlogits": config.vocab_size, "y_final": h, "g_final": h, "dx": h}
+    for l in range(config.n_layers):
+        p = f"layers.{l}."
+        ops.update({p + "y1": h, p + "dq": h, p + "dk": kv, p + "dv": kv, p + "g1": h,
+                    p + "o": h, p + "dx2": h, p + "g2": h, p + "y2": h, p + "dgate": i,
+                    p + "dup": i, p + "act": i, p + "dmlp": h})
+    return ops
+
+
 def _rmsnorm_backward(dy: np.ndarray, n: np.ndarray, r: np.ndarray, gain: np.ndarray):
-    """(dx, dgain) of y = n * gain with n = x * r, given the recorded n and r."""
+    """(dx, dy * n) of y = n * gain with n = x * r, given the recorded n and
+    r; the gain's gradient is the second's sum over rows."""
     dn = dy * gain
     prod = dy * n
-    dgain = np.sum(prod, axis=tuple(range(dy.ndim - 1)))
-    mean = _mean_last(np.multiply(dn, n, out=prod))
+    scratch = dn * n
+    mean = _mean_last(scratch)
     # dx = r * (dn - n * mean)
-    dn -= np.multiply(n, mean, out=prod)
+    dn -= np.multiply(n, mean, out=scratch)
     dn *= r
-    return dn, dgain
+    return dn, prod
 
 
-def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every model tensor, given dloss/dlogits."""
+def backward_rows(state: ModelState, tape: Tape, ops: dict[str, np.ndarray]) -> None:
+    """The row-local pass of `backward`: from `ops["dlogits"]`, every other
+    operand of `reduce_grads` for the tape's rows, each one copied into
+    `ops[name]` when `ops` holds it (a shard's rows of a shared arena) and
+    stored there otherwise. Nothing here sums over rows, so a batch's
+    operands are its shards' operands stacked, bit for bit."""
     cfg, t = state.config, state.tensors
-    grads: dict[str, np.ndarray] = {}
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     scale = _constants(cfg, state.dtype)[4]  # the forward's attention scale
     # the forward's grouped layout; `values_t` swaps the S and KV axes, both ways
     to_grouped, from_grouped, _, values_t, _ = _LAYOUTS[1]
     B, S = tape.tokens.shape
-    flat = lambda a: a.reshape(-1, a.shape[-1])
     # the inverse rotation (orthogonal) rotates by the negated angle
     cos, sin = tape.cos, -tape.sin
 
-    y_f = tape.y_final
-    if cfg.tie_embeddings:
-        grads["embed"] = np.einsum("pv,ph->vh", flat(dlogits), flat(y_f))
-        dy_f = dlogits @ t["embed"]
-    else:
-        grads["embed"] = np.zeros_like(t["embed"])
-        grads["head"] = flat(y_f).T @ flat(dlogits)
-        dy_f = dlogits @ t["head"].T
-    dx, grads["final_norm"] = _rmsnorm_backward(dy_f, tape.n_final, tape.r_final,
-                                                t["final_norm"])
+    def keep(name: str, a: np.ndarray) -> None:
+        if name in ops:
+            ops[name][...] = a
+        else:
+            ops[name] = a
+
+    dlogits = ops["dlogits"]
+    keep("y_final", tape.y_final)
+    dy_f = dlogits @ t["embed"] if cfg.tie_embeddings else dlogits @ t["head"].T
+    dx, g = _rmsnorm_backward(dy_f, tape.n_final, tape.r_final, t["final_norm"])
+    keep("g_final", g)
 
     for l in reversed(range(cfg.n_layers)):
         p = f"layers.{l}."
         tp = tape.layers[l]
 
         # MLP branch: act = silu * up, silu = gate * sig
-        grads[p + "w_down"] = flat(tp["act"]).T @ flat(dx)
+        keep(p + "act", tp["act"])
+        keep(p + "dmlp", dx)
         dact = dx @ t[p + "w_down"].T
         # dgate = dact * up * (sig * (1 + gate * (1 - sig)))
         dsilu = 1.0 - tp["sig"]
@@ -575,16 +608,18 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
         dgate = dact * tp["up"]
         dgate *= dsilu
         dup = np.multiply(dact, tp["silu"], out=dact)
-        grads[p + "w_gate"] = flat(tp["y2"]).T @ flat(dgate)
-        grads[p + "w_up"] = flat(tp["y2"]).T @ flat(dup)
+        keep(p + "y2", tp["y2"])
+        keep(p + "dgate", dgate)
+        keep(p + "dup", dup)
         dy2 = dgate @ t[p + "w_gate"].T
         dy2 += dup @ t[p + "w_up"].T
-        dx2, grads[p + "mlp_norm"] = _rmsnorm_backward(dy2, tp["n2"], tp["r2"],
-                                                       t[p + "mlp_norm"])
+        dx2, g = _rmsnorm_backward(dy2, tp["n2"], tp["r2"], t[p + "mlp_norm"])
+        keep(p + "g2", g)
         dx2 += dx  # residual
 
         # attention branch
-        grads[p + "wo"] = flat(tp["o"]).T @ flat(dx2)
+        keep(p + "o", tp["o"])
+        keep(p + "dx2", dx2)
         # a key/value head's gradient sums its group
         do = (dx2 @ t[p + "wo"].T).reshape(B, S, KV, H // KV, d).transpose(to_grouped)
         probs = tp["probs"]
@@ -604,16 +639,70 @@ def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np
         dk = _rotate(np.ascontiguousarray(dk.transpose(values_t)), cos[:, :KV], sin[:, :KV])
         dqm, dkm = dq.reshape(B, S, H * d), dk.reshape(B, S, KV * d)
         dvm = dv.transpose(values_t).reshape(B, S, KV * d)
-
-        grads[p + "wq"] = flat(tp["y1"]).T @ flat(dqm)
-        grads[p + "wk"] = flat(tp["y1"]).T @ flat(dkm)
-        grads[p + "wv"] = flat(tp["y1"]).T @ flat(dvm)
+        keep(p + "y1", tp["y1"])
+        keep(p + "dq", dqm)
+        keep(p + "dk", dkm)
+        keep(p + "dv", dvm)
         dy1 = dqm @ t[p + "wq"].T
         dy1 += dkm @ t[p + "wk"].T
         dy1 += dvm @ t[p + "wv"].T
-        dx, grads[p + "attn_norm"] = _rmsnorm_backward(dy1, tp["n1"], tp["r1"],
-                                                       t[p + "attn_norm"])
+        dx, g = _rmsnorm_backward(dy1, tp["n1"], tp["r1"], t[p + "attn_norm"])
+        keep(p + "g1", g)
         dx += dx2  # residual
+    keep("dx", dx)
 
-    np.add.at(grads["embed"], tape.tokens.reshape(-1), flat(dx))
-    return {name: grads[name] for name in t}
+
+def _recipes(config: ModelConfig) -> dict[str, tuple[str, ...]]:
+    """How `reduce_grads` forms each tensor's gradient from its operands: a
+    weight product ("dot" a, dy), a norm gain's row sum ("sum" g), or the
+    embedding's scatter-add of `dx` over the batch's tokens, after the
+    tied head's product."""
+    recipes: dict[str, tuple[str, ...]] = {"embed": ("embed",)}
+    for l in range(config.n_layers):
+        p = f"layers.{l}."
+        recipes.update({
+            p + "attn_norm": ("sum", p + "g1"), p + "wq": ("dot", p + "y1", p + "dq"),
+            p + "wk": ("dot", p + "y1", p + "dk"), p + "wv": ("dot", p + "y1", p + "dv"),
+            p + "wo": ("dot", p + "o", p + "dx2"), p + "mlp_norm": ("sum", p + "g2"),
+            p + "w_gate": ("dot", p + "y2", p + "dgate"), p + "w_up": ("dot", p + "y2", p + "dup"),
+            p + "w_down": ("dot", p + "act", p + "dmlp")})
+    recipes["final_norm"] = ("sum", "g_final")
+    recipes["head"] = ("dot", "y_final", "dlogits")
+    return recipes
+
+
+def reduce_grads(state: ModelState, tokens: np.ndarray, ops: dict[str, np.ndarray],
+                 names=None) -> dict[str, np.ndarray]:
+    """The reduction of `backward`: the gradient of each tensor in `names`
+    (every tensor by default, in `state.tensors` order) from the operands
+    `backward_rows` gives for the whole (B, S) batch `tokens`. Everything
+    that sums over the batch rows runs here, once, in the order `backward`
+    has always taken: each weight product flat(a).T @ flat(dy) (the tied
+    head's `einsum` too), each norm gain's `np.sum` and the embedding's
+    `np.add.at`."""
+    recipes = _recipes(state.config)
+    flat = lambda a: a.reshape(-1, a.shape[-1])
+    grads: dict[str, np.ndarray] = {}
+    for name in state.tensors if names is None else names:
+        kind, *args = recipes[name]
+        if kind == "dot":
+            grads[name] = flat(ops[args[0]]).T @ flat(ops[args[1]])
+        elif kind == "sum":
+            grads[name] = np.sum(ops[args[0]], axis=(0, 1))
+        else:
+            if state.config.tie_embeddings:
+                g = np.einsum("pv,ph->vh", flat(ops["dlogits"]), flat(ops["y_final"]))
+            else:
+                g = np.zeros_like(state.tensors["embed"])
+            np.add.at(g, tokens.reshape(-1), flat(ops["dx"]))
+            grads[name] = g
+    return grads
+
+
+def backward(state: ModelState, tape: Tape, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every model tensor, given
+    dloss/dlogits: the row-local pass `backward_rows`, then the reduction
+    `reduce_grads` over its operands."""
+    ops = {"dlogits": dlogits}
+    backward_rows(state, tape, ops)
+    return reduce_grads(state, tape.tokens, ops)

@@ -3,6 +3,14 @@ decay, and the stage runner used for pre-training, continued pre-training
 and fine-tuning. Runs are deterministic for a fixed seed, so chained
 stages and reruns reproduce bitwise on the same BLAS thread count.
 
+Where a step's rows split into several shards (`shards.count`), each
+step runs them on this process and forked workers at once. Every row's
+forward, loss rows and row-local backward run in one shard and write
+into an arena in the shared region; the sums over rows (each weight
+gradient, the loss) then run once over the re-joined rows, split by
+gradient between the processes. So a stage gives the same bits on any
+number of shards.
+
 Under glibc, a stage first sets the process's allocator policy so that
 the megabytes each step frees stay mapped for the next step, instead of
 going back to the kernel and being faulted in again page by page; the
@@ -12,15 +20,18 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import platform
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import shards
 from .errors import ConfigError, ContractError, NumericError
-from .losses import LossSpec, combined_loss
-from .model import ModelState, backward, forward_train
+from .losses import LOSS, LossSpec, combined_loss, loss_rows, loss_value
+from .model import (ModelConfig, ModelState, backward, backward_rows, forward_train,
+                    reduce_grads, reduction_operands, tensor_shapes)
 
 ADAM_EPS = 1e-8
 
@@ -163,6 +174,136 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
 
 
+def _arena(config: ModelConfig, dtype: str, rows: int, width: int, buf=None):
+    """A sharded stage's arrays in the shared buffer `buf`, and the bytes
+    they take: the weights (a ModelState, "state"), their gradients
+    ("grads"), and for a batch of up to `rows` x `width` positions the
+    operands of `model.reduce_grads` ("ops", (positions, width) each) and
+    the loss terms ("terms", one per position and loss). Without a
+    buffer, only the size. Each array starts on a 64-byte boundary."""
+    dtype = np.dtype(dtype)
+    cells = rows * width
+    shapes = tensor_shapes(config)
+    plan = ([("state", name, shape) for name, shape in shapes.items()]
+            + [("grads", name, shape) for name, shape in shapes.items()]
+            + [("ops", name, (cells, w)) for name, w in reduction_operands(config).items()]
+            + [("terms", kind, (cells,)) for kind in LOSS])
+    views: dict[str, dict[str, np.ndarray]] = {"state": {}, "grads": {}, "ops": {}, "terms": {}}
+    offset = 0
+    for group, name, shape in plan:
+        size = math.prod(shape)
+        if buf is not None:
+            views[group][name] = np.frombuffer(buf, dtype, size, offset).reshape(shape)
+        offset += -(-size * dtype.itemsize // 64) * 64
+    views["state"] = ModelState(config, views["state"])
+    return views, offset
+
+
+@functools.lru_cache(maxsize=1)
+def _worker_arena(layout: tuple) -> dict:
+    return _arena(*layout, shards.shared())[0]
+
+
+def _in_worker(fn, layout: tuple, *args):
+    """`fn` on this worker's view of the stage arena of `layout`."""
+    return fn(_worker_arena(layout), *args)
+
+
+def _batch_ops(arena: dict, B: int, S: int) -> dict[str, np.ndarray]:
+    return {name: a[:B * S].reshape(B, S, -1) for name, a in arena["ops"].items()}
+
+
+def _shard_rows(arena: dict, B: int, S: int, r0: int, inputs: np.ndarray, mask: np.ndarray,
+                gold: np.ndarray, teacher: np.ndarray | None, offset: int, n: int,
+                loss_spec: LossSpec) -> None:
+    """The row-local pass of one shard: rows r0.. of a (B, S) batch, whose
+    supervised positions start at `offset` of its n. The forward, the loss
+    rows and `model.backward_rows` write the operands and loss terms of
+    these rows into the arena."""
+    state = arena["state"]
+    logits, tape = forward_train(state, inputs)
+    ops = {name: a[r0:r0 + len(inputs)] for name, a in _batch_ops(arena, B, S).items()}
+    flat = ops["dlogits"].reshape(-1, logits.shape[-1])
+    flat[...] = 0
+    rows = np.flatnonzero(mask)
+    if rows.size:
+        flat[rows], terms = loss_rows(logits.reshape(flat.shape)[rows], gold, loss_spec,
+                                      teacher, n)
+        for kind, t in terms.items():
+            arena["terms"][kind][offset:offset + len(t)] = t
+    backward_rows(state, tape, ops)
+
+
+def _shard_reduce(arena: dict, B: int, S: int, tokens: np.ndarray, names: tuple[str, ...]) -> None:
+    """One shard's share of the reduction: the gradients `names`."""
+    ops = _batch_ops(arena, B, S)
+    for name, g in reduce_grads(arena["state"], tokens, ops, names).items():
+        arena["grads"][name][...] = g
+
+
+@functools.lru_cache(maxsize=8)
+def _reduce_shares(config: ModelConfig, k: int) -> tuple[tuple[str, ...], ...]:
+    """The gradients split over k shards by a greedy balance of their cost
+    per batch position, as measured on the desk pair: a weight product
+    costs its output size plus a call's 1,024, a norm gain's row sum
+    1,536, and the embedding's scatter-add 320 per hidden unit (and a tied
+    head's `einsum` 16 per vocabulary and hidden unit more); a worker
+    starts 4,096 behind this process, whose call needs no message."""
+    h, v = config.hidden_size, config.vocab_size
+    cost = {name: math.prod(shape) + 1024 for name, shape in tensor_shapes(config).items()}
+    for name in cost:
+        if name.endswith("norm"):
+            cost[name] = 1536
+    cost["embed"] = 320 * h + (16 * v * h if config.tie_embeddings else 0)
+    shares: list[list[str]] = [[] for _ in range(k)]
+    loads = [0] + [4096] * (k - 1)  # a worker starts once its call arrives
+    for name in sorted(cost, key=lambda x: -cost[x]):
+        i = loads.index(min(loads))
+        shares[i].append(name)
+        loads[i] += cost[name]
+    return tuple(map(tuple, shares))
+
+
+class _ShardedSteps:
+    """A stage's steps, each batch's rows sharded over this process and the
+    workers of `shards`, with the weights in the shared region: the
+    row-local passes, then the reduction split by `_reduce_shares`; the
+    caller's AdamW updates the weights in place. A batch larger than the
+    stage's schedule, or with no supervised position, runs in-process."""
+
+    def __init__(self, state: ModelState, schedule: TrainSchedule, k: int) -> None:
+        self.layout = (state.config, state.dtype.str, schedule.batch_size, schedule.seq_len)
+        self.k = k
+        self.arena = _arena(*self.layout, shards.start(k - 1, _arena(*self.layout)[1]))[0]
+        self.state = self.arena["state"]
+        for name, t in state.tensors.items():
+            self.state.tensors[name][...] = t
+
+    def loss_and_grads(self, batch: Batch, loss_spec: LossSpec):
+        (B, S), n = batch.inputs.shape, len(batch.gold)
+        k = min(self.k, shards.count(B))
+        if k == 1 or B > self.layout[2] or S > self.layout[3] or n == 0:
+            return loss_and_grads(self.state, batch, loss_spec)
+        bounds = [B * i // k for i in range(k + 1)]
+        offsets = np.concatenate(([0], np.cumsum(np.count_nonzero(batch.mask, axis=1))))
+        calls = []
+        for i, (r0, r1) in enumerate(zip(bounds, bounds[1:])):
+            o0, o1 = int(offsets[r0]), int(offsets[r1])
+            teacher = None if batch.teacher is None else batch.teacher[o0:o1]
+            calls.append((B, S, r0, batch.inputs[r0:r1], batch.mask[r0:r1], batch.gold[o0:o1],
+                          teacher, o0, n, loss_spec))
+        self._run(_shard_rows, calls)
+        self._run(_shard_reduce, [(B, S, batch.inputs, names)
+                                  for names in _reduce_shares(self.state.config, k)])
+        total, parts = loss_value(loss_spec, {kind: t[:n] for kind, t in
+                                              self.arena["terms"].items()}, n)
+        return total, self.arena["grads"], parts
+
+    def _run(self, fn, args: list[tuple]) -> None:
+        shards.run([(fn, (self.arena, *args[0]))]
+                   + [(_in_worker, (fn, self.layout, *a)) for a in args[1:]])
+
+
 @dataclass
 class TrainResult:
     state: ModelState
@@ -183,10 +324,16 @@ def train_stage(
     the first call sets the allocator policy of `_keep_freed_memory`.
     """
     _keep_freed_memory()
-    state = ModelState(
-        config=state.config,
-        tensors={k: v.copy() for k, v in state.tensors.items()},
-    )
+    k = shards.count(schedule.batch_size)
+    if k > 1:
+        sharded = _ShardedSteps(state, schedule, k)
+        state, step_grads = sharded.state, sharded.loss_and_grads
+    else:
+        state = ModelState(
+            config=state.config,
+            tensors={name: t.copy() for name, t in state.tensors.items()},
+        )
+        step_grads = functools.partial(loss_and_grads, state)
     opt = AdamW(state, schedule)
     losses: list[float] = []
     it = iter(batches)
@@ -198,10 +345,12 @@ def train_stage(
                 f"corpus exhausted after {step - 1} of {schedule.total_steps} steps; "
                 "stage truncated", stacklevel=2)
             break
-        loss, grads, _ = loss_and_grads(state, batch, loss_spec)
+        loss, grads, _ = step_grads(batch, loss_spec)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r} at step {step}")
         opt.step(state, grads, lr_at(schedule, step))
         losses.append(loss)
     state.check_finite()
+    if k > 1:  # ordinary arrays, not views of the shared region
+        state = ModelState(state.config, {n: t.copy() for n, t in state.tensors.items()})
     return TrainResult(state=state, losses=losses)
