@@ -19,8 +19,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import shards
 from .checkpoint import atomic_write
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .model import ModelState, forward
 
 MAGIC = b"SFKD"
@@ -29,13 +30,29 @@ SPARSE_DTYPE = np.dtype([("id", "<u4"), ("logit", "<f4")])
 
 
 def top_k(logits: np.ndarray, k: int) -> np.ndarray:
-    """Exact top-k of each logits row as `SPARSE_DTYPE` pairs, descending,
-    smaller id wins ties."""
+    """Exact top-k of each logits row (the last axis) as `SPARSE_DTYPE`
+    pairs, descending, smaller id wins ties: the first k of a stable
+    argsort of the negated row, without sorting the row. `np.partition`
+    gives each row's k-th largest logit; every id above it is taken, then
+    the smallest ids equal to it, and only those k are stable-sorted. A
+    row holding a NaN takes fewer than k ids and raises NumericError."""
+    V = logits.shape[-1]
     if k <= 0:
         raise ConfigError("k must be positive")
-    if k > logits.shape[-1]:
+    if k > V:
         raise ConfigError("k exceeds vocabulary size")
-    ids = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    kth = np.partition(logits, V - k, axis=-1)[..., V - k:V - k + 1]
+    above, ties = logits > kth, logits == kth
+    # the first k - (ids above) ties of each row
+    take = np.cumsum(ties, axis=-1) <= k - np.add.reduce(above, axis=-1, keepdims=True)
+    take &= ties
+    take |= above
+    ids = np.flatnonzero(take) % V  # ascending in each row
+    if ids.size != kth.size * k:
+        raise NumericError("cannot take the top k of logits holding NaN")
+    ids = ids.reshape(logits.shape[:-1] + (k,))
+    order = np.argsort(-np.take_along_axis(logits, ids, axis=-1), axis=-1, kind="stable")
+    ids = np.take_along_axis(ids, order, axis=-1)
     pairs = np.empty(ids.shape, dtype=SPARSE_DTYPE)
     pairs["id"] = ids
     pairs["logit"] = np.take_along_axis(logits, ids, axis=-1)
@@ -47,21 +64,34 @@ def extract_sparse_logits(
     sequences: Iterable[list[int]],
     k: int,
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Yield (tokens, (len(tokens) - 1, k) pairs) per sequence.
+    """Yield (tokens, (len(tokens) - 1, k) pairs) per sequence, in order.
 
     Each sequence is one teacher forward, so one longer than the teacher's
-    max_seq_len raises LengthError; callers truncate first.
+    max_seq_len raises LengthError; callers truncate first. The first item
+    waits for every forward: sequence i runs on shard i mod n of the n that
+    `shards.count` gives, as the jobs of `data.generate_alignment_set` do.
     """
     if k <= 0:
         raise ConfigError("k must be positive")
     if k > teacher.config.vocab_size:
         raise ConfigError("k exceeds teacher vocabulary size")
-    for seq in sequences:
-        seq = list(int(t) for t in seq)
-        if len(seq) < 2:
-            raise ContractError("sequences need at least two tokens to supervise")
-        logits, _ = forward(teacher, seq)
-        yield seq, top_k(logits[:-1], k)
+    seqs = [[int(t) for t in seq] for seq in sequences]
+    if any(len(seq) < 2 for seq in seqs):
+        raise ContractError("sequences need at least two tokens to supervise")
+    n = shards.count(len(seqs))
+    if n == 1:
+        parts = [_extract(teacher, seqs, k)]
+    else:
+        shards.start(n - 1)
+        parts = shards.run([(_extract, (teacher, seqs[i::n], k)) for i in range(n)])
+    for j in range(len(seqs)):
+        yield parts[j % n][j // n]
+
+
+def _extract(teacher: ModelState, seqs: list[list[int]],
+             k: int) -> list[tuple[list[int], np.ndarray]]:
+    """The (tokens, pairs) of each sequence, one teacher forward each."""
+    return [(seq, top_k(forward(teacher, seq)[0][:-1], k)) for seq in seqs]
 
 
 def write_sparse_dataset(

@@ -26,6 +26,9 @@ extraction, an uncached forward), and the (B, S) batch of
 `forward_train`, the only call that records a tape. Both run the float
 operations of the batched layout in its order, so one sequence's logits
 and cache rows are bit-identical to `forward_train`'s on a (1, S) batch.
+Both rotate the q and k heads as one (..., n_heads + n_kv_heads, d) block,
+the layout of the rope tables, and `_step` writes into scratch that its
+`KVCache` builds once per session.
 In-place operations write only buffers of their own (the softmax its
 scores, a residual sum its branch output), and a buffer on the tape is
 never written after it is recorded.
@@ -190,13 +193,22 @@ class KVCache:
 
     Entries below `filled_len` are immutable once written; `truncate` only
     discards the tail. A cache must not be shared between sessions.
+
+    `scratch` is what `_step` writes on every call, built once per session:
+    the (n_heads + n_kv_heads, d) buffer of one token's q and k heads
+    before rotation, its q and k parts as flat rows (the outputs of their
+    projections), and the values as (layers, T, kv_dim) rows.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32) -> None:
-        shape = (config.n_layers, config.max_seq_len, config.n_kv_heads, config.head_dim)
-        self.keys = np.zeros(shape, dtype=dtype)
-        self.values = np.zeros(shape, dtype=dtype)
+        L, T, H, KV, d = (config.n_layers, config.max_seq_len, config.n_heads,
+                          config.n_kv_heads, config.head_dim)
+        self.keys = np.zeros((L, T, KV, d), dtype=dtype)
+        self.values = np.zeros((L, T, KV, d), dtype=dtype)
         self.filled_len = 0
+        qk = np.empty((H + KV, d), dtype=dtype)
+        self.scratch = (qk, qk[:H].reshape(H * d), qk[H:].reshape(KV * d),
+                        self.values.reshape(L, T, KV * d))
 
     def truncate(self, length: int) -> None:
         if not 0 <= length <= self.filled_len:
@@ -335,7 +347,9 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
     cached or not, or a (B, S) training batch, recording `tape` when given.
     Returns the (..., S, vocab) logits.
 
-    Activations are (..., S, hidden), heads (..., S, heads, d). Three
+    Activations are (..., S, hidden), heads (..., S, heads, d). The q and k
+    projections are joined along the head axis and rotated once, as
+    `_step` does; `q` and `k` are views of the rotated block. Three
     choices are made per call, each keeping a sequence's bits a (1, S)
     batch's: weight products are `ndarray.dot` on a sequence (the BLAS
     call of `@` without the gufunc's dispatch) and `@` on a batch, where a
@@ -373,8 +387,9 @@ def _rows(state: ModelState, tokens: np.ndarray, cache: KVCache | None = None,
         n1 = x * r1
         y1 = mul(n1, t[attn_norm])
 
-        q = _rotate(matmul(y1, t[wq]).reshape(q_shape), cos[:, :H], sin[:, :H])
-        k = _rotate(matmul(y1, t[wk]).reshape(kv_shape), cos[:, H:], sin[:, H:])
+        qk = _rotate(np.concatenate((matmul(y1, t[wq]).reshape(q_shape),
+                                     matmul(y1, t[wk]).reshape(kv_shape)), axis=-2), cos, sin)
+        q, k = qk[..., :H, :], qk[..., H:, :]
         v = matmul(y1, t[wv]).reshape(kv_shape)
         if cache is not None:
             cache.keys[l, start:total] = k
@@ -431,8 +446,12 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     logits and the cache rows it writes are bit-identical.
 
     Activations are (hidden,), heads (heads, d), weight products
-    `ndarray.dot`. The q and k heads are rotated together in one
-    (heads + kv_heads, d) buffer; v is written straight into its cache row.
+    `ndarray.dot`. The q and k projections write into one
+    (heads + kv_heads, d) buffer, rotated at once; v is written straight
+    into its cache row. The buffer, its flat q and k rows and the value
+    rows are `cache.scratch`, built once per session, and each inverse RMS
+    is written inline rather than by a function made per call. Weights
+    are still looked up per call: a cache is not bound to a state.
     A lone query attends every cached key, so there is no mask, and the
     softmax runs on the (heads, T) view of the scores. Attention stays one
     (1, d) x (d, T) product per query head: one (G, d) x (d, T) product
@@ -452,16 +471,12 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
     cos, sin = cos[start], sin[start]  # (heads + kv_heads, d)
     H, KV, d = cfg.n_heads, cfg.n_kv_heads, cfg.head_dim
     G, T = H // KV, start + 1
-    qk = np.empty((H + KV, d), state.dtype)  # the q and k heads before rotation
-    q_flat, k_flat = qk[:H].reshape(H * d), qk[H:].reshape(KV * d)
-    v_rows = cache.values.reshape(cfg.n_layers, cfg.max_seq_len, KV * d)
+    qk, q_flat, k_flat, v_rows = cache.scratch
 
-    def rms_inv(x: np.ndarray) -> np.generic:  # `_rms_inv` of a row
-        return one / np.sqrt(np.add.reduce(np.square(x)) / width + eps)
-
+    # each `one / np.sqrt(...)` is `_rms_inv` of a row
     x = t["embed"][token]  # a view of the table: never written
     for l, (attn_norm, wq, wk, wv, wo, mlp_norm, w_gate, w_up, w_down) in enumerate(names):
-        y1 = x * rms_inv(x)
+        y1 = x * (one / np.sqrt(np.add.reduce(np.square(x)) / width + eps))
         y1 *= t[attn_norm]
 
         y1.dot(t[wq], out=q_flat)
@@ -482,7 +497,7 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
         x2 = (scores @ v.transpose(1, 0, 2)[:, None]).reshape(H * d).dot(t[wo])
         x2 += x
 
-        y2 = x2 * rms_inv(x2)
+        y2 = x2 * (one / np.sqrt(np.add.reduce(np.square(x2)) / width + eps))
         y2 *= t[mlp_norm]
         act = y2.dot(t[w_gate])
         up = y2.dot(t[w_up])
@@ -491,7 +506,7 @@ def _step(state: ModelState, token: int, cache: KVCache) -> np.ndarray:
         x = act.dot(t[w_down])
         x += x2
 
-    y = x * rms_inv(x)
+    y = x * (one / np.sqrt(np.add.reduce(np.square(x)) / width + eps))
     y *= t["final_norm"]
     return y.dot(state.head_weight())
 

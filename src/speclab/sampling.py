@@ -90,7 +90,7 @@ def sample(logits: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator)
 def _draw(logits: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator) -> int:
     """`sample` of a row that `forward` has already checked is finite."""
     if policy.mode == "greedy":
-        return int(np.argmax(logits))
+        return int(logits.argmax())
     return sample_from_dist(softmax(logits, policy.temperature), rng)
 
 

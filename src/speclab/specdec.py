@@ -173,7 +173,7 @@ def speculate_block(session: SpecSession, spec: SpecConfig, proposal_len: int) -
     for _ in range(proposal_len):
         logits = _catch_up(session.draft, session.draft_cache, session.committed + proposed)[-1]
         if greedy:
-            proposed.append(int(np.argmax(logits)))
+            proposed.append(int(logits.argmax()))
         else:
             q_dists.append(distribution(logits, policy))
             proposed.append(sample_from_dist(q_dists[-1], session.rng))
@@ -183,7 +183,7 @@ def speculate_block(session: SpecSession, spec: SpecConfig, proposal_len: int) -
                          session.committed + proposed)[-(proposal_len + 1):]
     u_values: list[float] = []
     if greedy:
-        best = np.argmax(t_logits, axis=-1)
+        best = t_logits.argmax(axis=-1)
         accepted = next((j for j, tok in enumerate(proposed) if tok != best[j]), proposal_len)
         emitted = proposed[:accepted] + [int(best[accepted])]
     else:

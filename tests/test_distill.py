@@ -4,7 +4,7 @@ import pytest
 from speclab import ModelConfig, init_model
 from speclab.distill import (SPARSE_DTYPE, extract_sparse_logits, read_sparse_dataset,
                              top_k, write_sparse_dataset)
-from speclab.errors import ConfigError, ContractError, DataError, LengthError
+from speclab.errors import ConfigError, ContractError, DataError, LengthError, NumericError
 from speclab.model import forward
 
 
@@ -24,6 +24,29 @@ def test_top_k_rows_match_lexsort():
         want = np.lexsort((np.arange(9), -row))[:4]
         assert got["id"].tolist() == want.tolist()
         assert got["logit"].tolist() == row[want].astype(np.float32).tolist()
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 9), (3, 4, 9)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_top_k_equals_the_stable_argsort_by_bytes(shape, dtype):
+    """For every k from 1 to V, on rows of integer-valued logits (many
+    ties, a negative zero among them), the partition gives the bytes of
+    the first k of a stable argsort of the negated rows."""
+    logits = np.random.default_rng(len(shape)).integers(-3, 3, size=shape).astype(dtype)
+    logits.flat[::5] = -0.0
+    for k in range(1, shape[-1] + 1):
+        ids = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+        want = np.empty(ids.shape, dtype=SPARSE_DTYPE)
+        want["id"] = ids
+        want["logit"] = np.take_along_axis(logits, ids, axis=-1)
+        assert top_k(logits, k).tobytes() == want.tobytes(), f"k {k}"
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_top_k_of_logits_holding_nan_raises(k):
+    logits = np.array([[1.0, 4.0, 2.0, 3.0], [1.0, np.nan, 2.0, 0.0]])
+    with pytest.raises(NumericError):
+        top_k(logits, k)
 
 
 def test_k_equals_vocab_is_argsort():

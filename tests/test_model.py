@@ -251,6 +251,39 @@ def test_constants_are_keyed_by_dtype_bit_for_bit():
             assert step.values.tobytes() == batch.values.tobytes(), where
 
 
+@DTYPES
+def test_interleaved_caches_step_bit_for_bit(dtype):
+    """Two caches of one state, and a draft's and a target's cache, stepped
+    interleaved as speculative decoding steps them (a few draft tokens, then
+    the target): each gives the logits and the key/value bytes it gives when
+    stepped alone, so no cache's `_step` scratch reaches another's."""
+    target = _layout_state(64, 8, 2, False, dtype, max_seq_len=16)
+    draft = _layout_state(32, 2, 1, True, dtype, max_seq_len=16)
+    rng = np.random.default_rng(11)
+    runs = [(st, rng.integers(0, 50, size=16).tolist()) for st in (target, target, draft)]
+
+    def step(st, cache, tok):
+        logits = _step(st, tok, cache)
+        cache.filled_len += 1
+        return logits.tobytes()
+
+    alone = []
+    for st, tokens in runs:
+        cache = KVCache(st.config, dtype)
+        alone.append(([step(st, cache, tok) for tok in tokens], cache))
+    caches = [KVCache(st.config, dtype) for st, _ in runs]
+    got = [[] for _ in runs]
+    # the draft steps three times, then each target cache once, as in a
+    # speculative block; then the two target caches step on alone
+    for i in (2, 2, 2, 0, 1) * 4 + (0, 1, 0, 1, 2) * 4 + (0, 1) * 4:
+        st, tokens = runs[i]
+        got[i].append(step(st, caches[i], tokens[caches[i].filled_len]))
+    for i, ((want, lone), cache) in enumerate(zip(alone, caches)):
+        assert got[i] == want, f"cache {i}"
+        assert cache.keys.tobytes() == lone.keys.tobytes(), f"cache {i}"
+        assert cache.values.tobytes() == lone.values.tobytes(), f"cache {i}"
+
+
 def test_single_sequence_forwards_never_reach_the_training_forward(monkeypatch):
     """Decoding (AR, and greedy and multinomial SD whose fully accepted
     blocks make two-token draft catch-ups), teacher extraction and the

@@ -1,6 +1,8 @@
 """The summary of `tools/pair_bench.py` on hand-made runs: medians, wins
-and the base's IQR come out as computed by hand, and identical runs on
-both sides claim nothing. The run order of the pairs is seeded."""
+and the base's IQR come out as computed by hand, identical runs on both
+sides claim nothing, and the paired-run rule needs nine tenths of the
+pairs and a shift past the base's IQR. The run order of the pairs is
+seeded."""
 
 import importlib.util
 from pathlib import Path
@@ -70,6 +72,7 @@ def test_identical_runs_claim_nothing():
         assert row["wins"] == 0, name
         assert row["ratio_of_medians"] == 1.0, name
         assert row["claim"] is None, name
+        assert row["rule"] is None, name
 
 
 def test_the_bootstrap_is_seeded():
@@ -87,3 +90,31 @@ def test_the_run_order_is_seeded_and_shuffled():
     assert sorted(orders) == [("base", "change")] * 5 + [("change", "base")] * 5
     assert orders != [("base", "change"), ("change", "base")] * 5
     assert [first for first, _ in pair_bench.run_orders(5)].count("base") == 3
+
+
+def test_the_rule_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_base_iqr():
+    """A uniform 6% gain on 10 of 10 pairs meets the rule, and the same
+    loss on the higher-is-better metric is a loss; a gain on 8 of 10 pairs
+    does not meet it, nor does a shift inside the base's IQR."""
+    base_us = [100.0 + 0.5 * i for i in range(10)]  # IQR 2.25 around 102.25
+    base_tok = [5000.0 + 10.0 * i for i in range(10)]  # IQR 45 around 5045
+    base = runs(ar_us_per_token=base_us, sd_greedy_tokens_per_s=base_tok)
+    uniform = runs(ar_us_per_token=[0.94 * b for b in base_us],
+                   sd_greedy_tokens_per_s=[0.94 * b for b in base_tok])
+    s = pair_bench.summarize(base, uniform, BETTER)
+    assert (s["ar_us_per_token"]["wins"], s["ar_us_per_token"]["rule"]) == (10, "gain")
+    assert (s["sd_greedy_tokens_per_s"]["wins"], s["sd_greedy_tokens_per_s"]["rule"]) == (
+        0, "loss")
+
+    eight = runs(ar_us_per_token=[(1.01 if i in (3, 7) else 0.94) * b
+                                  for i, b in enumerate(base_us)])
+    row = pair_bench.summarize(base, eight, BETTER)["ar_us_per_token"]
+    assert row["wins"] == 8
+    assert row["base_median"] - row["change_median"] > row["base_iqr"]
+    assert row["rule"] is None
+
+    wide = [100.0 + 2.0 * i for i in range(10)]  # IQR 9
+    inside = pair_bench.summarize(runs(ar_us_per_token=wide),
+                                  runs(ar_us_per_token=[b - 1.0 for b in wide]), BETTER)
+    assert inside["ar_us_per_token"]["wins"] == 10
+    assert inside["ar_us_per_token"]["rule"] is None

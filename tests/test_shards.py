@@ -15,7 +15,7 @@ from speclab import (LossSpec, ModelConfig, ModelState, TrainSchedule, init_mode
                      save_checkpoint, shards, train_stage)
 from speclab.data import (AlignmentSample, alignment_batches, generate_alignment_set,
                           lm_batches, save_corpus, teacher_sequences)
-from speclab.distill import extract_sparse_logits
+from speclab.distill import extract_sparse_logits, write_sparse_dataset
 from speclab.errors import ContractError, NumericError, StageError
 from speclab.experiment import run_training
 from speclab.tokenizer import ByteTokenizer
@@ -177,6 +177,23 @@ def test_generated_samples_do_not_depend_on_the_shard_count(n_shards):
     assert {s.temperature for s in got[0]} == {None, 0.6, 1.0}
     assert [s.instruction_source for s in got[0]].count("model") == 2
     assert got[1] == got[0] and got[2] == got[0]
+
+
+@needs_fork
+def test_the_sparse_logit_file_does_not_depend_on_the_shard_count(n_shards, tmp_path):
+    """The teacher pass writes the same `.sfkd` bytes from one process and
+    from several, with more sequences than shards and fewer."""
+    teacher = init_model(CFG, seed=1)
+    sequences = teacher_sequences(TOK, _samples(5), SEQ + 1)
+    for seqs in (sequences, sequences[:2]):
+        files = []
+        for cpus in (1, 2, 3):
+            n_shards(cpus)
+            files.append(tmp_path / f"{len(seqs)}_{cpus}.sfkd")
+            write_sparse_dataset(files[-1], extract_sparse_logits(teacher, seqs, k=8),
+                                 k=8, vocab_size=CFG.vocab_size)
+        assert files[1].read_bytes() == files[0].read_bytes()
+        assert files[2].read_bytes() == files[0].read_bytes()
 
 
 @needs_fork

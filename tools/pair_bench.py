@@ -16,7 +16,10 @@ metrics and, per end-to-end metric of BENCHMARK.json, the medians of both
 sides, the pairs the change wins, the base's interquartile range, and a
 paired bootstrap interval on the ratio of medians (change over base) drawn
 from a fixed seed. A gain or a loss is claimed only when that interval
-excludes 1.
+excludes 1. Next to that claim, `rule` applies the paired-run rule of a
+performance claim: a gain (or a loss) when the change wins (or loses) at
+least nine tenths of the pairs and the two medians differ by more than
+the base's IQR.
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
     """Per metric named in `better` ("lower" or "higher"), over the pairs
     where both runs report it: both medians, the change's wins (pairs it
     beats the base in; ties are not wins), the base's IQR, the ratio of
-    medians and its paired bootstrap interval, and the claim, "gain" or
-    "loss" when the interval excludes 1 and null otherwise."""
+    medians and its paired bootstrap interval, the claim, "gain" or
+    "loss" when the interval excludes 1 and null otherwise, and the rule,
+    "gain" or "loss" when the change wins or loses at least nine tenths of
+    the pairs and the medians differ by more than the base's IQR, and null
+    otherwise."""
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     out = {}
     for name, direction in better.items():
@@ -81,6 +87,14 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
         claim = None
         if lo > 1 or hi < 1:
             claim = "gain" if sign * (lo - 1) > 0 else "loss"
+        wins, losses = int(np.sum(sign * (c - b) > 0)), int(np.sum(sign * (c - b) < 0))
+        shift = sign * (np.median(c) - np.median(b))
+        rule = None
+        if abs(shift) > q3 - q1:
+            if shift > 0 and 10 * wins >= 9 * len(b):
+                rule = "gain"
+            elif shift < 0 and 10 * losses >= 9 * len(b):
+                rule = "loss"
         out[name] = {
             "better": direction,
             "pairs": len(b),
@@ -88,9 +102,10 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
             "change_median": float(np.median(c)),
             "ratio_of_medians": float(np.median(c) / np.median(b)),
             "ratio_interval": [float(lo), float(hi)],
-            "wins": int(np.sum(sign * (c - b) > 0)),
+            "wins": wins,
             "base_iqr": float(q3 - q1),
             "claim": claim,
+            "rule": rule,
         }
     return out
 
@@ -151,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
                                  key=lambda r: (r["pair"], not r["first"]))],
     }
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({k: (v.get("ratio_of_medians"), v.get("wins"), v.get("claim"))
+    print(json.dumps({k: (v.get("ratio_of_medians"), v.get("wins"), v.get("claim"),
+                          v.get("rule"))
                       for k, v in record["summary"].items()}))
     return 0
 
